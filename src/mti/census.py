@@ -53,18 +53,17 @@ class Checkpoint:
     snf_triple_pos: tuple[int, int, int]
 
     def csv_row(self) -> str:
-        c1, unip, _ = _group_counts(self.per_label)
+        c1, unip, _ = _group_counts(self.per_label, self.p)
         c2 = self.per_label.get("C2", 0) if self.p != 2 else 0
         rest = self.total - c1 - c2 - unip
         values = (self.T, self.total, c1, c2, unip, rest, self.dw_sum, *self.snf_triple)
         return ",".join(str(v) for v in values) + f",{self.li_T2!r}"
 
 
-def _group_counts(per_label: dict[str, int]) -> tuple[int, int, int]:
-    """(identity, Z-equals-p, rest) counts from a label map."""
-    odd = any(k in per_label for k in ("C4", "C5", "C6", "C7", "C8"))
+def _group_counts(per_label: dict[str, int], p: int) -> tuple[int, int, int]:
+    """(identity, Z-equals-p, rest) counts from a label map for the prime p."""
     c1 = per_label.get("C1", 0)
-    unip = per_label.get("C3", 0) + per_label.get("C4", 0) if odd else per_label.get("C2", 0)
+    unip = per_label.get("C2", 0) if p == 2 else per_label.get("C3", 0) + per_label.get("C4", 0)
     total = sum(per_label.values())
     return c1, unip, total - c1 - unip
 
@@ -221,7 +220,7 @@ def _snapshot(T: int, acc: _Tally, labels, p: int) -> Checkpoint:
     # accumulator; recompute from identities: category routing is a
     # function of the label for category 0/1 (see dwformula), so:
     #   cat0 <-> C1, cat1 <-> unipotent (Z = p), cat2 <-> rest
-    c1p, unipp, restp = _group_counts(pos_label)
+    c1p, unipp, restp = _group_counts(pos_label, p)
     return Checkpoint(
         T=T,
         p=p,
@@ -297,7 +296,7 @@ def density_report(report: CensusReport) -> DensityReport:
     for cp in report.checkpoints:
         if cp.total == 0:
             continue
-        c1, unip, rest = _group_counts(cp.per_label)
+        c1, unip, rest = _group_counts(cp.per_label, cp.p)
         cps.append(
             (
                 cp.T,

@@ -36,7 +36,9 @@ def theta_constants(tau: complex) -> tuple[complex, complex, complex]:
     th2 = 0j
     n = 0
     while True:
-        term = q ** ((n + 0.5) * (n + 0.5))
+        # exp(i pi tau (n + 1/2)^2), not q ** (...): the principal log of q
+        # would lose a factor i^m whenever Re(tau) is outside (-1, 1]
+        term = cmath.exp(1j * cmath.pi * tau * ((n + 0.5) * (n + 0.5)))
         th2 += 2 * term
         if abs(term) < SERIES_TOL and n > 2:
             break

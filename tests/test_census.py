@@ -6,6 +6,7 @@ from mti.bqf import hyperbolic_classes_below
 from mti.census import (
     CSV_HEADER,
     CensusReport,
+    _group_counts,
     census,
     density_report,
     group_fractions,
@@ -119,6 +120,12 @@ def test_census_p2():
     z = {"C1": 4, "C2": 2, "C3": 1}
     assert rep.dw_sum == sum(z[k] * v for k, v in rep.per_label.items())
     assert rep.snf_triple == (rep.per_label["C1"], rep.per_label["C2"], rep.per_label["C3"])
+
+
+def test_group_counts_uses_the_prime():
+    # an odd-p label map with no C4..C8 key still routes C3 to the Z = p group
+    assert _group_counts({"C1": 1, "C2": 0, "C3": 2}, 3) == (1, 2, 0)
+    assert _group_counts({"C1": 1, "C2": 0, "C3": 2}, 2) == (1, 0, 2)
 
 
 def test_census_csv_schema():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mti.csw import (
+    _box_term,
     compare_with_rep_trace,
     congruence_level,
     coset_reps,
@@ -74,6 +75,60 @@ def _csw_histogram_oracle(a: Sl2Matrix, k: int) -> complex:
         s = sum(c * cmath.exp(2j * cmath.pi * r / nn) for r, c in enumerate(counts))
         total += sign * s / (nn * math.sqrt(nn))
     return (1 if t > 0 else -1) / 2 * total
+
+
+def _box_term_loop(A: Sl2Matrix, k: int, n: int) -> complex:
+    # the direct O(n^2) double loop over the box, one root per exact residue
+    nn = abs(n)
+    roots = [cmath.exp(2j * cmath.pi * r / nn) for r in range(nn)]
+    shift = k + 2
+    b, ad, c = A.b, A.a - A.d, A.c
+    total = 0j
+    for x in range(nn):
+        qx = b * x * x
+        adx = ad * x
+        for y in range(nn):
+            q = shift * (qx + adx * y - c * y * y)
+            total += roots[(q if n > 0 else -q) % nn]
+    return total / (nn * math.sqrt(nn))
+
+
+def _sl2_with_trace(rng, t):
+    while True:
+        a = rng.randint(-abs(t), abs(t))
+        m = a * (t - a) - 1
+        if m == 0:
+            continue
+        b = rng.choice([e for e in range(1, math.isqrt(abs(m)) + 1) if m % e == 0])
+        b *= rng.choice((1, -1))
+        return Sl2Matrix(a, b, m // b, t - a)
+
+
+def test_fft_box_term_matches_loop():
+    rng = random.Random(41)
+    cases = [(a, k) for a in (Sl2Matrix(2, 1, 1, 1), Sl2Matrix(-2, 1, 1, -1)) for k in range(1, 9)]
+    for i in range(20):
+        t = (-1) ** i * rng.randint(3, 150)
+        cases.append((_sl2_with_trace(rng, t), 1 + i % 8))
+    signs = set()
+    for a, k in cases:
+        for n in (a.trace - 2, a.trace + 2):
+            signs.add((n > 0, abs(n) == 1))
+            assert abs(_box_term(a, k, n) - _box_term_loop(a, k, n)) < 1e-10
+    assert signs == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_csw_large_entries_reduced_exactly():
+    # entries whose unreduced products wrap in int64 (2^56) or that do not
+    # fit in it at all (2^70): the coefficients must be reduced mod n as
+    # exact integers before any fixed-width arithmetic
+    for a, bound in itertools.product(
+        (Sl2Matrix(2, 1, 1, 1), Sl2Matrix(5, 3, 3, 2), Sl2Matrix(-7, 2, 3, -1)), (2**56, 2**70)
+    ):
+        while min(abs(a.b), abs(a.c)) <= bound:
+            a = a.conjugate_by(SL2_T).conjugate_by(Sl2Matrix(1, 0, 1, 1))
+        for k in (1, 4):
+            assert abs(csw_invariant(a, k) - _csw_histogram_oracle(a, k)) < 1e-10
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -56,6 +56,15 @@ def test_theta_against_direct_sum():
             assert abs(g - w) < 1e-12
 
 
+def test_theta2_off_principal_strip():
+    # two-sided series sum over n in Z of exp(i pi tau (n + 1/2)^2), which
+    # depends on tau itself and not only on the nome
+    for re in (-3, -1.7, -0.5, 0.3, 1.3, 2.5, 3):
+        tau = complex(re, 0.8)
+        want = sum(cmath.exp(1j * cmath.pi * tau * (n + 0.5) ** 2) for n in range(-40, 40))
+        assert abs(theta_constants(tau)[0] - want) < 1e-12
+
+
 def test_theta_rejects_small_imaginary_part():
     with pytest.raises(ValueError):
         theta_constants(0.5 + 0.01j)
