@@ -13,14 +13,13 @@ import argparse
 import pathlib
 import time
 
-from mti.census import census, density_report, theorem_constants
+from mti.census import census, census_text
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tmax", type=int, default=2000)
     ap.add_argument("--primes", default="3,5")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--outdir", default=".")
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir)
@@ -28,47 +27,13 @@ def main() -> None:
 
     for p in (int(x) for x in args.primes.split(",")):
         t0 = time.time()
-        rep = census(p, args.tmax, threads=args.threads)
+        rep = census(p, args.tmax)
         took = time.time() - t0
         path = outdir / f"census_p{p}_T{args.tmax}.csv"
         path.write_text(rep.to_csv())
         print(f"p={p} T={args.tmax}: {rep.total_classes} classes in {took:.1f}s -> {path}")
 
-        dens = density_report(rep)
-        print("  kind | count | empirical | predicted | rel.dev")
-        for row in dens.rows:
-            print(
-                f"  {row.kind:>4} | {row.count:>8} | {row.empirical:.6f} | "
-                f"{row.predicted:.6f} | {row.deviation:.4f}"
-            )
-        print("  deviation trend (T', identity / trace-2 / rest groups):")
-        for t, d1, d2, d3 in dens.checkpoint_deviations:
-            print(f"    {t:>6}: {d1:.5f}  {d2:.5f}  {d3:.5f}")
-
-        c = theorem_constants(rep)
-        print(f"  sum constants vs li(T^2) at T={args.tmax}:")
-        print(
-            f"    partition-function sum: positive-trace {c.dw_pos:.4f}, "
-            f"all-classes {c.dw_all:.4f}; printed {c.dw_printed:.4f}, "
-            f"class-size-derived {c.dw_derived:.4f}"
-        )
-        print(
-            f"    divisibility triple:    positive-trace ({', '.join(f'{v:.5f}' for v in c.snf_pos)})"
-        )
-        print(
-            f"                            all-classes    ({', '.join(f'{v:.5f}' for v in c.snf_all)})"
-        )
-        print(
-            f"                            printed        ({', '.join(f'{v:.5f}' for v in c.snf_printed)})"
-        )
-        print(
-            f"                            derived        ({', '.join(f'{v:.5f}' for v in c.snf_derived)})"
-        )
-        print(
-            "    note: the all-classes normalization counts each +-trace pair twice,"
-            " so it runs at twice the derived constants; the positive-trace"
-            " normalization (one class per closed geodesic) matches them."
-        )
+        print(census_text(rep))
 
 
 if __name__ == "__main__":

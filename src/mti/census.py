@@ -12,7 +12,6 @@ factor 2 between the normalizations; reports show both.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from scipy.integrate import quad
@@ -89,13 +88,14 @@ class CensusReport:
 
 
 class _Tally:
-    __slots__ = ("labels", "dw", "snf", "n")
+    """Label and SNF-category counts; positive traces in the first half of
+    each list, negative traces in the second."""
+
+    __slots__ = ("labels", "snf")
 
     def __init__(self, nlabels: int):
-        self.labels = [0] * nlabels
-        self.dw = 0
-        self.snf = [0, 0, 0]
-        self.n = 0
+        self.labels = [0] * (2 * nlabels)
+        self.snf = [0] * 6
 
 
 def _zp_of_kind(kind: str, p: int) -> int:
@@ -108,92 +108,48 @@ def _zp_of_kind(kind: str, p: int) -> int:
     return 1
 
 
-def _tally_traces(p: int, t_lo: int, t_hi: int, labels) -> list[_Tally]:
-    """Per-|trace| tallies (both signs pooled, positives tracked apart)."""
-    index = {k: i for i, k in enumerate(labels)}
-    out = []
-    for t in range(t_lo, t_hi):
-        tal = _Tally(2 * len(labels))
-        for sign in (1, -1):
-            for rep in classes_with_trace(sign * t):
-                m = rep.matrix
-                if p == 2:
-                    kind = classify_mod_2(m).kind
-                else:
-                    kind = _classify_residues(m.a % p, m.b % p, m.c % p, m.d % p, p).kind
-                a1, a2 = sl2_snf_entries(m)
-                d1, d2 = a1 % p == 0, a2 % p == 0
-                if d1 and d2:
-                    cat = 0
-                elif (not d1) and d2:
-                    cat = 1
-                elif (not d1) and not d2:
-                    cat = 2
-                else:  # p | A1 forces p | A2 since A1 | A2
-                    raise AssertionError(f"impossible SNF divisibility at {m}")
-                # label counts are sign-split so positive-trace tallies can
-                # be recovered at snapshot time
-                off = 0 if sign > 0 else len(labels)
-                tal.labels[index[kind] + off] += 1
-                tal.n += 1
-                tal.dw += _zp_of_kind(kind, p)
-                tal.snf[cat] += 1
-        out.append(tal)
-    return out
+def _snf_category(m, p: int) -> int:
+    """0 if p divides both SNF entries of A - Id, 1 if only the second, 2 if neither."""
+    a1, a2 = sl2_snf_entries(m)
+    if a2 % p:
+        if a1 % p == 0:  # p | A1 forces p | A2 since A1 | A2
+            raise AssertionError(f"impossible SNF divisibility at {m}")
+        return 2
+    return 1 if a1 % p else 0
 
 
-def census(p: int, T: int, threads: int = 1) -> CensusReport:
+def census(p: int, T: int) -> CensusReport:
     """Classify every hyperbolic class with |Tr| < T modulo p.
 
-    Accumulates per-label counts, the partition-function sum, and the
-    three SNF divisibility categories; snapshots cumulative tallies at
-    trace bounds T/2^k.  `threads` shards the trace range; the merge is
-    ordered, so output is identical for any thread count.
+    One serial pass over the traces counts the labels and the three SNF
+    divisibility categories, split by trace sign, and snapshots the
+    cumulative tallies each time the trace reaches a bound T/2^k.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if T < 4:
         raise ValueError("T must be >= 4")
     labels = _LABELS_P2 if p == 2 else _LABELS_ODD
-    threads = max(1, threads)
-    traces = range(3, T)
-    if threads == 1:
-        tallies = _tally_traces(p, 3, T, labels)
-    else:
-        chunk = max(1, (len(traces) + threads - 1) // threads)
-        bounds = [(3 + i * chunk, min(3 + (i + 1) * chunk, T)) for i in range(threads)]
-        bounds = [(lo, hi) for lo, hi in bounds if lo < hi]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _tally_traces(p, b[0], b[1], labels), bounds))
-        tallies = [t for part in parts for t in part]
-
-    # checkpoint bounds T/2^k, ascending, deduplicated, all >= 4
-    cuts = []
-    cur = T
-    while cur >= 4:
-        cuts.append(cur)
-        cur //= 2
-    cuts = sorted(set(cuts))
-
     nl = len(labels)
-    acc = _Tally(2 * nl)
+    index = {k: i for i, k in enumerate(labels)}
+    # checkpoint bounds T/2^k below T, all >= 4; T itself is snapshotted last
+    cuts = {T >> k for k in range(1, T.bit_length()) if T >> k >= 4}
+    acc = _Tally(nl)
     checkpoints = []
-    cut_i = 0
-    for t, tal in zip(traces, tallies):
-        while cut_i < len(cuts) and t >= cuts[cut_i]:
-            checkpoints.append(_snapshot(cuts[cut_i], acc, labels, p))
-            cut_i += 1
-        for i in range(2 * nl):
-            acc.labels[i] += tal.labels[i]
-        acc.n += tal.n
-        acc.dw += tal.dw
-        for i in range(3):
-            acc.snf[i] += tal.snf[i]
-    while cut_i < len(cuts):
-        checkpoints.append(_snapshot(cuts[cut_i], acc, labels, p))
-        cut_i += 1
-
-    final = checkpoints[-1]
+    for t in range(3, T):
+        if t in cuts:
+            checkpoints.append(_snapshot(t, acc, labels, p))
+        for sign, off in ((1, 0), (-1, 1)):
+            for rep in classes_with_trace(sign * t):
+                m = rep.matrix
+                if p == 2:
+                    kind = classify_mod_2(m).kind
+                else:
+                    kind = _classify_residues(m.a % p, m.b % p, m.c % p, m.d % p, p).kind
+                acc.labels[index[kind] + off * nl] += 1
+                acc.snf[_snf_category(m, p) + off * 3] += 1
+    final = _snapshot(T, acc, labels, p)
+    checkpoints.append(final)
     return CensusReport(
         p=p,
         T=T,
@@ -212,26 +168,18 @@ def census(p: int, T: int, threads: int = 1) -> CensusReport:
 def _snapshot(T: int, acc: _Tally, labels, p: int) -> Checkpoint:
     nl = len(labels)
     per_label = {k: acc.labels[i] + acc.labels[i + nl] for i, k in enumerate(labels)}
-    # positive-trace sub-tallies, reconstructed from the sign-split blocks
-    pos_label = {k: acc.labels[i] for i, k in enumerate(labels)}
-    dw_pos = sum(_zp_of_kind(k, p) * v for k, v in pos_label.items())
-    total_pos = sum(pos_label.values())
-    # SNF categories for positives only are not sign-split in the
-    # accumulator; recompute from identities: category routing is a
-    # function of the label for category 0/1 (see dwformula), so:
-    #   cat0 <-> C1, cat1 <-> unipotent (Z = p), cat2 <-> rest
-    c1p, unipp, restp = _group_counts(pos_label, p)
+    pos_label = dict(zip(labels, acc.labels[:nl]))
     return Checkpoint(
         T=T,
         p=p,
-        total=acc.n,
+        total=sum(per_label.values()),
         per_label=per_label,
-        dw_sum=acc.dw,
-        snf_triple=(acc.snf[0], acc.snf[1], acc.snf[2]),
+        dw_sum=sum(_zp_of_kind(k, p) * v for k, v in per_label.items()),
+        snf_triple=(acc.snf[0] + acc.snf[3], acc.snf[1] + acc.snf[4], acc.snf[2] + acc.snf[5]),
         li_T2=log_integral(float(T) * T),
-        total_pos=total_pos,
-        dw_sum_pos=dw_pos,
-        snf_triple_pos=(c1p, unipp, restp),
+        total_pos=sum(pos_label.values()),
+        dw_sum_pos=sum(_zp_of_kind(k, p) * v for k, v in pos_label.items()),
+        snf_triple_pos=(acc.snf[0], acc.snf[1], acc.snf[2]),
     )
 
 
@@ -341,3 +289,39 @@ def theorem_constants(report: CensusReport) -> ConstantsReport:
         snf_printed=(1 / order, (p * p - 1) / order, (p**3 - p**2 - p - 1) / order),
         snf_derived=(1 / order, (p * p - 1) / order, (p**3 - p**2 - p) / order),
     )
+
+
+def census_text(report: CensusReport) -> str:
+    """The census text report: totals, the density table, the deviation
+    trend over checkpoints, and the sum constants in both normalizations."""
+    dens = density_report(report)
+    c = theorem_constants(report)
+
+    def triple(values) -> str:
+        return ", ".join(f"{v:.5f}" for v in values)
+
+    lines = [
+        f"census p={report.p} T={report.T}: {report.total_classes} classes "
+        f"({report.total_pos} with positive trace), li(T^2)={report.li_T2:.3f}",
+        f"  dw_sum={report.dw_sum} snf_triple={report.snf_triple}",
+        "  kind | count | empirical | predicted | rel.dev",
+    ]
+    lines += [
+        f"  {r.kind:>4} | {r.count:>8} | {r.empirical:.6f} | {r.predicted:.6f} | {r.deviation:.4f}"
+        for r in dens.rows
+    ]
+    lines.append("  deviation trend (T', identity / trace-2 / rest groups):")
+    lines += [f"    {t:>6}: {d1:.5f}  {d2:.5f}  {d3:.5f}" for t, d1, d2, d3 in dens.checkpoint_deviations]
+    lines += [
+        f"  sum constants vs li(T^2) at T={report.T}:",
+        f"    partition-function sum: positive-trace {c.dw_pos:.4f}, all-classes {c.dw_all:.4f}; "
+        f"printed {c.dw_printed:.4f}, class-size-derived {c.dw_derived:.4f}",
+        f"    divisibility triple:    positive-trace ({triple(c.snf_pos)})",
+        f"                            all-classes    ({triple(c.snf_all)})",
+        f"                            printed        ({triple(c.snf_printed)})",
+        f"                            derived        ({triple(c.snf_derived)})",
+        "    note: the all-classes normalization counts each +-trace pair twice,"
+        " so it runs at twice the derived constants; the positive-trace"
+        " normalization (one class per closed geodesic) matches them.",
+    ]
+    return "\n".join(lines)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bqf import classes_with_trace, hyperbolic_classes_below, class_count_with_trace
-from .census import census, density_report, theorem_constants
+from .census import census, census_text, density_report, theorem_constants
 from .csw import compare_with_rep_trace, csw_invariant
 from .intmat import IntMatrix, mapping_torus_homology, smith_normal_form
 from .modular import (
@@ -172,8 +171,7 @@ def _cmd_classes(args) -> int:
 def _cmd_census(args) -> int:
     if args.tmax < 10:
         raise DomainError("--tmax must be at least 10")
-    threads = args.threads or int(os.environ.get("MTI_THREADS", "1"))
-    report = census(args.prime, args.tmax, threads=threads)
+    report = census(args.prime, args.tmax)
     csv_text = report.to_csv()
     if args.csv:
         if args.csv == "-":
@@ -216,35 +214,7 @@ def _cmd_census(args) -> int:
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump({"schema": SCHEMA, **payload}, fh, sort_keys=True)
-    lines = [
-        f"census p={report.p} T={report.T}: {report.total_classes} classes "
-        f"({report.total_pos} with positive trace), li(T^2)={report.li_T2:.3f}",
-        f"  per label: {report.per_label}",
-        f"  dw_sum={report.dw_sum} snf_triple={report.snf_triple}",
-        "  label kind | count | empirical | predicted | rel.dev",
-    ]
-    for r in dens.rows:
-        lines.append(
-            f"  {r.kind:>4} | {r.count:>8} | {r.empirical:.6f} | {r.predicted:.6f} | {r.deviation:.4f}"
-        )
-    lines.append(
-        "  constants vs li(T^2): "
-        f"dw all-classes={consts.dw_all:.4f} positive-trace={consts.dw_pos:.4f} "
-        f"printed={consts.dw_printed:.4f} class-size-derived={consts.dw_derived:.4f}"
-    )
-    lines.append(
-        f"  snf all-classes=({', '.join(f'{v:.5f}' for v in consts.snf_all)}) "
-        f"positive-trace=({', '.join(f'{v:.5f}' for v in consts.snf_pos)})"
-    )
-    lines.append(
-        f"  snf printed=({', '.join(f'{v:.5f}' for v in consts.snf_printed)}) "
-        f"class-size-derived=({', '.join(f'{v:.5f}' for v in consts.snf_derived)})"
-    )
-    lines.append(
-        "  note: all-classes constants run ~2x the class-size-derived ones; the"
-        " positive-trace normalization (one class per +-pair) matches them."
-    )
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, census_text(report))
     return 0
 
 
@@ -403,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=int, required=True)
     p.add_argument("--csv", help="CSV output path, or - for stdout")
     p.add_argument("--json-out", dest="json_out", help="JSON output path")
-    p.add_argument("--threads", type=int, default=0, help="fallback: MTI_THREADS")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_census)
 

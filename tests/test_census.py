@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -143,11 +144,38 @@ def test_census_csv_schema():
     assert abs(float(last[10]) - rep.li_T2) < 1e-12
 
 
-def test_census_thread_determinism():
-    a = census(3, 60, threads=1)
-    b = census(3, 60, threads=4)
-    assert a.to_csv() == b.to_csv()
-    assert a.per_label == b.per_label
+# the census CSV is a stable output: SHA-256 of census(p, 200).to_csv()
+CSV_SHA256_T200 = {
+    2: "6b125de25fb18053c071d5fc99ab701304f716a38e6d4af540d1b408ce72f0af",
+    3: "e40850b1ac956b35e4521a2ec2ed267245d78ee330d1084da28e04a05a01eb59",
+    5: "f95728b7d4517a39a090d32c6b4aae5a90614477b06db8f6bd85c22369d2c254",
+    7: "9bb691a998291cb505a1a6afe35458797dead8dd7202d75b8886a3488534a7d3",
+}
+
+
+@pytest.mark.parametrize("p", sorted(CSV_SHA256_T200))
+def test_census_csv_bytes_pinned(p):
+    assert hashlib.sha256(census(p, 200).to_csv().encode()).hexdigest() == CSV_SHA256_T200[p]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_census_checkpoints_equal_smaller_censuses(p):
+    # each checkpoint row at bound T' is the final row of census(p, T')
+    rows = census(p, 200).to_csv().strip().split("\n")[1:]
+    for row in rows:
+        t = int(row.split(",")[0])
+        assert census(p, t).to_csv().strip().split("\n")[-1] == row
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_census_snf_triple_pos_direct_count(p):
+    snf = [0, 0, 0]
+    for r in hyperbolic_classes_below(200):
+        if r.trace < 0:
+            continue
+        a1, a2 = sl2_snf_entries(r.matrix)
+        snf[0 if a1 % p == 0 else 1 if a2 % p == 0 else 2] += 1
+    assert census(p, 200).snf_triple_pos == tuple(snf)
 
 
 def test_predicted_fractions():

@@ -79,31 +79,15 @@ def test_census_csv_stdout(capsys):
     assert out.startswith("T,total,c1,c2,unipotent,rest,dw_sum,snf_id,snf_unip,snf_rest,li_T2")
 
 
-def test_census_files_and_threads(tmp_path, capsys):
-    csv1 = tmp_path / "a.csv"
-    csv4 = tmp_path / "b.csv"
+def test_census_files(tmp_path, capsys):
+    csv = tmp_path / "a.csv"
     jsn = tmp_path / "a.json"
-    code, _ = _capture(
-        capsys,
-        ["census", "--prime", "3", "--tmax", "40", "--csv", str(csv1), "--json-out", str(jsn), "--threads", "1"],
-    )
+    code, _ = _capture(capsys, ["census", "--prime", "3", "--tmax", "40", "--csv", str(csv), "--json-out", str(jsn)])
     assert code == 0
-    code, _ = _capture(capsys, ["census", "--prime", "3", "--tmax", "40", "--csv", str(csv4), "--threads", "4"])
-    assert code == 0
-    assert csv1.read_bytes() == csv4.read_bytes()
+    assert csv.read_text().startswith("T,total,c1,c2")
     doc = json.loads(jsn.read_text())
     assert doc["schema"] == 1
     assert doc["total"] == 476
-
-
-def test_census_env_threads(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MTI_THREADS", "3")
-    csv_env = tmp_path / "env.csv"
-    code, _ = _capture(capsys, ["census", "--prime", "3", "--tmax", "40", "--csv", str(csv_env)])
-    assert code == 0
-    csv_ref = tmp_path / "ref.csv"
-    code, _ = _capture(capsys, ["census", "--prime", "3", "--tmax", "40", "--csv", str(csv_ref), "--threads", "1"])
-    assert csv_env.read_bytes() == csv_ref.read_bytes()
 
 
 def test_lambda_check(capsys):

@@ -2,6 +2,8 @@ import pathlib
 import subprocess
 import sys
 
+from mti.cli import run
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -11,7 +13,7 @@ def _run(args):
     )
 
 
-def test_density_experiment_script(tmp_path):
+def test_density_experiment_script(tmp_path, capsys):
     proc = _run(
         [
             SCRIPTS / "density_experiment.py",
@@ -25,6 +27,9 @@ def test_density_experiment_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "class-size-derived 2.0000" in proc.stdout
+    # the script and `mti census` print one and the same report
+    assert run(["census", "--prime", "3", "--tmax", "60"]) == 0
+    assert capsys.readouterr().out in proc.stdout
     csv = tmp_path / "census_p3_T60.csv"
     assert csv.exists()
     assert csv.read_text().startswith("T,total,c1,c2")
