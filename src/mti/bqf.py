@@ -13,13 +13,15 @@ All square-root comparisons are exact (squares are compared, never floats).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterator
 
 from .sl2 import Sl2Matrix
 
 _SIEVE_CAP = 8_000_000
+# a divisor window narrower than this is scanned directly: below about 40
+# candidates the scan is cheaper than factoring over the sieve
+_SCAN_WIDTH = 40
 _spf: list[int] = [0, 1]
 
 
@@ -170,7 +172,9 @@ def apply_transform(f: QuadForm, g: Sl2Matrix) -> QuadForm:
 
 
 def _grow_sieve(limit: int) -> None:
+    # smallest prime factors up to limit, or up to the cap
     global _spf
+    limit = min(limit, _SIEVE_CAP - 1)
     if len(_spf) > limit:
         return
     n = min(max(limit + 1, 2 * len(_spf)), _SIEVE_CAP)
@@ -183,83 +187,94 @@ def _grow_sieve(limit: int) -> None:
     _spf = spf
 
 
-def _divisors(n: int) -> list[int]:
-    # positive divisors; smallest-prime-factor sieve when it fits
-    if n == 1:
-        return [1]
-    if n < _SIEVE_CAP:
-        _grow_sieve(n)
-        spf = _spf
-        divs = [1]
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            divs = [d * p**i for d in divs for i in range(e + 1)]
-        return divs
-    divs = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            divs.append(i)
-            if i * i != n:
-                divs.append(n // i)
-        i += 1
+def _divisors_upto(n: int, hi: int) -> list[int]:
+    # positive divisors of n up to hi, from the smallest-prime-factor sieve
+    # (the caller grows it past n)
+    spf = _spf
+    divs = [1]
+    while n > 1:
+        p = spf[n]
+        step = divs
+        while n % p == 0:
+            n //= p
+            step = [q for d in step if (q := d * p) <= hi]
+            divs = divs + step
     return divs
+
+
+def _positive_reduced_forms(D: int) -> list[tuple[int, int, int]]:
+    """Every reduced form (m, l, k) of discriminant D with m > 0.
+
+    The m < 0 reduced forms are exactly the (-m, l, -k), so these are half
+    of them.  For each l, m runs over the divisors of (D - l^2)/4 inside the
+    window (sqrt(D) - l)/2 < m < (sqrt(D) + l)/2, whose width is about l:
+    narrow windows, and every window past the sieve cap, are scanned
+    directly; wide ones are read off the divisors.
+    """
+    isq = _check_disc(D)
+    l0 = 2 - (D % 2)
+    _grow_sieve((D - l0 * l0) // 4)
+    out = []
+    for l in range(l0, isq + 1, 2):
+        n = (D - l * l) // 4  # = -m*k
+        # 2m + l > sqrt(D) and 2m - l < sqrt(D), exact since D is no square
+        lo = (isq - l) // 2 + 1
+        hi = (isq + l) // 2
+        if hi - lo < _SCAN_WIDTH or n >= _SIEVE_CAP:
+            out += [(m, l, -(n // m)) for m in range(lo, hi + 1) if n % m == 0]
+        else:
+            out += [(m, l, -(n // m)) for m in _divisors_upto(n, hi) if m >= lo]
+    return out
 
 
 def reduced_forms_of_disc(D: int) -> list[QuadForm]:
     """Every reduced form of positive non-square discriminant D."""
-    isq = _check_disc(D)
     out = []
-    for l in range(2 - (D % 2), isq + 1, 2):
-        n4 = D - l * l
-        if n4 <= 0:
-            break
-        n = n4 // 4  # -m*k; factor over divisor pairs
-        for m in _divisors(n):
-            # window: sqrt(D) - l < 2m < sqrt(D) + l, exact in integers
-            if D < (2 * m + l) ** 2 and (2 * m <= l or (2 * m - l) ** 2 < D):
-                k = n // m
-                out.append(QuadForm(m, l, -k))
-                out.append(QuadForm(-m, l, k))
+    for m, l, k in _positive_reduced_forms(D):
+        out.append(QuadForm(m, l, k))
+        out.append(QuadForm(-m, l, -k))
     return out
 
 
-@lru_cache(maxsize=8)
-def _canonical_cycle_reps(abs_t: int) -> tuple[tuple[int, int, int], ...]:
-    # one lexicographically-minimal reduced form per rho-cycle of disc t^2-4
+def _canonical_cycle_reps(abs_t: int) -> list[tuple[int, int, int]]:
+    """One lexicographically-minimal reduced form per rho-cycle of
+    discriminant t^2 - 4, sorted.
+
+    The leading coefficients alternate in sign around a cycle, so the walk
+    steps rho twice from one m > 0 form to the next, and the minimum, which
+    has m < 0, is among the forms it steps over.
+    """
     D = abs_t * abs_t - 4
     isq = isqrt(D)
-    remaining = {f.as_tuple() for f in reduced_forms_of_disc(D)}
+    remaining = set(_positive_reduced_forms(D))
     reps = []
     while remaining:
-        start = next(iter(remaining))
-        best = start
-        remaining.discard(start)
-        cur = _rho(*start, D, isq)
-        while cur != start:
-            remaining.discard(cur)
-            if cur < best:
-                best = cur
-            cur = _rho(*cur, D, isq)
+        start = remaining.pop()
+        best = None
+        m, l, k = start
+        while True:
+            # rho(m, l, k) = (k, l1, k1) with k < 0, then rho again
+            two = -2 * k
+            l1 = (-l) % two
+            l1 += (isq - l1) // two * two
+            k1 = (l1 * l1 - D) // (4 * k)
+            if best is None or (k, l1, k1) < best:
+                best = (k, l1, k1)
+            two = 2 * k1
+            l2 = (-l1) % two
+            l2 += (isq - l2) // two * two
+            m, l, k = k1, l2, (l2 * l2 - D) // (4 * k1)
+            if (m, l, k) == start:
+                break
+            remaining.remove((m, l, k))
         reps.append(best)
     reps.sort()
-    return tuple(reps)
+    return reps
 
 
-def classes_with_trace(t: int) -> list[ClassRep]:
-    """All conjugacy classes of hyperbolic SL(2,Z) matrices of trace t.
-
-    One ClassRep per reduction cycle of discriminant t^2 - 4, imprimitive
-    forms included; deterministic order (sorted canonical forms).
-    """
-    if abs(t) <= 2:
-        raise ValueError("requires |t| > 2")
+def _class_reps(reps: list[tuple[int, int, int]], t: int) -> list[ClassRep]:
     out = []
-    for rep in _canonical_cycle_reps(abs(t)):
+    for rep in reps:
         form = QuadForm(*rep)
         out.append(
             ClassRep(
@@ -270,6 +285,17 @@ def classes_with_trace(t: int) -> list[ClassRep]:
             )
         )
     return out
+
+
+def classes_with_trace(t: int) -> list[ClassRep]:
+    """All conjugacy classes of hyperbolic SL(2,Z) matrices of trace t.
+
+    One ClassRep per reduction cycle of discriminant t^2 - 4, imprimitive
+    forms included; deterministic order (sorted canonical forms).
+    """
+    if abs(t) <= 2:
+        raise ValueError("requires |t| > 2")
+    return _class_reps(_canonical_cycle_reps(abs(t)), t)
 
 
 def class_count_with_trace(t: int) -> int:
@@ -288,5 +314,6 @@ def hyperbolic_classes_below(T: int) -> Iterator[ClassRep]:
     if T < 4:
         raise ValueError("T must be at least 4")
     for t in range(3, T):
-        yield from classes_with_trace(t)
-        yield from classes_with_trace(-t)
+        reps = _canonical_cycle_reps(t)
+        yield from _class_reps(reps, t)
+        yield from _class_reps(reps, -t)

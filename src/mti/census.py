@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 from scipy.integrate import quad
 
-from .bqf import classes_with_trace
+from .bqf import _canonical_cycle_reps
 from .intmat import is_prime
-from .sl2 import _classify_residues, classify_mod_2, sl2_snf_entries
+from .sl2 import Sl2Matrix, _classify_residues, classify_mod_2, sl2_snf_entries
 
 CSV_HEADER = "T,total,c1,c2,unipotent,rest,dw_sum,snf_id,snf_unip,snf_rest,li_T2"
 
@@ -123,7 +123,11 @@ def census(p: int, T: int) -> CensusReport:
 
     One serial pass over the traces counts the labels and the three SNF
     divisibility categories, split by trace sign, and snapshots the
-    cumulative tallies each time the trace reaches a bound T/2^k.
+    cumulative tallies each time the trace reaches a bound T/2^k.  The
+    classes of |t| are enumerated once, as canonical (m, l, k) forms, for
+    both signs.  A trace s other than +-2 mod p fixes the kind and the SNF
+    category of all its classes, so one of them is classified and counted
+    for all; only traces s = +-2 mod p are classified class by class.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -139,15 +143,30 @@ def census(p: int, T: int) -> CensusReport:
     for t in range(3, T):
         if t in cuts:
             checkpoints.append(_snapshot(t, acc, labels, p))
-        for sign, off in ((1, 0), (-1, 1)):
-            for rep in classes_with_trace(sign * t):
-                m = rep.matrix
+        reps = _canonical_cycle_reps(t)
+        for s, off in ((t, 0), (-t, 1)):
+            # the form (m, l, k) stands for the class of [[(s-l)/2, k], [-m, (s+l)/2]]
+            if (s - 2) % p and (s + 2) % p:
+                # one kind for the whole trace (C7/C8 by the residue of
+                # s^2 - 4, C3 for p = 2), and p does not divide s - 2 =
+                # +-A1*A2, so every class is in SNF category 2
+                m, l, k = reps[0]
+                a, d = (s - l) // 2, (s + l) // 2
                 if p == 2:
-                    kind = classify_mod_2(m).kind
+                    kind = classify_mod_2(Sl2Matrix(a, k, -m, d)).kind
                 else:
-                    kind = _classify_residues(m.a % p, m.b % p, m.c % p, m.d % p, p).kind
+                    kind = _classify_residues(a % p, k % p, -m % p, d % p, p).kind
+                acc.labels[index[kind] + off * nl] += len(reps)
+                acc.snf[2 + off * 3] += len(reps)
+                continue
+            for m, l, k in reps:
+                A = Sl2Matrix((s - l) // 2, k, -m, (s + l) // 2)
+                if p == 2:
+                    kind = classify_mod_2(A).kind
+                else:
+                    kind = _classify_residues(*A.mod(p), p).kind
                 acc.labels[index[kind] + off * nl] += 1
-                acc.snf[_snf_category(m, p) + off * 3] += 1
+                acc.snf[_snf_category(A, p) + off * 3] += 1
     final = _snapshot(T, acc, labels, p)
     checkpoints.append(final)
     return CensusReport(

@@ -169,16 +169,17 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if args.tmax < 10:
-        raise DomainError("--tmax must be at least 10")
+    # with --csv -, stdout carries the CSV and nothing else
+    to_stdout = args.csv == "-"
+    if to_stdout and args.json:
+        raise DomainError("--csv - writes the CSV to stdout; write the JSON document with --json-out")
     report = census(args.prime, args.tmax)
     csv_text = report.to_csv()
-    if args.csv:
-        if args.csv == "-":
-            sys.stdout.write(csv_text)
-        else:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
+    if to_stdout:
+        sys.stdout.write(csv_text)
+    elif args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
+            fh.write(csv_text)
     dens = density_report(report)
     consts = theorem_constants(report)
     payload = {
@@ -214,7 +215,8 @@ def _cmd_census(args) -> int:
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump({"schema": SCHEMA, **payload}, fh, sort_keys=True)
-    _emit(args, payload, census_text(report))
+    if not to_stdout:
+        _emit(args, payload, census_text(report))
     return 0
 
 

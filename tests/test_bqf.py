@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mti import bqf
 from mti.bqf import (
     QuadForm,
     apply_transform,
@@ -65,6 +66,62 @@ def test_reduction_cycle_disc5():
     assert sorted(f.as_tuple() for f in reduced_forms_of_disc(5)) == [(-1, 1, 1), (1, 1, -1)]
     with pytest.raises(ValueError):
         reduction_cycle(QuadForm(1, 27, 1))
+
+
+def _reduced_forms_bruteforce(D):
+    # every (m, l) with 0 < l < sqrt(D) and |m| < sqrt(D), kept when k is
+    # integral and the form is reduced
+    r = isqrt(D)
+    out = set()
+    for l in range(1, r + 1):
+        for m in range(-r, r + 1):
+            if m and (l * l - D) % (4 * m) == 0:
+                f = QuadForm(m, l, (l * l - D) // (4 * m))
+                if is_reduced(f):
+                    out.add(f.as_tuple())
+    return out
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{}, {"_SCAN_WIDTH": 0}, {"_SIEVE_CAP": 64, "_spf": [0, 1]}],
+    ids=["default", "divisors-only", "scan-past-small-cap"],
+)
+def test_positive_reduced_forms_against_bruteforce(setting, monkeypatch):
+    # the m > 0 forms, doubled by sign, are every reduced form; the settings
+    # force each window through the divisor path, or, with a fresh sieve
+    # under a tiny cap, every window past the cap through the scan
+    for name, value in setting.items():
+        monkeypatch.setattr(bqf, name, value)
+    for D in [5, 8, 12, 13, 17, 21] + [t * t - 4 for t in range(3, 61)]:
+        pos = bqf._positive_reduced_forms(D)
+        assert all(m > 0 for m, _, _ in pos)
+        both = {f for m, l, k in pos for f in ((m, l, k), (-m, l, -k))}
+        assert len(both) == 2 * len(pos)
+        assert both == _reduced_forms_bruteforce(D), D
+
+
+def test_sieve_stops_at_the_cap(monkeypatch):
+    # a discriminant past the cap grows the sieve to the cap once; the next
+    # one reuses it instead of sieving again
+    monkeypatch.setattr(bqf, "_SIEVE_CAP", 64)
+    monkeypatch.setattr(bqf, "_spf", [0, 1])
+    bqf._positive_reduced_forms(40 * 40 - 4)
+    sieve = bqf._spf
+    assert len(sieve) == 64
+    bqf._positive_reduced_forms(41 * 41 - 4)
+    assert bqf._spf is sieve
+
+
+def test_canonical_reps_are_cycle_minima():
+    # windows at t = 120 reach width isqrt(D) - 1 = 118, past the scan width
+    assert isqrt(120 * 120 - 4) - 1 > bqf._SCAN_WIDTH
+    for t in range(3, 121):
+        minima = {
+            min(f.as_tuple() for f in reduction_cycle(g))
+            for g in reduced_forms_of_disc(t * t - 4)
+        }
+        assert bqf._canonical_cycle_reps(t) == sorted(minima), t
 
 
 def test_disc12_two_cycles():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mti.census import CSV_HEADER, census
 from mti.cli import run
 
 
@@ -79,6 +80,23 @@ def test_census_csv_stdout(capsys):
     assert out.startswith("T,total,c1,c2,unipotent,rest,dw_sum,snf_id,snf_unip,snf_rest,li_T2")
 
 
+def test_census_csv_stdout_is_only_csv(capsys):
+    code, out = _capture(capsys, ["census", "--prime", "3", "--tmax", "40", "--csv", "-"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert all(len(line.split(",")) == 11 for line in lines)
+    # the JSON document cannot share stdout with the CSV
+    assert run(["census", "--prime", "3", "--tmax", "40", "--csv", "-", "--json"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_census_tmax_range_is_the_library_range(capsys):
+    code, out = _capture(capsys, ["census", "--prime", "3", "--tmax", "8", "--csv", "-"])
+    assert code == 0
+    assert out == census(3, 8).to_csv()
+
+
 def test_census_files(tmp_path, capsys):
     csv = tmp_path / "a.csv"
     jsn = tmp_path / "a.json"
@@ -119,7 +137,7 @@ def test_matrix_from_file(tmp_path, capsys):
 def test_domain_error_exit_code(capsys):
     assert run(["dw", "--matrix", '[["1","0"],["0","1"]]', "--prime", "4"]) == 1
     assert run(["classes", "--trace", "2"]) == 1
-    assert run(["census", "--prime", "3", "--tmax", "5"]) == 1
+    assert run(["census", "--prime", "3", "--tmax", "3"]) == 1
     assert run(["csw", "--matrix", '[["1","1"],["0","1"]]', "--level", "1"]) == 1
 
 
