@@ -12,9 +12,12 @@ All square-root comparisons are exact (squares are compared, never floats).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterator
+
+import numpy as np
 
 from .sl2 import Sl2Matrix
 
@@ -22,7 +25,12 @@ _SIEVE_CAP = 8_000_000
 # a divisor window narrower than this is scanned directly: below about 40
 # candidates the scan is cheaper than factoring over the sieve
 _SCAN_WIDTH = 40
-_spf: list[int] = [0, 1]
+# smallest prime factors, as array('i') so that entries index as Python ints
+_spf = array("i", [0, 1])
+# the class store: the bound T and the int64 columns (|t|, m, l, k) of the
+# canonical cycle representatives of every trace 3 <= |t| < T, sorted by |t|
+# and then by form; only _class_columns changes it, and only to add traces
+_class_store = (3, *(np.empty(0, np.int64) for _ in range(4)))
 
 
 @dataclass(frozen=True)
@@ -178,13 +186,18 @@ def _grow_sieve(limit: int) -> None:
     if len(_spf) > limit:
         return
     n = min(max(limit + 1, 2 * len(_spf)), _SIEVE_CAP)
-    spf = list(range(n))
-    for i in range(2, isqrt(n - 1) + 1):
-        if spf[i] == i:
-            for j in range(i * i, n, i):
-                if spf[j] == j:
-                    spf[j] = i
-    _spf = spf
+    r = isqrt(n - 1)
+    prime = np.ones(r + 1, bool)
+    prime[:2] = False
+    for i in range(2, isqrt(r) + 1):
+        if prime[i]:
+            prime[i * i :: i] = False
+    spf = np.arange(n, dtype=np.intc)
+    # largest prime first, so that the smallest one marks each entry last
+    for q in np.flatnonzero(prime)[::-1].tolist():
+        spf[q * q :: q] = q
+    _spf = array("i")
+    _spf.frombytes(memoryview(spf).cast("B"))
 
 
 def _divisors_upto(n: int, hi: int) -> list[int]:
@@ -270,6 +283,34 @@ def _canonical_cycle_reps(abs_t: int) -> list[tuple[int, int, int]]:
         reps.append(best)
     reps.sort()
     return reps
+
+
+def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """int64 columns (|t|, m, l, k) of the canonical cycle representatives
+    of every trace 3 <= |t| < T, sorted by |t| and then by form.
+
+    The columns come from one store per process: a larger T appends only the
+    traces it lacks, so no |t| is enumerated twice, and a smaller T reads a
+    prefix of what is stored.
+    """
+    global _class_store
+    top, *cols = _class_store
+    if T > top:
+        counts = array("q")
+        forms = [array("q") for _ in range(3)]
+        for t in range(top, T):
+            reps = _canonical_cycle_reps(t)
+            counts.append(len(reps))
+            for col, values in zip(forms, zip(*reps)):
+                col.extend(values)
+        t_new = np.repeat(np.arange(top, T, dtype=np.int64), np.frombuffer(counts, np.int64))
+        new = [t_new, *(np.frombuffer(col, np.int64) for col in forms)]
+        cols = [np.concatenate(pair) for pair in zip(cols, new)] if len(cols[0]) else new
+        for col in cols:
+            col.flags.writeable = False
+        _class_store = (T, *cols)
+    n = int(np.searchsorted(cols[0], T))
+    return tuple(c[:n] for c in cols)
 
 
 def _class_reps(reps: list[tuple[int, int, int]], t: int) -> list[ClassRep]:

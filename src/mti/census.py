@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.integrate import quad
 
-from .bqf import _canonical_cycle_reps
+from .bqf import _class_columns
 from .intmat import is_prime
-from .sl2 import Sl2Matrix, _classify_residues, classify_mod_2, sl2_snf_entries
+from .sl2 import legendre
 
 CSV_HEADER = "T,total,c1,c2,unipotent,rest,dw_sum,snf_id,snf_unip,snf_rest,li_T2"
 
@@ -87,17 +88,6 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
-class _Tally:
-    """Label and SNF-category counts; positive traces in the first half of
-    each list, negative traces in the second."""
-
-    __slots__ = ("labels", "snf")
-
-    def __init__(self, nlabels: int):
-        self.labels = [0] * (2 * nlabels)
-        self.snf = [0] * 6
-
-
 def _zp_of_kind(kind: str, p: int) -> int:
     if p == 2:
         return {"C1": 4, "C2": 2, "C3": 1}[kind]
@@ -108,67 +98,37 @@ def _zp_of_kind(kind: str, p: int) -> int:
     return 1
 
 
-def _snf_category(m, p: int) -> int:
-    """0 if p divides both SNF entries of A - Id, 1 if only the second, 2 if neither."""
-    a1, a2 = sl2_snf_entries(m)
-    if a2 % p:
-        if a1 % p == 0:  # p | A1 forces p | A2 since A1 | A2
-            raise AssertionError(f"impossible SNF divisibility at {m}")
-        return 2
-    return 1 if a1 % p else 0
-
-
 def census(p: int, T: int) -> CensusReport:
     """Classify every hyperbolic class with |Tr| < T modulo p.
 
-    One serial pass over the traces counts the labels and the three SNF
-    divisibility categories, split by trace sign, and snapshots the
-    cumulative tallies each time the trace reaches a bound T/2^k.  The
-    classes of |t| are enumerated once, as canonical (m, l, k) forms, for
-    both signs.  A trace s other than +-2 mod p fixes the kind and the SNF
-    category of all its classes, so one of them is classified and counted
-    for all; only traces s = +-2 mod p are classified class by class.
+    The classes come from the process-wide class store of `bqf` as columns
+    of canonical (m, l, k) forms, one row per |t| and class, for both trace
+    signs.  Each class gets a code label * 3 + SNF category in a few array
+    passes, and each checkpoint T/2^k counts the codes of the rows below it.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p >= 2**63:
+        raise ValueError("p must be below 2^63")
     if T < 4:
         raise ValueError("T must be >= 4")
     labels = _LABELS_P2 if p == 2 else _LABELS_ODD
     nl = len(labels)
-    index = {k: i for i, k in enumerate(labels)}
-    # checkpoint bounds T/2^k below T, all >= 4; T itself is snapshotted last
-    cuts = {T >> k for k in range(1, T.bit_length()) if T >> k >= 4}
-    acc = _Tally(nl)
-    checkpoints = []
-    for t in range(3, T):
-        if t in cuts:
-            checkpoints.append(_snapshot(t, acc, labels, p))
-        reps = _canonical_cycle_reps(t)
-        for s, off in ((t, 0), (-t, 1)):
-            # the form (m, l, k) stands for the class of [[(s-l)/2, k], [-m, (s+l)/2]]
-            if (s - 2) % p and (s + 2) % p:
-                # one kind for the whole trace (C7/C8 by the residue of
-                # s^2 - 4, C3 for p = 2), and p does not divide s - 2 =
-                # +-A1*A2, so every class is in SNF category 2
-                m, l, k = reps[0]
-                a, d = (s - l) // 2, (s + l) // 2
-                if p == 2:
-                    kind = classify_mod_2(Sl2Matrix(a, k, -m, d)).kind
-                else:
-                    kind = _classify_residues(a % p, k % p, -m % p, d % p, p).kind
-                acc.labels[index[kind] + off * nl] += len(reps)
-                acc.snf[2 + off * 3] += len(reps)
-                continue
-            for m, l, k in reps:
-                A = Sl2Matrix((s - l) // 2, k, -m, (s + l) // 2)
-                if p == 2:
-                    kind = classify_mod_2(A).kind
-                else:
-                    kind = _classify_residues(*A.mod(p), p).kind
-                acc.labels[index[kind] + off * nl] += 1
-                acc.snf[_snf_category(A, p) + off * 3] += 1
-    final = _snapshot(T, acc, labels, p)
-    checkpoints.append(final)
+    t, m, l, k = _class_columns(T)
+    pos, neg = _class_codes(p, T, t, m, l, k)
+    # checkpoint bounds T/2^k below T, all >= 4, then T itself
+    bounds = sorted({T >> j for j in range(1, T.bit_length()) if T >> j >= 4}) + [T]
+    checkpoints = [
+        _snapshot(
+            bound,
+            np.bincount(pos[:end], minlength=3 * nl).reshape(nl, 3),
+            np.bincount(neg[:end], minlength=3 * nl).reshape(nl, 3),
+            labels,
+            p,
+        )
+        for bound, end in zip(bounds, np.searchsorted(t, bounds).tolist())
+    ]
+    final = checkpoints[-1]
     return CensusReport(
         p=p,
         T=T,
@@ -184,21 +144,96 @@ def census(p: int, T: int) -> CensusReport:
     )
 
 
-def _snapshot(T: int, acc: _Tally, labels, p: int) -> Checkpoint:
-    nl = len(labels)
-    per_label = {k: acc.labels[i] + acc.labels[i + nl] for i, k in enumerate(labels)}
-    pos_label = dict(zip(labels, acc.labels[:nl]))
+def _class_codes(p: int, T: int, t, m, l, k) -> tuple[np.ndarray, np.ndarray]:
+    """label * 3 + SNF category of every class, for s = t and for s = -t.
+
+    The form (m, l, k) stands for the class of [[(s-l)/2, k], [-m, (s+l)/2]].
+    A trace s other than +-2 mod p fixes the kind of all its classes (C7/C8
+    by the residue of s^2 - 4, C3 for p = 2), and p does not divide
+    s - 2 = +-A1*A2, so they are all in SNF category 2.  Only the classes of
+    traces s = +-2 mod p are classified one by one.
+    """
+    traces = np.arange(3, T, dtype=np.int64)
+    # s^2 - 4 from s itself, never from a residue, so it fits int64; p
+    # divides it exactly when s = +-2 mod p
+    disc = (traces * traces - 4) % p
+    # the code of each trace, and whether s = +-2 mod p, indexed by |t|
+    per_trace = np.zeros(T, np.int8)
+    special = np.zeros(T, bool)
+    special[3:] = disc == 0
+    if p == 2:
+        per_trace[3:] = 2 * 3 + 2
+    else:
+        per_trace[3:] = np.where(_legendre_symbols(disc, p) == 1, 6 * 3 + 2, 7 * 3 + 2)
+    pos = per_trace[t]
+    neg = pos.copy()
+    rows = np.flatnonzero(special[t])
+    for codes, sign in ((pos, 1), (neg, -1)):
+        s, lr = sign * t[rows], l[rows]
+        codes[rows] = _special_codes(p, s, (s - lr) // 2, k[rows], -m[rows], (s + lr) // 2)
+    return pos, neg
+
+
+def _special_codes(p: int, s, a, b, c, d) -> np.ndarray:
+    """label * 3 + SNF category of the classes [[a, b], [c, d]] of traces
+    s = +-2 mod p: the `_classify_residues` / `classify_mod_2` logic, and the
+    SNF entries A1 = gcd(a-1, b, c, d-1), A2 = |s-2|/A1 of A - Id."""
+    unip = (s - 2) % p == 0
+    cat = np.full(len(s), 2, np.int8)
+    a1 = np.gcd(np.gcd(a[unip] - 1, b[unip]), np.gcd(c[unip], d[unip] - 1))
+    a2 = (s[unip] - 2) // a1  # +-A2, which p divides or not alike
+    if np.any((a2 % p != 0) & (a1 % p == 0)):  # p | A1 forces p | A2 since A1 | A2
+        raise AssertionError("impossible SNF divisibility")
+    cat[unip] = np.where(a2 % p != 0, 2, np.where(a1 % p != 0, 1, 0))
+    # residues in the smallest signed type that holds -p, and for a prime p also p
+    dt = np.min_scalar_type(-p)
+    a, b, c, d = ((v % p).astype(dt) for v in (a, b, c, d))
+    if p == 2:
+        # A^2 = sA - Id, so an even trace gives A^2 = Id mod 2: C2 unless A = Id mod 2
+        label = np.where((a == 1) & (b == 0) & (c == 0) & (d == 1), np.int8(0), np.int8(1))
+        return label * 3 + cat
+    central = (b == 0) & (c == 0) & (a == d)
+    # the unipotent invariant of A - Id (s = 2) or of -A - Id (s = -2)
+    u = np.where(
+        unip,
+        np.where((a != 1) | (c != 0), np.where(c != 0, p - c, c), b),
+        np.where((a != p - 1) | (c != 0), c, np.where(b != 0, p - b, b)),
+    )
+    leg = _legendre_symbols(u, p)
+    # the representative [[-1, 1], [0, -1]] of C5 has invariant p - 1
+    label = np.select(
+        [central & (a == 1), central & (a == p - 1), unip & (leg == 1), unip, leg == legendre(p - 1, p)],
+        [np.int8(i) for i in range(5)],
+        np.int8(5),
+    )
+    return label * 3 + cat
+
+
+def _legendre_symbols(residues: np.ndarray, p: int) -> np.ndarray:
+    """Legendre symbols mod p of an array of residues, one scalar call per
+    distinct residue present."""
+    distinct = sorted(set(residues.tolist()))
+    symbols = np.array([legendre(v, p) for v in distinct], np.int8)
+    return symbols[np.searchsorted(distinct, residues)]
+
+
+def _snapshot(T: int, pos: np.ndarray, neg: np.ndarray, labels, p: int) -> Checkpoint:
+    # pos, neg: counts by (label, SNF category) of the positive and the
+    # negative traces below T
+    both = pos + neg
+    per_label = dict(zip(labels, both.sum(1).tolist()))
+    pos_label = dict(zip(labels, pos.sum(1).tolist()))
     return Checkpoint(
         T=T,
         p=p,
         total=sum(per_label.values()),
         per_label=per_label,
         dw_sum=sum(_zp_of_kind(k, p) * v for k, v in per_label.items()),
-        snf_triple=(acc.snf[0] + acc.snf[3], acc.snf[1] + acc.snf[4], acc.snf[2] + acc.snf[5]),
+        snf_triple=tuple(both.sum(0).tolist()),
         li_T2=log_integral(float(T) * T),
         total_pos=sum(pos_label.values()),
         dw_sum_pos=sum(_zp_of_kind(k, p) * v for k, v in pos_label.items()),
-        snf_triple_pos=(acc.snf[0], acc.snf[1], acc.snf[2]),
+        snf_triple_pos=tuple(pos.sum(0).tolist()),
     )
 
 

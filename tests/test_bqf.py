@@ -2,6 +2,7 @@ import itertools
 import random
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,51 @@ def test_positive_reduced_forms_against_bruteforce(setting, monkeypatch):
         both = {f for m, l, k in pos for f in ((m, l, k), (-m, l, -k))}
         assert len(both) == 2 * len(pos)
         assert both == _reduced_forms_bruteforce(D), D
+
+
+def _plain_sieve(n):
+    spf = list(range(n))
+    for i in range(2, isqrt(n - 1) + 1):
+        if spf[i] == i:
+            for j in range(i * i, n, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
+@pytest.mark.parametrize("first", [None, 1000], ids=["fresh", "grown"])
+def test_sieve_matches_plain_sieve(first, monkeypatch):
+    # the numpy-built table, from scratch or grown from a shorter one, is
+    # the plain smallest-prime-factor sieve, and indexes as Python ints
+    n = 10**5
+    monkeypatch.setattr(bqf, "_spf", [0, 1])
+    if first:
+        bqf._grow_sieve(first)
+        assert list(bqf._spf) == _plain_sieve(len(bqf._spf))
+    bqf._grow_sieve(n - 1)
+    assert len(bqf._spf) == n
+    assert list(bqf._spf) == _plain_sieve(n)
+    assert type(bqf._spf[n - 1]) is int
+
+
+def test_class_columns_enumerate_each_trace_once(monkeypatch):
+    # the store appends only the traces it lacks and serves smaller bounds
+    # from a prefix; its rows are the canonical representatives in order
+    calls = []
+    reps = bqf._canonical_cycle_reps
+
+    def counted(t):
+        calls.append(t)
+        return reps(t)
+
+    monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int64) for _ in range(4))))
+    monkeypatch.setattr(bqf, "_canonical_cycle_reps", counted)
+    for T in (60, 100, 40, 100, 101):
+        t, m, l, k = bqf._class_columns(T)
+        rows = [(s, *f) for s in range(3, T) for f in reps(s)]
+        assert list(zip(t.tolist(), m.tolist(), l.tolist(), k.tolist())) == rows, T
+        assert all(col.dtype == np.int64 and not col.flags.writeable for col in (t, m, l, k))
+    assert calls == list(range(3, 101))
 
 
 def test_sieve_stops_at_the_cap(monkeypatch):

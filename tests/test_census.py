@@ -1,8 +1,10 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
+from mti import bqf
 from mti.bqf import hyperbolic_classes_below
 from mti.census import (
     CSV_HEADER,
@@ -56,12 +58,14 @@ def test_census_small_hand_check():
     assert rep.snf_triple == (0, 2, 4)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 1_000_003, 2**31 - 1, 2**32 + 15])
 def test_census_matches_direct_classification(p):
     # oracle: classify every class of the stream one by one, then compare
     # each checkpoint's tallies over both signs and over positive traces;
-    # T = 120 meets every residue of the trace mod p
-    T = 120
+    # T = 120 meets every residue of the trace mod p; past every trace, each
+    # kind comes from the Legendre symbol of t^2 - 4, and above 3.04e9 the
+    # square of a residue p - t would overflow int64
+    T = 120 if p < 120 else 60
     rep = census(p, T)
     rows = []
     for r in hyperbolic_classes_below(T):
@@ -204,6 +208,28 @@ def test_census_checkpoints_equal_smaller_censuses(p):
     for row in rows:
         t = int(row.split(",")[0])
         assert census(p, t).to_csv().strip().split("\n")[-1] == row
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_census_independent_of_store_history(p, monkeypatch):
+    # a census reads the same bytes from a fresh class store, from one that
+    # holds a larger bound, and from one it extends
+    def outputs(T, stored=None):
+        monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int64) for _ in range(4))))
+        if stored:
+            bqf._class_columns(stored)
+        rep = census(p, T)
+        return rep.to_csv(), repr(rep)
+
+    for smaller, T in ((20, 37), (37, 200), (200, 500)):
+        fresh = outputs(T)
+        assert outputs(T, stored=T + 40) == fresh, T
+        assert outputs(T, stored=smaller) == fresh, T
+
+
+def test_census_rejects_primes_past_int64():
+    with pytest.raises(ValueError, match="below 2"):
+        census(2**64 + 13, 10)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
