@@ -4,15 +4,15 @@ quadratic forms.
 A hyperbolic matrix A maps to the form Q_A = (b, a-d, -c) of discriminant
 Tr(A)^2 - 4; conjugacy classes of trace t correspond to proper equivalence
 classes of forms of that discriminant, realized here as rho-cycles of
-Gauss-reduced forms.  Imprimitive forms are enumerated directly by a
-divisor-pair scan, so proper-power classes are included.
+Gauss-reduced forms.  The m > 0 reduced forms of discriminant t^2 - 4 are
+the lattice points 1 <= a <= m < d with a + d = t and m | ad - 1; the
+imprimitive ones are among them, so proper-power classes are included.
 
 All square-root comparisons are exact (squares are compared, never floats).
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterator
@@ -21,12 +21,9 @@ import numpy as np
 
 from .sl2 import Sl2Matrix
 
-_SIEVE_CAP = 8_000_000
-# a divisor window narrower than this is scanned directly: below about 40
-# candidates the scan is cheaper than factoring over the sieve
-_SCAN_WIDTH = 40
-# smallest prime factors, as array('i') so that entries index as Python ints
-_spf = array("i", [0, 1])
+# forms per block of store growth: bounds the working set that reducing new
+# traces to cycles adds to the stored columns
+_BLOCK_FORMS = 1 << 13
 # the class store: the bound T and the int64 columns (|t|, m, l, k) of the
 # canonical cycle representatives of every trace 3 <= |t| < T, sorted by |t|
 # and then by form; only _class_columns changes it, and only to add traces
@@ -111,7 +108,8 @@ def is_reduced(f: QuadForm) -> bool:
 
 def _rho(m: int, l: int, k: int, D: int, isq: int) -> tuple[int, int, int]:
     # neighbor of a reduced form: leading coefficient k, companion l' the
-    # unique residue of -l mod 2|k| in (sqrt(D) - 2|k|, sqrt(D))
+    # unique residue of -l mod 2|k| in (sqrt(D) - 2|k|, sqrt(D)); also
+    # elementwise on int64 arrays
     two_k = 2 * abs(k)
     l2 = (-l) % two_k
     l2 += ((isq - l2) // two_k) * two_k
@@ -179,110 +177,69 @@ def apply_transform(f: QuadForm, g: Sl2Matrix) -> QuadForm:
     return QuadForm(m, l, k)
 
 
-def _grow_sieve(limit: int) -> None:
-    # smallest prime factors up to limit, or up to the cap
-    global _spf
-    limit = min(limit, _SIEVE_CAP - 1)
-    if len(_spf) > limit:
-        return
-    n = min(max(limit + 1, 2 * len(_spf)), _SIEVE_CAP)
-    r = isqrt(n - 1)
-    prime = np.ones(r + 1, bool)
-    prime[:2] = False
-    for i in range(2, isqrt(r) + 1):
-        if prime[i]:
-            prime[i * i :: i] = False
-    spf = np.arange(n, dtype=np.intc)
-    # largest prime first, so that the smallest one marks each entry last
-    for q in np.flatnonzero(prime)[::-1].tolist():
-        spf[q * q :: q] = q
-    _spf = array("i")
-    _spf.frombytes(memoryview(spf).cast("B"))
+def _lattice_keys(t0: int, t1: int) -> np.ndarray:
+    """Sorted int64 keys (t*t1 + m)*t1 + l of every m > 0 reduced form
+    (m, l, k) of discriminant t^2 - 4 for 3 <= t0 <= t < t1.
 
-
-def _divisors_upto(n: int, hi: int) -> list[int]:
-    # positive divisors of n up to hi, from the smallest-prime-factor sieve
-    # (the caller grows it past n)
-    spf = _spf
-    divs = [1]
-    while n > 1:
-        p = spf[n]
-        step = divs
-        while n % p == 0:
-            n //= p
-            step = [q for d in step if (q := d * p) <= hi]
-            divs = divs + step
-    return divs
-
-
-def _positive_reduced_forms(D: int) -> list[tuple[int, int, int]]:
-    """Every reduced form (m, l, k) of discriminant D with m > 0.
-
-    The m < 0 reduced forms are exactly the (-m, l, -k), so these are half
-    of them.  For each l, m runs over the divisors of (D - l^2)/4 inside the
-    window (sqrt(D) - l)/2 < m < (sqrt(D) + l)/2, whose width is about l:
-    narrow windows, and every window past the sieve cap, are scanned
-    directly; wide ones are read off the divisors.
+    Since isqrt(t^2 - 4) = t - 1, the reduced window of such a form is
+    a <= m < d with a = (t - l)/2, d = (t + l)/2 and n = -k = (ad - 1)/m:
+    the forms are the lattice points 1 <= a <= m < d with m | ad - 1.  The
+    matrices [[a, m], [n, d]] of those points are exactly L X R for X in
+    the monoid of L = [[1, 0], [1, 1]] and R = [[1, 1], [0, 1]], so they are
+    listed from LR down the tree M -> M R, M R^-1 L R, which raises the
+    trace at every step.
     """
-    isq = _check_disc(D)
-    l0 = 2 - (D % 2)
-    _grow_sieve((D - l0 * l0) // 4)
+    a, m, n, d = (np.array([x], np.int64) for x in (1, 1, 1, 2))
     out = []
-    for l in range(l0, isq + 1, 2):
-        n = (D - l * l) // 4  # = -m*k
-        # 2m + l > sqrt(D) and 2m - l < sqrt(D), exact since D is no square
-        lo = (isq - l) // 2 + 1
-        hi = (isq + l) // 2
-        if hi - lo < _SCAN_WIDTH or n >= _SIEVE_CAP:
-            out += [(m, l, -(n // m)) for m in range(lo, hi + 1) if n % m == 0]
-        else:
-            out += [(m, l, -(n // m)) for m in _divisors_upto(n, hi) if m >= lo]
-    return out
+    while len(a):
+        keep = a + d < t1
+        a, m, n, d = a[keep], m[keep], n[keep], d[keep]
+        new = a + d >= t0
+        out.append(((a[new] + d[new]) * t1 + m[new]) * t1 + d[new] - a[new])
+        # the children M R = [[a, a + m], [n, n + d]] and M R^-1 L R = [[m, 2m - a], [d, 2d - n]]
+        a, m, n, d = (np.concatenate(p) for p in ((a, m), (a + m, 2 * m - a), (n, d), (n + d, 2 * d - n)))
+    keys = np.concatenate(out)
+    keys.sort()
+    return keys
 
 
-def reduced_forms_of_disc(D: int) -> list[QuadForm]:
-    """Every reduced form of positive non-square discriminant D."""
-    out = []
-    for m, l, k in _positive_reduced_forms(D):
-        out.append(QuadForm(m, l, k))
-        out.append(QuadForm(-m, l, -k))
-    return out
+def _trace_keys(t: int) -> np.ndarray:
+    """The keys of `_lattice_keys(t, t + 1)`, found instead by testing
+    m | a(t - a) - 1 for each m over all a <= min(m, t - 1 - m)."""
+    a = np.arange(1, t // 2 + 1, dtype=np.int64)
+    v = a * (t - a) - 1
+    hits = [np.flatnonzero(v[: min(m, t - 1 - m)] % m == 0) for m in range(1, t - 1)]
+    m = np.repeat(np.arange(1, t - 1, dtype=np.int64), [len(h) for h in hits])
+    return np.sort((t * (t + 1) + m) * (t + 1) + t - 2 * (np.concatenate(hits) + 1))
 
 
-def _canonical_cycle_reps(abs_t: int) -> list[tuple[int, int, int]]:
-    """One lexicographically-minimal reduced form per rho-cycle of
-    discriminant t^2 - 4, sorted.
+def _cycle_minima(keys: np.ndarray, S: int) -> tuple[np.ndarray, ...]:
+    """int64 columns (t, m, l, k) of one form per rho-cycle, sorted by t
+    and then by form, given the sorted keys (t*S + m)*S + l of every m > 0
+    reduced form of each trace t.
 
-    The leading coefficients alternate in sign around a cycle, so the walk
-    steps rho twice from one m > 0 form to the next, and the minimum, which
-    has m < 0, is among the forms it steps over.
+    The leading coefficients alternate in sign around a cycle, so rho^2 is
+    a permutation of the m > 0 forms, and each cycle's form is the smallest
+    m < 0 form that rho steps over.  That minimum is taken by doubling: best
+    <- min(best, best[ptr]), ptr <- ptr[ptr] until best stops changing,
+    which happens only once best is constant on every cycle.
     """
-    D = abs_t * abs_t - 4
-    isq = isqrt(D)
-    remaining = set(_positive_reduced_forms(D))
-    reps = []
-    while remaining:
-        start = remaining.pop()
-        best = None
-        m, l, k = start
-        while True:
-            # rho(m, l, k) = (k, l1, k1) with k < 0, then rho again
-            two = -2 * k
-            l1 = (-l) % two
-            l1 += (isq - l1) // two * two
-            k1 = (l1 * l1 - D) // (4 * k)
-            if best is None or (k, l1, k1) < best:
-                best = (k, l1, k1)
-            two = 2 * k1
-            l2 = (-l1) % two
-            l2 += (isq - l2) // two * two
-            m, l, k = k1, l2, (l2 * l2 - D) // (4 * k1)
-            if (m, l, k) == start:
-                break
-            remaining.remove((m, l, k))
-        reps.append(best)
-    reps.sort()
-    return reps
+    t, m, l = keys // (S * S), keys // S % S, keys % S
+    disc, isq = t * t - 4, t - 1
+    k = (l * l - disc) // (4 * m)
+    # rho(m, l, k) = (k, l1, k1) with k < 0, and rho(k, l1, k1) = (k1, l2, .)
+    _, l1, k1 = _rho(m, l, k, disc, isq)
+    _, l2, _ = _rho(k, l1, k1, disc, isq)
+    ptr = np.searchsorted(keys, (t * S + k1) * S + l2)
+    # m < 0 forms keyed by (m, l), in sorted order
+    val = (k + S) * S + l1
+    best = val
+    while not np.array_equal(best, nxt := np.minimum(best, best[ptr])):
+        best, ptr = nxt, ptr[ptr]
+    # the m < 0 forms of a cycle are distinct, so one row per cycle is left
+    rows = np.flatnonzero(val == best)
+    rows = rows[np.argsort(t[rows] * S * S + val[rows])]
+    return t[rows], k[rows], l1[rows], k1[rows]
 
 
 def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -291,21 +248,25 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 
     The columns come from one store per process: a larger T appends only the
     traces it lacks, so no |t| is enumerated twice, and a smaller T reads a
-    prefix of what is stored.
+    prefix of what is stored.  The new traces are listed as lattice points
+    and reduced to cycles in blocks of whole traces, of about _BLOCK_FORMS
+    forms each.
     """
     global _class_store
     top, *cols = _class_store
     if T > top:
-        counts = array("q")
-        forms = [array("q") for _ in range(3)]
-        for t in range(top, T):
-            reps = _canonical_cycle_reps(t)
-            counts.append(len(reps))
-            for col, values in zip(forms, zip(*reps)):
-                col.extend(values)
-        t_new = np.repeat(np.arange(top, T, dtype=np.int64), np.frombuffer(counts, np.int64))
-        new = [t_new, *(np.frombuffer(col, np.int64) for col in forms)]
-        cols = [np.concatenate(pair) for pair in zip(cols, new)] if len(cols[0]) else new
+        keys = _lattice_keys(top, T)
+        blocks = []
+        lo = 0
+        while lo < len(keys):
+            # the traces before the one at row lo + _BLOCK_FORMS, and at least one
+            end = lo + _BLOCK_FORMS
+            cut = max(keys[end] // (T * T) if end < len(keys) else T, keys[lo] // (T * T) + 1)
+            hi = int(np.searchsorted(keys, cut * T * T))
+            blocks.append(_cycle_minima(keys[lo:hi], T))
+            lo = hi
+        del keys
+        cols = [np.concatenate(parts) for parts in zip(cols, *blocks)]
         for col in cols:
             col.flags.writeable = False
         _class_store = (T, *cols)
@@ -314,18 +275,13 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 
 
 def _class_reps(reps: list[tuple[int, int, int]], t: int) -> list[ClassRep]:
-    out = []
-    for rep in reps:
-        form = QuadForm(*rep)
-        out.append(
-            ClassRep(
-                matrix=bqf_to_matrix(form, t),
-                trace=t,
-                form=form,
-                primitive_content=form.content,
-            )
-        )
-    return out
+    forms = [QuadForm(*rep) for rep in reps]
+    return [ClassRep(bqf_to_matrix(f, t), t, f, f.content) for f in forms]
+
+
+def _trace_reps(abs_t: int) -> list[tuple[int, int, int]]:
+    _, *cols = _cycle_minima(_trace_keys(abs_t), abs_t + 1)
+    return list(zip(*(col.tolist() for col in cols)))
 
 
 def classes_with_trace(t: int) -> list[ClassRep]:
@@ -336,25 +292,27 @@ def classes_with_trace(t: int) -> list[ClassRep]:
     """
     if abs(t) <= 2:
         raise ValueError("requires |t| > 2")
-    return _class_reps(_canonical_cycle_reps(abs(t)), t)
+    return _class_reps(_trace_reps(abs(t)), t)
 
 
 def class_count_with_trace(t: int) -> int:
     """Number of hyperbolic classes of trace t (= rho-cycles of disc t^2-4)."""
     if abs(t) <= 2:
         raise ValueError("requires |t| > 2")
-    return len(_canonical_cycle_reps(abs(t)))
+    return len(_trace_reps(abs(t)))
 
 
 def hyperbolic_classes_below(T: int) -> Iterator[ClassRep]:
     """Stream every hyperbolic class with |trace| < T, in increasing |trace|.
 
     For each 3 <= t <= T-1 yields the trace-t classes then the trace-(-t)
-    classes; the two share one form enumeration per discriminant.
+    classes, read from the class store.
     """
     if T < 4:
         raise ValueError("T must be at least 4")
-    for t in range(3, T):
-        reps = _canonical_cycle_reps(t)
-        yield from _class_reps(reps, t)
-        yield from _class_reps(reps, -t)
+    t, *cols = _class_columns(T)
+    ends = np.searchsorted(t, np.arange(3, T + 1)).tolist()
+    for s, lo, hi in zip(range(3, T), ends, ends[1:]):
+        reps = list(zip(*(col[lo:hi].tolist() for col in cols)))
+        yield from _class_reps(reps, s)
+        yield from _class_reps(reps, -s)

@@ -12,7 +12,9 @@ import argparse
 import json
 import sys
 
-from .bqf import classes_with_trace, hyperbolic_classes_below, class_count_with_trace
+import numpy as np
+
+from .bqf import _class_columns, classes_with_trace, hyperbolic_classes_below
 from .census import census, census_text, density_report, theorem_constants
 from .csw import compare_with_rep_trace, csw_invariant
 from .intmat import IntMatrix, mapping_torus_homology, smith_normal_form
@@ -153,18 +155,18 @@ def _cmd_classes(args) -> int:
         return 0
     if args.tmax < 4:
         raise DomainError("--tmax must be at least 4")
-    counts = [(t, class_count_with_trace(t)) for t in range(3, args.tmax)]
     if args.count_only:
+        per_trace = np.bincount(_class_columns(args.tmax)[0], minlength=args.tmax)
+        counts = list(enumerate(per_trace[3:].tolist(), 3))
         payload = {"tmax": args.tmax, "counts": [{"t": t, "classes_per_sign": c} for t, c in counts]}
         text = "\n".join(f"{t} {c}" for t, c in counts)
         _emit(args, payload, text)
         return 0
-    total = 0
-    lines = []
-    for rep in hyperbolic_classes_below(args.tmax):
-        total += 1
-        lines.append(f"{rep.trace} {rep.form.as_tuple()} content={rep.primitive_content}")
-    _emit(args, {"tmax": args.tmax, "total": total}, "\n".join(lines))
+    lines = [
+        f"{rep.trace} {rep.form.as_tuple()} content={rep.primitive_content}"
+        for rep in hyperbolic_classes_below(args.tmax)
+    ]
+    _emit(args, {"tmax": args.tmax, "total": len(lines)}, "\n".join(lines))
     return 0
 
 

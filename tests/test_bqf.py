@@ -19,7 +19,6 @@ from mti.bqf import (
     matrix_to_bqf,
     reduce_indefinite,
     reduce_with_transform,
-    reduced_forms_of_disc,
     reduction_cycle,
 )
 from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
@@ -64,7 +63,7 @@ def test_reduction_cycle_disc5():
     assert {f.as_tuple() for f in cyc} == {(1, 1, -1), (-1, 1, 1)}
     assert len(cyc) == 2
     # there are exactly two reduced forms of disc 5, forming one cycle
-    assert sorted(f.as_tuple() for f in reduced_forms_of_disc(5)) == [(-1, 1, 1), (1, 1, -1)]
+    assert sorted(_reduced_forms_bruteforce(5)) == [(-1, 1, 1), (1, 1, -1)]
     with pytest.raises(ValueError):
         reduction_cycle(QuadForm(1, 27, 1))
 
@@ -83,97 +82,166 @@ def _reduced_forms_bruteforce(D):
     return out
 
 
-@pytest.mark.parametrize(
-    "setting",
-    [{}, {"_SCAN_WIDTH": 0}, {"_SIEVE_CAP": 64, "_spf": [0, 1]}],
-    ids=["default", "divisors-only", "scan-past-small-cap"],
-)
-def test_positive_reduced_forms_against_bruteforce(setting, monkeypatch):
-    # the m > 0 forms, doubled by sign, are every reduced form; the settings
-    # force each window through the divisor path, or, with a fresh sieve
-    # under a tiny cap, every window past the cap through the scan
-    for name, value in setting.items():
-        monkeypatch.setattr(bqf, name, value)
+# The enumeration the lattice replaced, kept as the oracle: a scan-only
+# producer of the m > 0 reduced forms and the double-rho walk of each cycle
+# to its minimal form.
+
+
+def _positive_reduced_forms(D):
+    # for each l, the m in the window (sqrt(D) - l)/2 < m < (sqrt(D) + l)/2
+    # that divide (D - l^2)/4 = -m*k
+    isq = isqrt(D)
+    out = []
+    for l in range(2 - D % 2, isq + 1, 2):
+        n = (D - l * l) // 4
+        out += [(m, l, -(n // m)) for m in range((isq - l) // 2 + 1, (isq + l) // 2 + 1) if n % m == 0]
+    return out
+
+
+def _canonical_cycle_reps(abs_t: int) -> list[tuple[int, int, int]]:
+    """One lexicographically-minimal reduced form per rho-cycle of
+    discriminant t^2 - 4, sorted.
+
+    The leading coefficients alternate in sign around a cycle, so the walk
+    steps rho twice from one m > 0 form to the next, and the minimum, which
+    has m < 0, is among the forms it steps over.
+    """
+    D = abs_t * abs_t - 4
+    isq = isqrt(D)
+    remaining = set(_positive_reduced_forms(D))
+    reps = []
+    while remaining:
+        start = remaining.pop()
+        best = None
+        m, l, k = start
+        while True:
+            # rho(m, l, k) = (k, l1, k1) with k < 0, then rho again
+            two = -2 * k
+            l1 = (-l) % two
+            l1 += (isq - l1) // two * two
+            k1 = (l1 * l1 - D) // (4 * k)
+            if best is None or (k, l1, k1) < best:
+                best = (k, l1, k1)
+            two = 2 * k1
+            l2 = (-l1) % two
+            l2 += (isq - l2) // two * two
+            m, l, k = k1, l2, (l2 * l2 - D) // (4 * k1)
+            if (m, l, k) == start:
+                break
+            remaining.remove((m, l, k))
+        reps.append(best)
+    reps.sort()
+    return reps
+
+
+def _both_signs(forms):
+    return {f for m, l, k in forms for f in ((m, l, k), (-m, l, -k))}
+
+
+def _decode(keys, S):
+    # (t, m, l, k) of the forms behind the keys (t*S + m)*S + l
+    out = []
+    for key in keys.tolist():
+        t, m, l = key // (S * S), key // S % S, key % S
+        out.append((t, m, l, (l * l - t * t + 4) // (4 * m)))
+    return out
+
+
+def _fresh_store(monkeypatch, top=3):
+    monkeypatch.setattr(bqf, "_class_store", (top, *(np.empty(0, np.int64) for _ in range(4))))
+
+
+def _rows(cols):
+    return list(zip(*(col.tolist() for col in cols)))
+
+
+def test_scan_oracle_against_bruteforce():
+    # the m > 0 forms, doubled by sign, are every reduced form
     for D in [5, 8, 12, 13, 17, 21] + [t * t - 4 for t in range(3, 61)]:
-        pos = bqf._positive_reduced_forms(D)
+        pos = _positive_reduced_forms(D)
         assert all(m > 0 for m, _, _ in pos)
-        both = {f for m, l, k in pos for f in ((m, l, k), (-m, l, -k))}
-        assert len(both) == 2 * len(pos)
-        assert both == _reduced_forms_bruteforce(D), D
+        assert len(_both_signs(pos)) == 2 * len(pos)
+        assert _both_signs(pos) == _reduced_forms_bruteforce(D), D
 
 
-def _plain_sieve(n):
-    spf = list(range(n))
-    for i in range(2, isqrt(n - 1) + 1):
-        if spf[i] == i:
-            for j in range(i * i, n, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
+@pytest.mark.parametrize("t0", [3, 20, 59])
+def test_lattice_forms_against_bruteforce(t0):
+    # the lattice points of a block of traces, and those found at one fixed
+    # trace, are the m > 0 reduced forms of each trace in it
+    forms = _decode(bqf._lattice_keys(t0, 61), 61)
+    assert [f[0] for f in forms] == sorted(f[0] for f in forms)
+    for t in range(t0, 61):
+        pos = [f[1:] for f in forms if f[0] == t]
+        assert _both_signs(pos) == _reduced_forms_bruteforce(t * t - 4), t
+        assert [f[1:] for f in _decode(bqf._trace_keys(t), t + 1)] == sorted(pos), t
 
 
-@pytest.mark.parametrize("first", [None, 1000], ids=["fresh", "grown"])
-def test_sieve_matches_plain_sieve(first, monkeypatch):
-    # the numpy-built table, from scratch or grown from a shorter one, is
-    # the plain smallest-prime-factor sieve, and indexes as Python ints
-    n = 10**5
-    monkeypatch.setattr(bqf, "_spf", [0, 1])
-    if first:
-        bqf._grow_sieve(first)
-        assert list(bqf._spf) == _plain_sieve(len(bqf._spf))
-    bqf._grow_sieve(n - 1)
-    assert len(bqf._spf) == n
-    assert list(bqf._spf) == _plain_sieve(n)
-    assert type(bqf._spf[n - 1]) is int
+def test_class_columns_match_oracle():
+    # the store rows are the canonical representatives of the old walk
+    t, m, l, k = bqf._class_columns(2010)
+    assert all(col.dtype == np.int64 and not col.flags.writeable for col in (t, m, l, k))
+    rows = _rows((t, m, l, k))
+    n = int(np.searchsorted(t, 400))
+    assert rows[:n] == [(s, *f) for s in range(3, 400) for f in _canonical_cycle_reps(s)]
+    n = int(np.searchsorted(t, 2000))
+    assert rows[n:] == [(s, *f) for s in range(2000, 2010) for f in _canonical_cycle_reps(s)]
+
+
+def test_trace_path_equals_store_rows_past_old_sieve_cap(monkeypatch):
+    # (t^2 - 4)/4 passed the old 8M sieve cap at t = 5657; the one-trace scan
+    # and the block path agree on both sides of it
+    _fresh_store(monkeypatch, top=5650)
+    rows = _rows(bqf._class_columns(5665))
+    assert rows == [(t, *f) for t in range(5650, 5665) for f in bqf._trace_reps(t)]
+    assert bqf._trace_reps(5657) == [r[1:] for r in rows if r[0] == 5657]
+
+
+@pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-blocks"])
+def test_class_columns_independent_of_block_splits(size, monkeypatch):
+    # a store grown in steps, or cut into blocks of other sizes, holds the
+    # same columns as one grown in one call
+    _fresh_store(monkeypatch)
+    whole = _rows(bqf._class_columns(101))
+    monkeypatch.setattr(bqf, "_BLOCK_FORMS", size)
+    _fresh_store(monkeypatch)
+    for T in (60, 100, 101):
+        bqf._class_columns(T)
+    assert _rows(bqf._class_columns(101)) == whole
 
 
 def test_class_columns_enumerate_each_trace_once(monkeypatch):
-    # the store appends only the traces it lacks and serves smaller bounds
+    # the store lists only the traces it lacks and serves smaller bounds
     # from a prefix; its rows are the canonical representatives in order
     calls = []
-    reps = bqf._canonical_cycle_reps
+    keys = bqf._lattice_keys
 
-    def counted(t):
-        calls.append(t)
-        return reps(t)
+    def counted(t0, t1):
+        calls.append((t0, t1))
+        return keys(t0, t1)
 
-    monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int64) for _ in range(4))))
-    monkeypatch.setattr(bqf, "_canonical_cycle_reps", counted)
+    _fresh_store(monkeypatch)
+    monkeypatch.setattr(bqf, "_lattice_keys", counted)
     for T in (60, 100, 40, 100, 101):
-        t, m, l, k = bqf._class_columns(T)
-        rows = [(s, *f) for s in range(3, T) for f in reps(s)]
-        assert list(zip(t.tolist(), m.tolist(), l.tolist(), k.tolist())) == rows, T
-        assert all(col.dtype == np.int64 and not col.flags.writeable for col in (t, m, l, k))
-    assert calls == list(range(3, 101))
-
-
-def test_sieve_stops_at_the_cap(monkeypatch):
-    # a discriminant past the cap grows the sieve to the cap once; the next
-    # one reuses it instead of sieving again
-    monkeypatch.setattr(bqf, "_SIEVE_CAP", 64)
-    monkeypatch.setattr(bqf, "_spf", [0, 1])
-    bqf._positive_reduced_forms(40 * 40 - 4)
-    sieve = bqf._spf
-    assert len(sieve) == 64
-    bqf._positive_reduced_forms(41 * 41 - 4)
-    assert bqf._spf is sieve
+        rows = _rows(bqf._class_columns(T))
+        assert rows == [(s, *f) for s in range(3, T) for f in _canonical_cycle_reps(s)], T
+    assert calls == [(3, 60), (60, 100), (100, 101)]
 
 
 def test_canonical_reps_are_cycle_minima():
-    # windows at t = 120 reach width isqrt(D) - 1 = 118, past the scan width
-    assert isqrt(120 * 120 - 4) - 1 > bqf._SCAN_WIDTH
+    # the minimum of each reduction cycle, by the definition, for traces
+    # whose windows reach width isqrt(D) - 1 = 118
     for t in range(3, 121):
         minima = {
-            min(f.as_tuple() for f in reduction_cycle(g))
-            for g in reduced_forms_of_disc(t * t - 4)
+            min(f.as_tuple() for f in reduction_cycle(QuadForm(*g)))
+            for g in _both_signs(_positive_reduced_forms(t * t - 4))
         }
-        assert bqf._canonical_cycle_reps(t) == sorted(minima), t
+        assert bqf._trace_reps(t) == _canonical_cycle_reps(t) == sorted(minima), t
 
 
 def test_disc12_two_cycles():
     # four reduced forms; the exhaustive scan shows they form TWO cycles
     # ((1,2,-2) represents 1 while (-1,2,2) does not, so the classes differ)
-    forms = sorted(f.as_tuple() for f in reduced_forms_of_disc(12))
+    forms = sorted(_reduced_forms_bruteforce(12))
     assert forms == [(-2, 2, 1), (-1, 2, 2), (1, 2, -2), (2, 2, -1)]
     assert class_count_with_trace(4) == 2
     assert class_count_with_trace(3) == 1
@@ -194,7 +262,7 @@ def test_cycle_properties_small_traces():
             assert not (tuples & members_seen), "cycles must be disjoint"
             members_seen |= tuples
         # every reduced form of the discriminant is accounted for
-        assert members_seen == {f.as_tuple() for f in reduced_forms_of_disc(t * t - 4)}
+        assert members_seen == _reduced_forms_bruteforce(t * t - 4)
 
 
 def test_rho_returns_to_start():
@@ -332,4 +400,4 @@ def test_large_disc_cycles_close_and_stay_reduced():
             cyc = reduction_cycle(rep.form)
             assert all(is_reduced(f) for f in cyc)
             total += len(cyc)
-        assert total == len(reduced_forms_of_disc(t * t - 4))
+        assert total == 2 * len(_positive_reduced_forms(t * t - 4))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -72,6 +73,23 @@ def test_classes_count_only(capsys):
     assert lines[0] == "3 1"
     assert lines[1] == "4 2"
     assert lines[2] == "5 2"  # disc 21 splits into two cycles (no norm -1 unit)
+
+
+# SHA-256 of stdout, recorded before the listing and the counts were read
+# from the class store
+CLASSES_SHA256 = {
+    ("classes", "--tmax", "60"): "bad786ca9e638f60262f9c149bbe9a9806ffe0513605526d52ea6a8535a7a651",
+    ("classes", "--tmax", "60", "--count-only", "--json"): (
+        "46f6c776dbc655598c150124f5c38f4ca3e3106029294edc258a24eb994fc2b4"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(CLASSES_SHA256), ids=["listing", "counts-json"])
+def test_classes_tmax_bytes_pinned(argv, capsys):
+    code, out = _capture(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSES_SHA256[argv]
 
 
 def test_census_csv_stdout(capsys):
