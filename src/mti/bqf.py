@@ -15,14 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import index
 from typing import Iterator
 
 import numpy as np
 
 from .sl2 import Sl2Matrix
 
-# forms per block of store growth: bounds the working set that reducing new
-# traces to cycles adds to the stored columns
+# forms per block of store growth, and new nodes per piece of the lattice
+# walk: bounds the working set that growing the store adds to its columns
 _BLOCK_FORMS = 1 << 13
 # the class store: the bound T and the int64 columns (|t|, m, l, k) of the
 # canonical cycle representatives of every trace 3 <= |t| < T, sorted by |t|
@@ -186,18 +187,33 @@ def _lattice_keys(t0: int, t1: int) -> np.ndarray:
     the forms are the lattice points 1 <= a <= m < d with m | ad - 1.  The
     matrices [[a, m], [n, d]] of those points are exactly L X R for X in
     the monoid of L = [[1, 0], [1, 1]] and R = [[1, 1], [0, 1]], so they are
-    listed from LR down the tree M -> M R, M R^-1 L R, which raises the
-    trace at every step.
+    the tree below LR of M -> M R, M U with U = R^-1 L R = [[0, -1], [1, 2]].
+    R and U are parabolic, so each node's run M X^j below t1 is listed in one
+    pass, and the nodes of an R-run go on to their U-runs and the reverse,
+    depth-first in pieces of at most _BLOCK_FORMS new nodes (or one run),
+    starting from the R-run of L.
     """
-    a, m, n, d = (np.array([x], np.int64) for x in (1, 1, 1, 2))
-    out = []
-    while len(a):
-        keep = a + d < t1
-        a, m, n, d = a[keep], m[keep], n[keep], d[keep]
-        new = a + d >= t0
-        out.append(((a[new] + d[new]) * t1 + m[new]) * t1 + d[new] - a[new])
-        # the children M R = [[a, a + m], [n, n + d]] and M R^-1 L R = [[m, 2m - a], [d, 2d - n]]
-        a, m, n, d = (np.concatenate(p) for p in ((a, m), (a + m, 2 * m - a), (n, d), (n + d, 2 * d - n)))
+    a, n, d = (np.ones(1, np.int64) for _ in range(3))
+    out, stack = [], [(a, 0 * a, n, d, False)]
+    while stack:
+        a, m, n, d, u = stack.pop()
+        runs = (t1 - 1 - a - d) // (m - a + d - n if u else n)
+        ends = np.cumsum(runs)
+        i = max(1, int(np.searchsorted(ends, _BLOCK_FORMS, "right")))
+        if i < len(a):
+            stack.append((a[i:], m[i:], n[i:], d[i:], u))
+        node = np.repeat(np.arange(i), runs[:i])
+        if not len(node):
+            continue
+        j = np.arange(1, len(node) + 1) - (ends - runs)[node]
+        a, m, n, d = a[node], m[node], n[node], d[node]
+        if u:  # M U^j adds j (second column - first) to both columns
+            top, bottom = j * (m - a), j * (d - n)
+            a, m, n, d = a + top, m + top, n + bottom, d + bottom
+        else:  # M R^j adds j times the first column to the second
+            m, d = m + j * a, d + j * n
+        out.append((((a + d) * t1 + m) * t1 + d - a)[a + d >= t0])
+        stack.append((a, m, n, d, not u))
     keys = np.concatenate(out)
     keys.sort()
     return keys
@@ -253,6 +269,7 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     forms each.
     """
     global _class_store
+    T = index(T)
     top, *cols = _class_store
     if T > top:
         keys = _lattice_keys(top, T)

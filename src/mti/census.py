@@ -12,7 +12,9 @@ factor 2 between the normalizations; reports show both.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,8 +29,9 @@ _LABELS_ODD = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 _LABELS_P2 = ("C1", "C2", "C3")
 
 
+@cache
 def log_integral(x: float) -> float:
-    """li(x) = integral of dt/log(t) from 2 to x, adaptive quadrature."""
+    """li(x) = integral of dt/log(t) from 2 to x, adaptive quadrature, once per x."""
     if x < 2:
         raise ValueError("x must be >= 2")
     if x == 2:
@@ -110,6 +113,7 @@ def census(p: int, T: int) -> CensusReport:
         raise ValueError(f"{p} is not prime")
     if p >= 2**63:
         raise ValueError("p must be below 2^63")
+    T = operator.index(T)
     if T < 4:
         raise ValueError("T must be >= 4")
     labels = _LABELS_P2 if p == 2 else _LABELS_ODD

@@ -147,6 +147,25 @@ def _decode(keys, S):
     return out
 
 
+# The listing the run walk replaced, kept verbatim as its oracle: one numpy
+# round per trace step down the tree M -> M R, M R^-1 L R.
+
+
+def _lattice_keys_tree(t0: int, t1: int) -> np.ndarray:
+    a, m, n, d = (np.array([x], np.int64) for x in (1, 1, 1, 2))
+    out = []
+    while len(a):
+        keep = a + d < t1
+        a, m, n, d = a[keep], m[keep], n[keep], d[keep]
+        new = a + d >= t0
+        out.append(((a[new] + d[new]) * t1 + m[new]) * t1 + d[new] - a[new])
+        # the children M R = [[a, a + m], [n, n + d]] and M R^-1 L R = [[m, 2m - a], [d, 2d - n]]
+        a, m, n, d = (np.concatenate(p) for p in ((a, m), (a + m, 2 * m - a), (n, d), (n + d, 2 * d - n)))
+    keys = np.concatenate(out)
+    keys.sort()
+    return keys
+
+
 def _fresh_store(monkeypatch, top=3):
     monkeypatch.setattr(bqf, "_class_store", (top, *(np.empty(0, np.int64) for _ in range(4))))
 
@@ -174,6 +193,21 @@ def test_lattice_forms_against_bruteforce(t0):
         pos = [f[1:] for f in forms if f[0] == t]
         assert _both_signs(pos) == _reduced_forms_bruteforce(t * t - 4), t
         assert [f[1:] for f in _decode(bqf._trace_keys(t), t + 1)] == sorted(pos), t
+
+
+@pytest.mark.parametrize(
+    "size, bounds", [(1 << 13, (4, 5, 61, 500, 2001)), (64, (4, 5, 61, 500))], ids=["default", "small-blocks"]
+)
+def test_lattice_runs_equal_tree_walk(size, bounds, monkeypatch):
+    # the run listing gives the tree walk's keys in its order, also when
+    # small pieces make the depth-first walk split its frontier (64-node
+    # pieces list t1 = 500 in 2146 rounds, some of them one run longer than
+    # a piece)
+    monkeypatch.setattr(bqf, "_BLOCK_FORMS", size)
+    for t1 in bounds:
+        for t0 in sorted({t0 for t0 in (3, t1 // 2, t1 - 1) if t0 >= 3}):
+            keys = bqf._lattice_keys(t0, t1)
+            assert keys.dtype == np.int64 and np.array_equal(keys, _lattice_keys_tree(t0, t1)), (t0, t1)
 
 
 def test_class_columns_match_oracle():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +40,27 @@ def test_log_integral_against_simpson():
     assert abs(log_integral(x) - _li_simpson(x, 200000)) / _li_simpson(x, 200000) < 1e-4
     with pytest.raises(ValueError):
         log_integral(1.5)
+
+
+def test_log_integral_once_per_bound(monkeypatch):
+    # the checkpoint bounds 500 >> j of two censuses share their quadratures,
+    # and the cached values are the quadrature's own bits
+    module = sys.modules["mti.census"]
+    quad, calls = module.quad, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(module, "quad", counted)
+    log_integral.cache_clear()
+    reports = [census(2, 500), census(3, 500)]
+    assert len(calls) == 7
+    for cp in reports[0].checkpoints + reports[1].checkpoints:
+        assert repr(cp.li_T2) == repr(log_integral.__wrapped__(float(cp.T) * cp.T))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            log_integral(1.5)
 
 
 def test_census_small_hand_check():
@@ -225,6 +247,24 @@ def test_census_independent_of_store_history(p, monkeypatch):
         fresh = outputs(T)
         assert outputs(T, stored=T + 40) == fresh, T
         assert outputs(T, stored=smaller) == fresh, T
+
+
+def test_non_integer_bound_leaves_the_store_intact(monkeypatch):
+    # a float bound is refused before it reaches the class store, so a later
+    # census still reads int64 columns; any integer type gives the same report
+    def fresh_store():
+        monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int64) for _ in range(4))))
+
+    fresh_store()
+    fresh = repr(census(3, 100))
+    calls = (lambda: census(3, 60.0), lambda: next(hyperbolic_classes_below(60.0)), lambda: bqf._class_columns(60.0))
+    for call in calls:
+        fresh_store()
+        with pytest.raises(TypeError):
+            call()
+        assert repr(census(3, 100)) == fresh
+    assert repr(census(3, np.int64(100))) == fresh
+    assert type(census(3, np.int64(100)).T) is int
 
 
 def test_census_rejects_primes_past_int64():
