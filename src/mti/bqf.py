@@ -246,7 +246,14 @@ def _cycle_minima(keys: np.ndarray, S: int) -> tuple[np.ndarray, ...]:
     # rho(m, l, k) = (k, l1, k1) with k < 0, and rho(k, l1, k1) = (k1, l2, .)
     _, l1, k1 = _rho(m, l, k, disc, isq)
     _, l2, _ = _rho(k, l1, k1, disc, isq)
-    ptr = np.searchsorted(keys, (t * S + k1) * S + l2)
+    # the index of each rho^2 image: the inverse of the order that sorts the
+    # images, since they are the keys again
+    target = (t * S + k1) * S + l2
+    order = np.argsort(target)
+    if not np.array_equal(target[order], keys):
+        raise AssertionError("rho^2 does not permute the forms")
+    ptr = np.empty_like(order)
+    ptr[order] = np.arange(len(order))
     # m < 0 forms keyed by (m, l), in sorted order
     val = (k + S) * S + l1
     best = val

@@ -106,20 +106,25 @@ def census(p: int, T: int) -> CensusReport:
 
     The classes come from the process-wide class store of `bqf` as columns
     of canonical (m, l, k) forms, one row per |t| and class, for both trace
-    signs.  Each class gets a code label * 3 + SNF category in a few array
-    passes, and each checkpoint T/2^k counts the codes of the rows below it.
+    signs.  Each class gets a code label * 3 + SNF category.  A trace
+    s != +-2 mod p fixes the code of all its classes; on s = +-2 mod p the
+    residues b = k and c = -m fix it: the class is central exactly when
+    b = c = 0, which on s = 2 puts it in category 0 and every other class of
+    s = 2 in category 1, and the Legendre symbol of -c (or of b) splits the
+    rest (see `_class_codes`).  Each checkpoint T/2^k counts the codes of
+    the rows below it.
     """
+    p, T = operator.index(p), operator.index(T)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p >= 2**63:
         raise ValueError("p must be below 2^63")
-    T = operator.index(T)
     if T < 4:
         raise ValueError("T must be >= 4")
     labels = _LABELS_P2 if p == 2 else _LABELS_ODD
     nl = len(labels)
-    t, m, l, k = _class_columns(T)
-    pos, neg = _class_codes(p, T, t, m, l, k)
+    t, m, _, k = _class_columns(T)
+    pos, neg = _class_codes(p, T, t, m, k)
     # checkpoint bounds T/2^k below T, all >= 4, then T itself
     bounds = sorted({T >> j for j in range(1, T.bit_length()) if T >> j >= 4}) + [T]
     checkpoints = [
@@ -148,14 +153,23 @@ def census(p: int, T: int) -> CensusReport:
     )
 
 
-def _class_codes(p: int, T: int, t, m, l, k) -> tuple[np.ndarray, np.ndarray]:
+def _class_codes(p: int, T: int, t, m, k) -> tuple[np.ndarray, np.ndarray]:
     """label * 3 + SNF category of every class, for s = t and for s = -t.
 
-    The form (m, l, k) stands for the class of [[(s-l)/2, k], [-m, (s+l)/2]].
-    A trace s other than +-2 mod p fixes the kind of all its classes (C7/C8
-    by the residue of s^2 - 4, C3 for p = 2), and p does not divide
-    s - 2 = +-A1*A2, so they are all in SNF category 2.  Only the classes of
-    traces s = +-2 mod p are classified one by one.
+    The form (m, l, k) stands for the class A = [[(s-l)/2, b], [c, (s+l)/2]]
+    with b = k and c = -m, and SNF(A - Id) = diag(A1, A2) with A1 | A2 and
+    A1*A2 = |s - 2|.  A trace s other than +-2 mod p fixes the kind of all
+    its classes (C7/C8 by the residue of s^2 - 4, C3 for p = 2), and p does
+    not divide A2, so they are all in SNF category 2.  On s = +-2 mod p the
+    residues b and c decide the rest:
+    - A = +-Id mod p exactly when b = c = 0 mod p;
+    - on s = 2 mod p, p divides A2, and A1 too exactly when A = Id mod p, so
+      the central class is in category 0 and the others in category 1;
+    - a class that is not central is C3/C4 (s = 2) or C5/C6 (s = -2) as the
+      Legendre symbol of w = -c (or b where c = 0) is 1 or -1, and C2 for
+      p = 2.
+    The form's class of trace -s has the same b and c, so one residue pass
+    and one Legendre pass serve both signs.
     """
     traces = np.arange(3, T, dtype=np.int64)
     # s^2 - 4 from s itself, never from a residue, so it fits int64; p
@@ -165,52 +179,23 @@ def _class_codes(p: int, T: int, t, m, l, k) -> tuple[np.ndarray, np.ndarray]:
     per_trace = np.zeros(T, np.int8)
     special = np.zeros(T, bool)
     special[3:] = disc == 0
+    # the codes on s = +-2 mod p by the symbol 0 (central), 1 or -1 of w, on
+    # s = 2 (first row) and s = -2
     if p == 2:
         per_trace[3:] = 2 * 3 + 2
+        table = np.array([[0 * 3 + 0, 1 * 3 + 1]], np.int8)
     else:
         per_trace[3:] = np.where(_legendre_symbols(disc, p) == 1, 6 * 3 + 2, 7 * 3 + 2)
+        table = np.array([[0 * 3 + 0, 2 * 3 + 1, 3 * 3 + 1], [1 * 3 + 2, 4 * 3 + 2, 5 * 3 + 2]], np.int8)
     pos = per_trace[t]
     neg = pos.copy()
     rows = np.flatnonzero(special[t])
-    for codes, sign in ((pos, 1), (neg, -1)):
-        s, lr = sign * t[rows], l[rows]
-        codes[rows] = _special_codes(p, s, (s - lr) // 2, k[rows], -m[rows], (s + lr) // 2)
+    s, b, w = t[rows], k[rows] % p, m[rows] % p
+    w = np.where(w != 0, w, b)  # -c, or b where c = 0: 0 just when central
+    symbol = w if p == 2 else _legendre_symbols(w, p)  # mod 2, w is its symbol
+    pos[rows] = table[((s - 2) % p != 0).astype(np.intp), symbol]
+    neg[rows] = table[((s + 2) % p != 0).astype(np.intp), symbol]
     return pos, neg
-
-
-def _special_codes(p: int, s, a, b, c, d) -> np.ndarray:
-    """label * 3 + SNF category of the classes [[a, b], [c, d]] of traces
-    s = +-2 mod p: the `_classify_residues` / `classify_mod_2` logic, and the
-    SNF entries A1 = gcd(a-1, b, c, d-1), A2 = |s-2|/A1 of A - Id."""
-    unip = (s - 2) % p == 0
-    cat = np.full(len(s), 2, np.int8)
-    a1 = np.gcd(np.gcd(a[unip] - 1, b[unip]), np.gcd(c[unip], d[unip] - 1))
-    a2 = (s[unip] - 2) // a1  # +-A2, which p divides or not alike
-    if np.any((a2 % p != 0) & (a1 % p == 0)):  # p | A1 forces p | A2 since A1 | A2
-        raise AssertionError("impossible SNF divisibility")
-    cat[unip] = np.where(a2 % p != 0, 2, np.where(a1 % p != 0, 1, 0))
-    # residues in the smallest signed type that holds -p, and for a prime p also p
-    dt = np.min_scalar_type(-p)
-    a, b, c, d = ((v % p).astype(dt) for v in (a, b, c, d))
-    if p == 2:
-        # A^2 = sA - Id, so an even trace gives A^2 = Id mod 2: C2 unless A = Id mod 2
-        label = np.where((a == 1) & (b == 0) & (c == 0) & (d == 1), np.int8(0), np.int8(1))
-        return label * 3 + cat
-    central = (b == 0) & (c == 0) & (a == d)
-    # the unipotent invariant of A - Id (s = 2) or of -A - Id (s = -2)
-    u = np.where(
-        unip,
-        np.where((a != 1) | (c != 0), np.where(c != 0, p - c, c), b),
-        np.where((a != p - 1) | (c != 0), c, np.where(b != 0, p - b, b)),
-    )
-    leg = _legendre_symbols(u, p)
-    # the representative [[-1, 1], [0, -1]] of C5 has invariant p - 1
-    label = np.select(
-        [central & (a == 1), central & (a == p - 1), unip & (leg == 1), unip, leg == legendre(p - 1, p)],
-        [np.int8(i) for i in range(5)],
-        np.int8(5),
-    )
-    return label * 3 + cat
 
 
 def _legendre_symbols(residues: np.ndarray, p: int) -> np.ndarray:

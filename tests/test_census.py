@@ -1,15 +1,17 @@
 import hashlib
 import math
 import sys
+from functools import cache
 
 import numpy as np
 import pytest
 
-from mti import bqf
+from mti import bqf, sl2
 from mti.bqf import hyperbolic_classes_below
 from mti.census import (
     CSV_HEADER,
     CensusReport,
+    _class_codes,
     _group_counts,
     census,
     density_report,
@@ -80,13 +82,15 @@ def test_census_small_hand_check():
     assert rep.snf_triple == (0, 2, 4)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 1_000_003, 2**31 - 1, 2**32 + 15])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 1_000_003, 2**31 - 1, 2**32 + 15, 2**63 - 25])
 def test_census_matches_direct_classification(p):
     # oracle: classify every class of the stream one by one, then compare
     # each checkpoint's tallies over both signs and over positive traces;
     # T = 120 meets every residue of the trace mod p; past every trace, each
     # kind comes from the Legendre symbol of t^2 - 4, and above 3.04e9 the
-    # square of a residue p - t would overflow int64
+    # square of a residue p - t would overflow int64; 2^63 - 25 is the
+    # largest prime census accepts, and m mod p of the negative leading
+    # coefficients m lies just below it
     T = 120 if p < 120 else 60
     rep = census(p, T)
     rows = []
@@ -132,6 +136,27 @@ def test_census_matches_direct_classification(p):
         final.dw_sum_pos,
         final.snf_triple_pos,
     )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 2**63 - 25])
+def test_class_codes_match_per_class_oracle(p, monkeypatch):
+    # each row's code, for both signs, against the one-class classifiers and
+    # the minor-gcd SNF, so that no two errors can cancel in a tally; the
+    # primality test that classify_mod_p repeats per class is asked once
+    monkeypatch.setattr(sl2, "is_prime", cache(sl2.is_prime))
+    T = 200
+    t, m, l, k = bqf._class_columns(T)
+    pos, neg = _class_codes(p, T, t, m, k)
+    labels = ("C1", "C2", "C3") if p == 2 else tuple(f"C{i}" for i in range(1, 9))
+    category = {(True, True): 0, (False, True): 1, (False, False): 2}
+    rows = zip(t.tolist(), m.tolist(), l.tolist(), k.tolist(), pos.tolist(), neg.tolist())
+    for abs_t, mi, li, ki, *codes in rows:
+        for s, code in zip((abs_t, -abs_t), codes):
+            A = bqf.bqf_to_matrix(bqf.QuadForm(mi, li, ki), s)
+            kind = classify_mod_2(A).kind if p == 2 else classify_mod_p(A, p).kind
+            a1, a2 = sl2_snf_entries(A)
+            assert code == 3 * labels.index(kind) + category[a1 % p == 0, a2 % p == 0], (p, s, mi, li, ki)
+    assert len(pos) == census(p, T).total_pos
 
 
 def test_census_dw_sum_recomputable_from_labels():
@@ -267,6 +292,16 @@ def test_non_integer_bound_leaves_the_store_intact(monkeypatch):
     assert type(census(3, np.int64(100)).T) is int
 
 
+def test_census_normalizes_the_prime():
+    # any integer type gives the report of the int; a float is refused
+    # before the class store is touched
+    assert repr(census(np.int64(3), 10)) == repr(census(3, 10))
+    before = bqf._class_store
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        census(3.0, 10**4)
+    assert bqf._class_store is before
+
+
 def test_census_rejects_primes_past_int64():
     with pytest.raises(ValueError, match="below 2"):
         census(2**64 + 13, 10)
@@ -311,17 +346,17 @@ def test_density_report():
 
 def test_snf_routing_first_ten_thousand_classes():
     # divisibility category <-> label-group routing, re-checked per class
-    p = 3
     seen = 0
     for r in hyperbolic_classes_below(400):
-        kind = classify_mod_p(r.matrix, p).kind
         a1, a2 = sl2_snf_entries(r.matrix)
-        if kind == "C1":
-            assert a1 % p == 0 and a2 % p == 0
-        elif kind in ("C3", "C4"):
-            assert a1 % p != 0 and a2 % p == 0
-        else:
-            assert a1 % p != 0 and a2 % p != 0
+        for p in (2, 3, 5, 7):
+            kind = classify_mod_2(r.matrix).kind if p == 2 else classify_mod_p(r.matrix, p).kind
+            if kind == "C1":
+                assert a1 % p == 0 and a2 % p == 0
+            elif kind in (("C2",) if p == 2 else ("C3", "C4")):
+                assert a1 % p != 0 and a2 % p == 0
+            else:
+                assert a1 % p != 0 and a2 % p != 0
         seen += 1
         if seen >= 10**4:
             break
