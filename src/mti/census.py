@@ -115,10 +115,10 @@ def census(p: int, T: int) -> CensusReport:
     the rows below it.
     """
     p, T = operator.index(p), operator.index(T)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if p >= 2**63:
         raise ValueError("p must be below 2^63")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if T < 4:
         raise ValueError("T must be >= 4")
     labels = _LABELS_P2 if p == 2 else _LABELS_ODD

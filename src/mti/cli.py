@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
+import random
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,6 +29,8 @@ from .modular import (
     mobius,
 )
 from .sl2 import (
+    SL2_S,
+    SL2_T,
     Sl2Matrix,
     classify_mod_2,
     classify_mod_p,
@@ -170,55 +175,50 @@ def _cmd_classes(args) -> int:
     return 0
 
 
-def _cmd_census(args) -> int:
-    # with --csv -, stdout carries the CSV and nothing else
-    to_stdout = args.csv == "-"
-    if to_stdout and args.json:
-        raise DomainError("--csv - writes the CSV to stdout; write the JSON document with --json-out")
-    report = census(args.prime, args.tmax)
-    csv_text = report.to_csv()
-    if to_stdout:
-        sys.stdout.write(csv_text)
-    elif args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    dens = density_report(report)
-    consts = theorem_constants(report)
-    payload = {
+def _census_payload(report) -> dict:
+    consts = asdict(theorem_constants(report))
+    del consts["p"], consts["T"]
+    return {
         "p": report.p,
         "T": report.T,
         "total": report.total_classes,
         "total_pos": report.total_pos,
         "per_label": report.per_label,
         "dw_sum": report.dw_sum,
-        "snf_triple": list(report.snf_triple),
+        "snf_triple": report.snf_triple,
         "li_T2": report.li_T2,
-        "density": [
-            {
-                "kind": r.kind,
-                "count": r.count,
-                "empirical": r.empirical,
-                "predicted": r.predicted,
-                "deviation": r.deviation,
-            }
-            for r in dens.rows
-        ],
-        "constants": {
-            "dw_all": consts.dw_all,
-            "dw_pos": consts.dw_pos,
-            "dw_printed": consts.dw_printed,
-            "dw_derived": consts.dw_derived,
-            "snf_all": list(consts.snf_all),
-            "snf_pos": list(consts.snf_pos),
-            "snf_printed": list(consts.snf_printed),
-            "snf_derived": list(consts.snf_derived),
-        },
+        "density": [asdict(r) for r in density_report(report).rows],
+        "constants": consts,
     }
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump({"schema": SCHEMA, **payload}, fh, sort_keys=True)
-    if not to_stdout:
-        _emit(args, payload, census_text(report))
+
+
+def _cmd_census(args) -> int:
+    # with --csv -, stdout carries the CSV and nothing else
+    to_stdout = args.csv == "-"
+    if to_stdout and args.json:
+        raise DomainError("--csv - writes the CSV to stdout; write the JSON document with --json-out")
+    if len(args.prime) > 1 and (args.csv or args.json or args.json_out):
+        raise DomainError("--csv, --json and --json-out name one document: give one --prime")
+    # every census runs before anything is written; they share one class store
+    reports = [census(p, args.tmax) for p in args.prime]
+    if args.outdir:
+        pathlib.Path(args.outdir).mkdir(parents=True, exist_ok=True)
+    for report in reports:
+        csv_text = report.to_csv()
+        if args.outdir:
+            path = pathlib.Path(args.outdir, f"census_p{report.p}_T{report.T}.csv")
+            path.write_text(csv_text, encoding="utf-8")
+        if to_stdout:
+            sys.stdout.write(csv_text)
+        elif args.csv:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(csv_text)
+        payload = _census_payload(report)
+        if args.json_out:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                json.dump({"schema": SCHEMA, **payload}, fh, sort_keys=True)
+        if not to_stdout:
+            _emit(args, payload, census_text(report))
     return 0
 
 
@@ -298,6 +298,48 @@ def _cmd_csw(args) -> int:
     return 0
 
 
+def _cmd_csw_sweep(args) -> int:
+    if args.kmax < 1 or args.tmax < 3 or args.samples < 0:
+        raise DomainError("need --kmax >= 1, --tmax >= 3 and --samples >= 0")
+    rng = random.Random(0)
+    worst = 0.0
+    phases = [0] * 8  # nonvanishing values by residual phase in eighths of a turn
+    zeros = 0
+    for _ in range(args.samples):
+        # a random class of trace 3 <= |t| <= tmax, conjugated by a short word in S, T
+        t = rng.randint(3, args.tmax) * rng.choice([1, -1])
+        reps = classes_with_trace(t)
+        a = reps[rng.randrange(len(reps))].matrix
+        g = Sl2Matrix(1, 0, 0, 1)
+        for _ in range(rng.randint(0, 4)):
+            g = g * rng.choice([SL2_T, SL2_T.inverse(), SL2_S])
+        a = a.conjugate_by(g)
+        k = rng.randint(1, args.kmax)
+        cmp_ = compare_with_rep_trace(a, k)
+        worst = max(worst, cmp_.modulus_difference)
+        if cmp_.phase_difference is None:
+            zeros += 1
+        else:
+            phases[round(cmp_.phase_difference * 8) % 8] += 1
+    payload = {
+        "samples": args.samples,
+        "kmax": args.kmax,
+        "tmax": args.tmax,
+        "worst_modulus_difference": worst,
+        "vanishing": zeros,
+        "phase_eighths": phases,
+    }
+    lines = [
+        f"{args.samples} samples, k <= {args.kmax}, |Tr| <= {args.tmax}",
+        f"worst |gauss sum| vs |trace| difference: {worst:.3e}",
+        f"vanishing values (phase undefined): {zeros}",
+        "framing phase distribution (eighths of a turn):",
+    ]
+    lines += [f"  {eighth}/8 turn: {n}" for eighth, n in enumerate(phases) if n]
+    _emit(args, payload, "\n".join(lines))
+    return 0
+
+
 def _cmd_modform(args) -> int:
     try:
         report = qexpansion_check(args.d, args.pmax)
@@ -372,11 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classes)
 
-    p = sub.add_parser("census", help="classify all classes with |Tr| < T mod p")
-    p.add_argument("--prime", type=int, required=True)
+    p = sub.add_parser("census", help="classify all classes with |Tr| < T mod p, for each prime p")
+    p.add_argument("--prime", type=int, nargs="+", required=True)
     p.add_argument("--tmax", type=int, required=True)
-    p.add_argument("--csv", help="CSV output path, or - for stdout")
-    p.add_argument("--json-out", dest="json_out", help="JSON output path")
+    p.add_argument("--outdir", help="write census_p{p}_T{T}.csv per prime into this directory")
+    p.add_argument("--csv", help="CSV output path, or - for stdout (one prime only)")
+    p.add_argument("--json-out", dest="json_out", help="JSON output path (one prime only)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_census)
 
@@ -390,6 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="also evaluate the rep-trace oracle")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_csw)
+
+    p = sub.add_parser("csw-sweep", help="Gauss sum vs rep-trace oracle on seeded random classes")
+    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--tmax", type=int, default=50)
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_csw_sweep)
 
     p = sub.add_parser("modform", help="weight-one coefficient comparison table")
     p.add_argument("--d", type=int, default=2)

@@ -341,10 +341,18 @@ def mapping_torus_homology(fhat: IntMatrix, check_symplectic: bool = True) -> Ab
     return AbelianGroup(free_rank=ck.free_rank + 1, torsion=ck.torsion)
 
 
+# psi_12 = 399165290221 * 798330580441, the smallest strong pseudoprime to
+# all twelve bases 2..37 (Sorenson-Webster, Math. Comp. 2017)
+_PSI_12 = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (the witness set is exact below 3.3e24)."""
+    """Deterministic Miller-Rabin to the bases 2..37, exact below psi_12;
+    larger n raise ValueError."""
     if n < 2:
         return False
+    if n >= _PSI_12:
+        raise ValueError(f"cannot decide whether {n} is prime: the test is exact below {_PSI_12}")
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -11,6 +13,10 @@ def _capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_snf_subtract_identity(capsys):
@@ -89,7 +95,7 @@ CLASSES_SHA256 = {
 def test_classes_tmax_bytes_pinned(argv, capsys):
     code, out = _capture(capsys, list(argv))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CLASSES_SHA256[argv]
+    assert _sha256(out) == CLASSES_SHA256[argv]
 
 
 def test_census_csv_stdout(capsys):
@@ -126,6 +132,61 @@ def test_census_files(tmp_path, capsys):
     assert doc["total"] == 476
 
 
+# SHA-256 of `census --prime p --tmax 200 --json` stdout, recorded while the
+# document was still assembled field by field
+CENSUS_JSON_SHA256 = {
+    2: "10b5d841c0ce5e141765be77f87918057c564d5cfb24af688ef4155ffc0dd731",
+    3: "93847302b8fbee151635748ae436a10d53fb0f3d4f2f95dba28e2c1552d535f5",
+}
+
+
+@pytest.mark.parametrize("p", list(CENSUS_JSON_SHA256))
+def test_census_json_bytes_pinned(p, capsys):
+    code, out = _capture(capsys, ["census", "--prime", str(p), "--tmax", "200", "--json"])
+    assert code == 0
+    assert _sha256(out) == CENSUS_JSON_SHA256[p]
+
+
+# SHA-256 of `census --prime p --tmax 60` stdout, recorded when
+# scripts/density_experiment.py printed the same report
+CENSUS_TEXT_SHA256 = {
+    3: "686e52666d010d8a811dedf995656cec250205815203f164aada255e4367ef23",
+    5: "a0d91fcb06b4ca7d12f3de294b9179bdbf356acc20d3fa9e8c815dca00df37ff",
+}
+
+
+def test_census_several_primes(tmp_path, capsys):
+    outdir = tmp_path / "results" / "run"
+    code, out = _capture(capsys, ["census", "--prime", "3", "5", "--tmax", "60", "--outdir", str(outdir)])
+    assert code == 0
+    single = [_capture(capsys, ["census", "--prime", str(p), "--tmax", "60"])[1] for p in (3, 5)]
+    assert [_sha256(text) for text in single] == [CENSUS_TEXT_SHA256[3], CENSUS_TEXT_SHA256[5]]
+    assert "class-size-derived 2.0000" in single[0]
+    # one process, the single-prime reports in the order given
+    assert out == single[0] + single[1]
+    assert sorted(f.name for f in outdir.iterdir()) == ["census_p3_T60.csv", "census_p5_T60.csv"]
+    for p in (3, 5):
+        assert (outdir / f"census_p{p}_T60.csv").read_text() == census(p, 60).to_csv()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--prime", "3", "5", "--csv", "-"],
+        ["--prime", "3", "5", "--csv", "a.csv"],
+        ["--prime", "3", "5", "--json"],
+        ["--prime", "3", "5", "--json-out", "a.json"],
+        ["--prime", "3", "4"],  # every census runs before anything is written
+    ],
+    ids=["csv-stdout", "csv", "json", "json-out", "not-prime"],
+)
+def test_census_several_primes_write_nothing_on_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["census", *argv, "--tmax", "60", "--outdir", "out"]) == 1
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lambda_check(capsys):
     code, out = _capture(capsys, ["lambda-check"])
     assert code == 0
@@ -136,6 +197,31 @@ def test_csw_oracle(capsys):
     code, out = _capture(capsys, ["csw", "--matrix", '[["2","1"],["1","1"]]', "--level", "1", "--oracle"])
     assert code == 0
     assert "gauss sum" in out and "rep trace" in out
+
+
+def test_csw_sweep(capsys):
+    code, out = _capture(capsys, ["csw-sweep", "--samples", "15", "--kmax", "4", "--tmax", "25"])
+    assert code == 0
+    # the lines scripts/gauss_sum_sweep.py printed for these arguments (its whole
+    # stdout hashed to 32c1b48e...6c65), seed 0; the worst difference is not pinned
+    lines = out.splitlines()
+    head, worst = lines[1].split(": ")
+    assert head == "worst |gauss sum| vs |trace| difference"
+    assert float(worst) < 1e-8
+    assert lines[:1] + lines[2:] == [
+        "15 samples, k <= 4, |Tr| <= 25",
+        "vanishing values (phase undefined): 7",
+        "framing phase distribution (eighths of a turn):",
+        "  2/8 turn: 4",
+        "  3/8 turn: 3",
+        "  5/8 turn: 1",
+    ]
+    code, out = _capture(capsys, ["csw-sweep", "--samples", "15", "--kmax", "4", "--tmax", "25", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["vanishing"] == 7
+    assert doc["phase_eighths"] == [0, 0, 4, 3, 0, 1, 0, 0]
+    assert doc["worst_modulus_difference"] < 1e-8
 
 
 def test_modform(capsys):
@@ -157,8 +243,29 @@ def test_domain_error_exit_code(capsys):
     assert run(["classes", "--trace", "2"]) == 1
     assert run(["census", "--prime", "3", "--tmax", "3"]) == 1
     assert run(["csw", "--matrix", '[["1","1"],["0","1"]]', "--level", "1"]) == 1
+    assert run(["csw-sweep", "--tmax", "2"]) == 1
+
+
+def test_psi12_is_not_taken_for_a_prime(capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every base 2..37
+    for cmd in ("dw", "classify"):
+        assert run([cmd, "--matrix", '[["2","1"],["1","1"]]', "--prime", "318665857834031151167461"]) == 1
+    assert "cannot decide" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):
     assert run(["nonsense"]) == 2
     assert run(["dw", "--matrix", "[[1]]"]) == 2  # missing --prime
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    blocks = [text.split(f"\n## {heading}\n")[1].split("```")[1] for heading in ("CLI", "Experiments")]
+    commands = [[line for line in block.splitlines() if line.startswith("mti ")] for block in blocks]
+    assert all(commands)
+    monkeypatch.chdir(tmp_path)
+    failed = [line for block in commands for line in block if run(shlex.split(line, comments=True)[1:]) != 0]
+    assert failed == []

@@ -184,3 +184,16 @@ def test_is_prime():
     composites = [1, 0, -3, 4, 9, 561, 10**9 + 11]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_is_prime_refuses_psi12():
+    # psi_12 is a strong pseudoprime to all twelve bases 2..37, so the test
+    # cannot tell it from a prime; it used to answer True
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(psi12)
+    with pytest.raises(ValueError, match="cannot decide"):
+        rank_mod_p(IntMatrix.identity(2), psi12)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(3825123056546413051)  # psi_11: only the base 37 catches it
