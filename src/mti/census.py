@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._quadpack import qags
 from .bqf import _class_columns
 from .intmat import is_prime
 from .sl2 import legendre
@@ -29,15 +29,21 @@ _LABELS_ODD = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 _LABELS_P2 = ("C1", "C2", "C3")
 
 
+def _inv_log(u: float) -> float:
+    return 1.0 / math.log(u)
+
+
 @cache
 def log_integral(x: float) -> float:
-    """li(x) = integral of dt/log(t) from 2 to x, adaptive quadrature, once per x."""
+    """li(x) = integral of dt/log(t) from 2 to x, once per x, by QUADPACK's
+    QAGS (`mti._quadpack`): the bits of scipy's `quad` with limit=200."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if x < 2:
         raise ValueError("x must be >= 2")
     if x == 2:
         return 0.0
-    val, _err = quad(lambda u: 1.0 / math.log(u), 2.0, x, limit=200)
-    return val
+    return qags(_inv_log, 2.0, float(x))[0]
 
 
 @dataclass

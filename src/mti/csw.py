@@ -32,6 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy loads np.fft on first use; load it with the module, so that the
+# first Gauss sum of a process does not pay for the import
+from numpy.fft import fft
+
 from .intmat import IntMatrix, smith_normal_form
 from .sl2 import SL2_S, Sl2Matrix
 
@@ -73,7 +77,7 @@ def _box_term(A: Sl2Matrix, k: int, n: int) -> complex:
     sq = x * x % nn
     # inner[s] = sum_y e((-c y^2 - s y) / nn); ad is negated above, so the
     # y-sum at x is inner[ad x]
-    inner = np.fft.fft(roots[(nn - c) * sq % nn])
+    inner = fft(roots[(nn - c) * sq % nn])
     total = np.dot(roots[b * sq % nn], inner[ad * x % nn])
     return complex(total) / (nn * math.sqrt(nn))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 
@@ -346,9 +347,11 @@ def mapping_torus_homology(fhat: IntMatrix, check_symplectic: bool = True) -> Ab
 _PSI_12 = 318665857834031151167461
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin to the bases 2..37, exact below psi_12;
-    larger n raise ValueError."""
+    larger n raise ValueError.  Memoized, since the per-class functions of
+    `sl2` test their prime on every call."""
     if n < 2:
         return False
     if n >= _PSI_12:

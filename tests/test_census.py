@@ -1,12 +1,12 @@
 import hashlib
 import math
+import random
 import sys
-from functools import cache
 
 import numpy as np
 import pytest
 
-from mti import bqf, sl2
+from mti import bqf
 from mti.bqf import hyperbolic_classes_below
 from mti.census import (
     CSV_HEADER,
@@ -44,17 +44,37 @@ def test_log_integral_against_simpson():
         log_integral(1.5)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_log_integral_refuses_non_finite(x):
+    with pytest.raises(ValueError, match="finite"):
+        log_integral(x)
+
+
+def test_log_integral_is_quad_bit_for_bit():
+    # scipy's QUADPACK is the oracle of the in-repo port: equal bits, no
+    # tolerance, on every T^2 the census can ask for up to T = 1024, the
+    # checkpoint bounds of three larger censuses and seeded random x
+    from scipy.integrate import quad
+
+    xs = [float(T) * T for T in range(4, 1025)]
+    xs += [float(T >> j) * (T >> j) for T in (2000, 4000, 10_000) for j in range(T.bit_length()) if T >> j >= 4]
+    rng = random.Random(0)
+    xs += [rng.uniform(2.0, 1e12) for _ in range(200)]
+    for x in xs:
+        assert log_integral.__wrapped__(x) == quad(lambda u: 1.0 / math.log(u), 2.0, x, limit=200)[0], x
+
+
 def test_log_integral_once_per_bound(monkeypatch):
     # the checkpoint bounds 500 >> j of two censuses share their quadratures,
     # and the cached values are the quadrature's own bits
     module = sys.modules["mti.census"]
-    quad, calls = module.quad, []
+    qags, calls = module.qags, []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return quad(*args, **kwargs)
+        return qags(*args, **kwargs)
 
-    monkeypatch.setattr(module, "quad", counted)
+    monkeypatch.setattr(module, "qags", counted)
     log_integral.cache_clear()
     reports = [census(2, 500), census(3, 500)]
     assert len(calls) == 7
@@ -139,11 +159,9 @@ def test_census_matches_direct_classification(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 2**63 - 25])
-def test_class_codes_match_per_class_oracle(p, monkeypatch):
+def test_class_codes_match_per_class_oracle(p):
     # each row's code, for both signs, against the one-class classifiers and
-    # the minor-gcd SNF, so that no two errors can cancel in a tally; the
-    # primality test that classify_mod_p repeats per class is asked once
-    monkeypatch.setattr(sl2, "is_prime", cache(sl2.is_prime))
+    # the minor-gcd SNF, so that no two errors can cancel in a tally
     T = 200
     t, m, l, k = bqf._class_columns(T)
     pos, neg = _class_codes(p, T, t, m, k)

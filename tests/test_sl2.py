@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mti.intmat import IntMatrix, smith_normal_form
+from mti.intmat import IntMatrix, is_prime, smith_normal_form
 from mti.sl2 import (
     SL2_S,
     SL2_T,
@@ -118,6 +118,16 @@ def test_classify_examples():
     assert classify_mod_p(Sl2Matrix(-1, 0, 0, -1), 7).kind == "C2"
     with pytest.raises(ValueError):
         classify_mod_p(Sl2Matrix(1, 0, 0, 1), 2)
+
+
+def test_classify_tests_its_prime_once():
+    # the Miller-Rabin test is memoized: a per-class loop at one large prime
+    # pays for it on the first class only
+    p = 2**63 - 25
+    is_prime.cache_clear()
+    kinds = [classify_mod_p(Sl2Matrix(1 + t, 1, t, 1), p).kind for t in range(1, 50)]
+    assert kinds == ["C7" if legendre(t * t + 4 * t, p) == 1 else "C8" for t in range(1, 50)]
+    assert (is_prime.cache_info().misses, is_prime.cache_info().hits) == (1, 48)
 
 
 def test_classify_c7_by_exhaustive_conjugation():
