@@ -26,7 +26,8 @@ _UFLOW = 2.2250738585072014e-308  # d1mach(1)
 _OFLOW = 1.7976931348623157e308  # d1mach(2)
 
 # dqk21: Kronrod abscissae (the even 1-based indices are the Gauss nodes),
-# Kronrod weights and the 10-point Gauss weights; xgk[11] = 0 is the centre
+# Kronrod weights and the 10-point Gauss weights; QUADPACK's xgk(11) = 0, the
+# centre, is left out: dqk21 evaluates f(centr) directly
 _XGK = (
     None,
     0.995657163025808080735527280689003,
