@@ -8,6 +8,13 @@ Gauss-reduced forms.  The m > 0 reduced forms of discriminant t^2 - 4 are
 the lattice points 1 <= a <= m < d with a + d = t and m | ad - 1; the
 imprimitive ones are among them, so proper-power classes are included.
 
+The classes of positive trace are also the cyclic words in the blocks
+R^x L^y (x, y >= 1) of R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]]
+(Series, J. London Math. Soc. 31, 1985), periodic words being the
+imprimitive classes; the class store lists one such word per class as a
+necklace of the Fredricksen-Kessler-Maiorana prenecklace tree
+(Ruskey-Savage-Wang, J. Algorithms 13, 1992), pruned by trace.
+
 All square-root comparisons are exact (squares are compared, never floats).
 """
 
@@ -22,9 +29,9 @@ import numpy as np
 
 from .sl2 import Sl2Matrix
 
-# forms per block of store growth, and new nodes per piece of the lattice
-# walk: bounds the working set that growing the store adds to its columns
-_BLOCK_FORMS = 1 << 13
+# new nodes per piece of the word-tree walk: bounds the working set that
+# growing the store adds to its columns and the sort of its new keys
+_PIECE_NODES = 1 << 13
 # the class store: the bound T and the int64 columns (|t|, m, l, k) of the
 # canonical cycle representatives of every trace 3 <= |t| < T, sorted by |t|
 # and then by form; only _class_columns changes it, and only to add traces
@@ -178,50 +185,122 @@ def apply_transform(f: QuadForm, g: Sl2Matrix) -> QuadForm:
     return QuadForm(m, l, k)
 
 
-def _lattice_keys(t0: int, t1: int) -> np.ndarray:
-    """Sorted int64 keys (t*t1 + m)*t1 + l of every m > 0 reduced form
-    (m, l, k) of discriminant t^2 - 4 for 3 <= t0 <= t < t1.
+def _word_children(a, b, c, d, per, xs, ys, T):
+    """Yield the children below trace T of one piece of prenecklace nodes,
+    in pieces of at most _PIECE_NODES nodes (or one y-run).
 
-    Since isqrt(t^2 - 4) = t - 1, the reduced window of such a form is
-    a <= m < d with a = (t - l)/2, d = (t + l)/2 and n = -k = (ad - 1)/m:
-    the forms are the lattice points 1 <= a <= m < d with m | ad - 1.  The
-    matrices [[a, m], [n, d]] of those points are exactly L X R for X in
-    the monoid of L = [[1, 0], [1, 1]] and R = [[1, 1], [0, 1]], so they are
-    the tree below LR of M -> M R, M U with U = R^-1 L R = [[0, -1], [1, 2]].
-    R and U are parabolic, so each node's run M X^j below t1 is listed in one
-    pass, and the nodes of an R-run go on to their U-runs and the reverse,
-    depth-first in pieces of at most _BLOCK_FORMS new nodes (or one run),
-    starting from the R-run of L.
+    A node of n blocks R^x L^y carries its matrix [[a, b], [c, d]], its FKM
+    period per and its blocks as rows xs, ys (one column per node).  Its
+    children append a block (x', y') no smaller than the reference block
+    (rx, ry) = block n - per: x' >= rx, and y' >= ry when x' = rx.  The
+    child's matrix is M [[1 + x'y', x'], [y', 1]] = [[a + y'u, u], [c + y'v, v]]
+    with u = ax' + b, v = cx' + d, so for each x' the y' of trace
+    a + v + y'u < T form one run: nodes become (node, x') pairs in one
+    np.repeat pass and pairs become children in another.  The x' do not stop
+    at rx when (rx, ry) is already too large: (rx + 1, 1) may still fit.
     """
-    a, n, d = (np.ones(1, np.int64) for _ in range(3))
-    out, stack = [], [(a, 0 * a, n, d, False)]
-    while stack:
-        a, m, n, d, u = stack.pop()
-        runs = (t1 - 1 - a - d) // (m - a + d - n if u else n)
-        ends = np.cumsum(runs)
-        i = max(1, int(np.searchsorted(ends, _BLOCK_FORMS, "right")))
-        if i < len(a):
-            stack.append((a[i:], m[i:], n[i:], d[i:], u))
-        node = np.repeat(np.arange(i), runs[:i])
-        if not len(node):
+    n = len(xs)
+    if n:
+        col = np.arange(len(a))
+        rx, ry = xs[n - per, col], ys[n - per, col]
+    else:  # the empty word; every block is a child
+        rx = ry = np.ones(1, np.int64)
+    # the x' whose y' = 1 child, of trace a + d + b + x'(a + c), is below T
+    nx = np.maximum((T - 1 - a - d - b) // (a + c) - rx + 1, 0)
+    node = np.repeat(np.arange(len(a)), nx)
+    x = np.arange(len(node)) - (np.cumsum(nx) - nx)[node] + rx[node]
+    first = x == rx[node]
+    y0 = np.where(first, ry[node], 1)
+    # the child equal to the reference block keeps the period, others have n + 1
+    same = np.where(first, per[node], n + 1)
+    a, c = a[node], c[node]
+    u, v = a * x + b[node], c * x + d[node]
+    ny = np.maximum((T - 1 - a - v) // u - y0 + 1, 0)
+    ends = np.cumsum(ny)
+    y_off = y0 - ends + ny
+    lo = 0
+    while lo < len(ny):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _PIECE_NODES, "right")))
+        pair = np.repeat(np.arange(lo, hi), ny[lo:hi])
+        lo = hi
+        if not len(pair):
             continue
-        j = np.arange(1, len(node) + 1) - (ends - runs)[node]
-        a, m, n, d = a[node], m[node], n[node], d[node]
-        if u:  # M U^j adds j (second column - first) to both columns
-            top, bottom = j * (m - a), j * (d - n)
-            a, m, n, d = a + top, m + top, n + bottom, d + bottom
-        else:  # M R^j adds j times the first column to the second
-            m, d = m + j * a, d + j * n
-        out.append((((a + d) * t1 + m) * t1 + d - a)[a + d >= t0])
-        stack.append((a, m, n, d, not u))
+        y = np.arange(done, done + len(pair)) + y_off[pair]
+        parent, up, vp = node[pair], u[pair], v[pair]
+        per_child = np.where(y == y0[pair], same[pair], n + 1)
+        xs_child = np.empty((n + 1, len(pair)), np.int64)
+        ys_child = np.empty((n + 1, len(pair)), np.int64)
+        xs_child[:n], xs_child[n] = xs[:, parent], x[pair]
+        ys_child[:n], ys_child[n] = ys[:, parent], y
+        yield a[pair] + y * up, up, c[pair] + y * vp, vp, per_child, xs_child, ys_child
+
+
+def _necklace_keys(a, b, c, d, per, xs, ys, t0, T):
+    """int64 keys (t*T + m + T)*T + l of the canonical form (m, l, k) of
+    each necklace among the nodes of one piece whose trace t is at least t0.
+
+    A word of n blocks is a necklace when n % per == 0.  The m < 0 reduced
+    forms of its class are those of its n rotations L^(y_i) ... R^(x_i) that
+    start at an L-run, the form of [[al, be], [ga, de]] being
+    (-ga, de - al, be), and the canonical form is the smallest of them.
+    Rotation i comes from rotation i - 1 by conjugating with L^(y_(i-1)),
+    (m, l, k) -> (m - y(l - yk), l - 2yk, k), then with R^(x_i),
+    (m, l, k) -> (m, l - 2xm, k - x(l - xm)); rotation 0 is R^(x_0)
+    applied to the word's own form (-c, d - a, b).
+    """
+    n = len(xs)
+    t = a + d
+    e = np.flatnonzero((n % per == 0) & (t >= t0))
+    m, l, k = -c[e], d[e] - a[e], b[e]
+    best = None
+    for i in range(n):
+        if i:
+            y = ys[i - 1, e]
+            yk = y * k
+            l = l - yk
+            m = m - y * l
+            l = l - yk
+        x = xs[i, e]
+        xm = x * m
+        l = l - xm
+        k = k - x * l
+        l = l - xm
+        key = m * T + l
+        best = key if best is None else np.minimum(best, key)
+    return best + (t[e] + 1) * T * T
+
+
+def _word_keys(t0: int, T: int) -> np.ndarray:
+    """Sorted int64 keys (t*T + m + T)*T + l of the canonical forms
+    (m, l, k) of every class of trace 3 <= t0 <= t < T.
+
+    The prenecklace tree of block words is walked depth-first from the
+    empty word, one piece of children at a time; the trace grows with every
+    block appended and with x and y, so the subtrees cut off at T hold no
+    class below it.  Every node is walked, those of trace below t0 too.
+    """
+    one = np.ones(1, np.int64)
+    no_blocks = np.empty((0, 1), np.int64)
+    stack = [_word_children(one, 0 * one, 0 * one, one, one, no_blocks, no_blocks, T)]
+    out = []
+    while stack:
+        piece = next(stack[-1], None)
+        if piece is None:
+            stack.pop()
+            continue
+        out.append(_necklace_keys(*piece, t0, T))
+        stack.append(_word_children(*piece, T))
     keys = np.concatenate(out)
     keys.sort()
     return keys
 
 
 def _trace_keys(t: int) -> np.ndarray:
-    """The keys of `_lattice_keys(t, t + 1)`, found instead by testing
-    m | a(t - a) - 1 for each m over all a <= min(m, t - 1 - m)."""
+    """Sorted int64 keys (t*(t + 1) + m)*(t + 1) + l of the m > 0 reduced
+    forms (m, l, k) of trace t: the lattice points a <= m < d = t - a with
+    l = d - a, found by testing m | a(t - a) - 1 for each m over all
+    a <= min(m, t - 1 - m)."""
     a = np.arange(1, t // 2 + 1, dtype=np.int64)
     v = a * (t - a) - 1
     hits = [np.flatnonzero(v[: min(m, t - 1 - m)] % m == 0) for m in range(1, t - 1)]
@@ -270,30 +349,35 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     of every trace 3 <= |t| < T, sorted by |t| and then by form.
 
     The columns come from one store per process: a larger T appends only the
-    traces it lacks, so no |t| is enumerated twice, and a smaller T reads a
-    prefix of what is stored.  The new traces are listed as lattice points
-    and reduced to cycles in blocks of whole traces, of about _BLOCK_FORMS
-    forms each.
+    traces it lacks, so no |t| is listed twice, and a smaller T reads a
+    prefix of what is stored.  The new traces come from one walk of the
+    word tree, whose keys are sorted once and decoded into the columns.
     """
     global _class_store
     T = index(T)
     top, *cols = _class_store
     if T > top:
-        keys = _lattice_keys(top, T)
-        blocks = []
-        lo = 0
-        while lo < len(keys):
-            # the traces before the one at row lo + _BLOCK_FORMS, and at least one
-            end = lo + _BLOCK_FORMS
-            cut = max(keys[end] // (T * T) if end < len(keys) else T, keys[lo] // (T * T) + 1)
-            hi = int(np.searchsorted(keys, cut * T * T))
-            blocks.append(_cycle_minima(keys[lo:hi], T))
-            lo = hi
+        keys = _word_keys(top, T)
+        old = len(cols[0])
+        grown = [np.empty(old + len(keys), np.int64) for _ in cols]
+        for col, part in zip(grown, cols):
+            col[:old] = part
+        t, m, l, k = (col[old:] for col in grown)
+        np.floor_divide(keys, T * T, out=t)
+        np.floor_divide(keys, T, out=m)
+        m %= T
+        m -= T
+        np.remainder(keys, T, out=l)
         del keys
-        cols = [np.concatenate(parts) for parts in zip(cols, *blocks)]
-        for col in cols:
+        # k = (l^2 - t^2 + 4) / 4m, the form having discriminant t^2 - 4
+        np.subtract(l, t, out=k)
+        k *= l + t
+        k += 4
+        k //= 4 * m
+        for col in grown:
             col.flags.writeable = False
-        _class_store = (T, *cols)
+        _class_store = (T, *grown)
+        cols = grown
     n = int(np.searchsorted(cols[0], T))
     return tuple(c[:n] for c in cols)
 

@@ -207,9 +207,8 @@ def _class_codes(p: int, T: int, t, m, k) -> tuple[np.ndarray, np.ndarray]:
 def _legendre_symbols(residues: np.ndarray, p: int) -> np.ndarray:
     """Legendre symbols mod p of an array of residues, one scalar call per
     distinct residue present."""
-    distinct = sorted(set(residues.tolist()))
-    symbols = np.array([legendre(v, p) for v in distinct], np.int8)
-    return symbols[np.searchsorted(distinct, residues)]
+    distinct, where = np.unique(residues, return_inverse=True)
+    return np.array([legendre(v, p) for v in distinct.tolist()], np.int8)[where]
 
 
 def _snapshot(T: int, pos: np.ndarray, neg: np.ndarray, labels, p: int) -> Checkpoint:

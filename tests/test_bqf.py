@@ -166,6 +166,71 @@ def _lattice_keys_tree(t0: int, t1: int) -> np.ndarray:
     return keys
 
 
+# The listing and min-doubling the word tree replaced, kept verbatim as its
+# oracle, the piece size made a parameter: the m > 0 reduced forms listed by
+# parabolic runs down the L X R tree, reduced to cycles in blocks of whole
+# traces.
+
+_BLOCK_FORMS = 1 << 13
+
+
+def _lattice_keys(t0: int, t1: int, block: int = _BLOCK_FORMS) -> np.ndarray:
+    """Sorted int64 keys (t*t1 + m)*t1 + l of every m > 0 reduced form
+    (m, l, k) of discriminant t^2 - 4 for 3 <= t0 <= t < t1.
+
+    Since isqrt(t^2 - 4) = t - 1, the reduced window of such a form is
+    a <= m < d with a = (t - l)/2, d = (t + l)/2 and n = -k = (ad - 1)/m:
+    the forms are the lattice points 1 <= a <= m < d with m | ad - 1.  The
+    matrices [[a, m], [n, d]] of those points are exactly L X R for X in
+    the monoid of L = [[1, 0], [1, 1]] and R = [[1, 1], [0, 1]], so they are
+    the tree below LR of M -> M R, M U with U = R^-1 L R = [[0, -1], [1, 2]].
+    R and U are parabolic, so each node's run M X^j below t1 is listed in one
+    pass, and the nodes of an R-run go on to their U-runs and the reverse,
+    depth-first in pieces of at most `block` new nodes (or one run),
+    starting from the R-run of L.
+    """
+    a, n, d = (np.ones(1, np.int64) for _ in range(3))
+    out, stack = [], [(a, 0 * a, n, d, False)]
+    while stack:
+        a, m, n, d, u = stack.pop()
+        runs = (t1 - 1 - a - d) // (m - a + d - n if u else n)
+        ends = np.cumsum(runs)
+        i = max(1, int(np.searchsorted(ends, block, "right")))
+        if i < len(a):
+            stack.append((a[i:], m[i:], n[i:], d[i:], u))
+        node = np.repeat(np.arange(i), runs[:i])
+        if not len(node):
+            continue
+        j = np.arange(1, len(node) + 1) - (ends - runs)[node]
+        a, m, n, d = a[node], m[node], n[node], d[node]
+        if u:  # M U^j adds j (second column - first) to both columns
+            top, bottom = j * (m - a), j * (d - n)
+            a, m, n, d = a + top, m + top, n + bottom, d + bottom
+        else:  # M R^j adds j times the first column to the second
+            m, d = m + j * a, d + j * n
+        out.append((((a + d) * t1 + m) * t1 + d - a)[a + d >= t0])
+        stack.append((a, m, n, d, not u))
+    keys = np.concatenate(out)
+    keys.sort()
+    return keys
+
+
+def _lattice_class_columns(T: int) -> tuple[np.ndarray, ...]:
+    # the store columns below T, listed as lattice points and reduced to
+    # cycles in blocks of whole traces, of about _BLOCK_FORMS forms each
+    keys = _lattice_keys(3, T)
+    blocks = []
+    lo = 0
+    while lo < len(keys):
+        # the traces before the one at row lo + _BLOCK_FORMS, and at least one
+        end = lo + _BLOCK_FORMS
+        cut = max(keys[end] // (T * T) if end < len(keys) else T, keys[lo] // (T * T) + 1)
+        hi = int(np.searchsorted(keys, cut * T * T))
+        blocks.append(bqf._cycle_minima(keys[lo:hi], T))
+        lo = hi
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
 def _fresh_store(monkeypatch, top=3):
     monkeypatch.setattr(bqf, "_class_store", (top, *(np.empty(0, np.int64) for _ in range(4))))
 
@@ -187,7 +252,7 @@ def test_scan_oracle_against_bruteforce():
 def test_lattice_forms_against_bruteforce(t0):
     # the lattice points of a block of traces, and those found at one fixed
     # trace, are the m > 0 reduced forms of each trace in it
-    forms = _decode(bqf._lattice_keys(t0, 61), 61)
+    forms = _decode(_lattice_keys(t0, 61), 61)
     assert [f[0] for f in forms] == sorted(f[0] for f in forms)
     for t in range(t0, 61):
         pos = [f[1:] for f in forms if f[0] == t]
@@ -198,15 +263,14 @@ def test_lattice_forms_against_bruteforce(t0):
 @pytest.mark.parametrize(
     "size, bounds", [(1 << 13, (4, 5, 61, 500, 2001)), (64, (4, 5, 61, 500))], ids=["default", "small-blocks"]
 )
-def test_lattice_runs_equal_tree_walk(size, bounds, monkeypatch):
+def test_lattice_runs_equal_tree_walk(size, bounds):
     # the run listing gives the tree walk's keys in its order, also when
     # small pieces make the depth-first walk split its frontier (64-node
     # pieces list t1 = 500 in 2146 rounds, some of them one run longer than
     # a piece)
-    monkeypatch.setattr(bqf, "_BLOCK_FORMS", size)
     for t1 in bounds:
         for t0 in sorted({t0 for t0 in (3, t1 // 2, t1 - 1) if t0 >= 3}):
-            keys = bqf._lattice_keys(t0, t1)
+            keys = _lattice_keys(t0, t1, size)
             assert keys.dtype == np.int64 and np.array_equal(keys, _lattice_keys_tree(t0, t1)), (t0, t1)
 
 
@@ -232,11 +296,11 @@ def test_trace_path_equals_store_rows_past_old_sieve_cap(monkeypatch):
 
 @pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-blocks"])
 def test_class_columns_independent_of_block_splits(size, monkeypatch):
-    # a store grown in steps, or cut into blocks of other sizes, holds the
+    # a store grown in steps, or walked in pieces of other sizes, holds the
     # same columns as one grown in one call
     _fresh_store(monkeypatch)
     whole = _rows(bqf._class_columns(101))
-    monkeypatch.setattr(bqf, "_BLOCK_FORMS", size)
+    monkeypatch.setattr(bqf, "_PIECE_NODES", size)
     _fresh_store(monkeypatch)
     for T in (60, 100, 101):
         bqf._class_columns(T)
@@ -247,18 +311,64 @@ def test_class_columns_enumerate_each_trace_once(monkeypatch):
     # the store lists only the traces it lacks and serves smaller bounds
     # from a prefix; its rows are the canonical representatives in order
     calls = []
-    keys = bqf._lattice_keys
+    keys = bqf._word_keys
 
     def counted(t0, t1):
         calls.append((t0, t1))
         return keys(t0, t1)
 
     _fresh_store(monkeypatch)
-    monkeypatch.setattr(bqf, "_lattice_keys", counted)
+    monkeypatch.setattr(bqf, "_word_keys", counted)
     for T in (60, 100, 40, 100, 101):
         rows = _rows(bqf._class_columns(T))
         assert rows == [(s, *f) for s in range(3, T) for f in _canonical_cycle_reps(s)], T
     assert calls == [(3, 60), (60, 100), (100, 101)]
+
+
+def _assert_store_equals_lattice_oracle(T):
+    cols = bqf._class_columns(T)
+    assert all(col.dtype == np.int64 and not col.flags.writeable for col in cols), T
+    oracle = _lattice_class_columns(T)
+    assert all(np.array_equal(col, want) for col, want in zip(cols, oracle, strict=True)), T
+
+
+def test_word_store_equals_lattice_oracle(monkeypatch):
+    # the word tree's columns are those of the lattice listing and
+    # min-doubling, for a fresh store at every bound
+    for T in [*range(4, 121), 500, 2010]:
+        _fresh_store(monkeypatch)
+        _assert_store_equals_lattice_oracle(T)
+
+
+@pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
+def test_word_store_grown_in_steps_equals_lattice_oracle(size, monkeypatch):
+    # a store grown up and down in steps, walked in pieces of either size,
+    # serves every bound the oracle's columns
+    monkeypatch.setattr(bqf, "_PIECE_NODES", size)
+    _fresh_store(monkeypatch)
+    for T in (60, 100, 40, 100, 101, 500):
+        _assert_store_equals_lattice_oracle(T)
+
+
+def test_word_walk_keeps_larger_blocks_past_an_overshooting_reference(monkeypatch):
+    # a node whose reference block (rx, ry) already reaches T can still take
+    # (rx + 1, 1): a walk that stopped at x' = rx there lost 196 of the 4177
+    # classes below T = 200
+    _fresh_store(monkeypatch)
+    t = bqf._class_columns(200)[0]
+    assert len(t) == 4177
+    assert np.bincount(t, minlength=200)[3:].tolist() == [class_count_with_trace(s) for s in range(3, 200)]
+
+
+def test_periodic_word_is_one_imprimitive_class(monkeypatch):
+    # (RL)^2 = [[5, 3], [3, 2]] is a periodic word: its class, of trace 7 and
+    # form content 3, is stored exactly once
+    _fresh_store(monkeypatch)
+    rows = [r[1:] for r in _rows(bqf._class_columns(8)) if r[0] == 7]
+    assert len(set(rows)) == len(rows) == class_count_with_trace(7)
+    q = reduce_indefinite(matrix_to_bqf(Sl2Matrix(5, 3, 3, 2))).as_tuple()
+    hits = [r for r in rows if q in {f.as_tuple() for f in reduction_cycle(QuadForm(*r))}]
+    assert len(hits) == 1 and QuadForm(*hits[0]).content == 3
 
 
 def test_canonical_reps_are_cycle_minima():

@@ -13,6 +13,7 @@ from mti.census import (
     CensusReport,
     _class_codes,
     _group_counts,
+    _legendre_symbols,
     census,
     density_report,
     group_fractions,
@@ -20,7 +21,7 @@ from mti.census import (
     predicted_class_fractions,
     theorem_constants,
 )
-from mti.sl2 import classify_mod_2, classify_mod_p, dw_invariant_sl2, sl2_snf_entries
+from mti.sl2 import classify_mod_2, classify_mod_p, dw_invariant_sl2, legendre, sl2_snf_entries
 
 
 def _li_simpson(x, steps=20000):
@@ -175,6 +176,21 @@ def test_class_codes_match_per_class_oracle(p):
             a1, a2 = sl2_snf_entries(A)
             assert code == 3 * labels.index(kind) + category[a1 % p == 0, a2 % p == 0], (p, s, mi, li, ki)
     assert len(pos) == census(p, T).total_pos
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 2**61 - 1])
+def test_legendre_symbols_match_scalar_legendre(p):
+    # one scalar call per distinct residue, spread back to every residue:
+    # seeded residues over all of [0, p), repeats of a few small ones, zero
+    # and p - 1
+    rng = np.random.default_rng(2024)
+    residues = np.concatenate(
+        [rng.integers(0, p, 600, dtype=np.int64), rng.integers(0, min(p, 40), 600, dtype=np.int64), [0, p - 1, 0]]
+    )
+    rng.shuffle(residues)
+    symbols = _legendre_symbols(residues, p)
+    assert symbols.dtype == np.int8
+    assert symbols.tolist() == [legendre(v, p) for v in residues.tolist()]
 
 
 def test_census_dw_sum_recomputable_from_labels():
