@@ -185,9 +185,10 @@ def apply_transform(f: QuadForm, g: Sl2Matrix) -> QuadForm:
     return QuadForm(m, l, k)
 
 
-def _word_children(a, b, c, d, per, xs, ys, T):
-    """Yield the children below trace T of one piece of prenecklace nodes,
-    in pieces of at most _PIECE_NODES nodes (or one y-run).
+def _word_pairs(a, b, c, d, per, xs, ys, T):
+    """The (node, x') pairs of one piece of prenecklace nodes that have a
+    child below trace T, with the y' of each pair's children: y' runs from
+    y0 for ny steps.
 
     A node of n blocks R^x L^y carries its matrix [[a, b], [c, d]], its FKM
     period per and its blocks as rows xs, ys (one column per node).  Its
@@ -195,15 +196,14 @@ def _word_children(a, b, c, d, per, xs, ys, T):
     (rx, ry) = block n - per: x' >= rx, and y' >= ry when x' = rx.  The
     child's matrix is M [[1 + x'y', x'], [y', 1]] = [[a + y'u, u], [c + y'v, v]]
     with u = ax' + b, v = cx' + d, so for each x' the y' of trace
-    a + v + y'u < T form one run: nodes become (node, x') pairs in one
-    np.repeat pass and pairs become children in another.  The x' do not stop
-    at rx when (rx, ry) is already too large: (rx + 1, 1) may still fit.
+    a + v + y'u < T form one run.  The x' do not stop at rx when (rx, ry) is
+    already too large: (rx + 1, 1) may still fit.
     """
     n = len(xs)
     if n:
         col = np.arange(len(a))
         rx, ry = xs[n - per, col], ys[n - per, col]
-    else:  # the empty word; every block is a child
+    else:  # the empty word, whose reference is the smallest block (1, 1)
         rx = ry = np.ones(1, np.int64)
     # the x' whose y' = 1 child, of trace a + d + b + x'(a + c), is below T
     nx = np.maximum((T - 1 - a - d - b) // (a + c) - rx + 1, 0)
@@ -211,11 +211,20 @@ def _word_children(a, b, c, d, per, xs, ys, T):
     x = np.arange(len(node)) - (np.cumsum(nx) - nx)[node] + rx[node]
     first = x == rx[node]
     y0 = np.where(first, ry[node], 1)
-    # the child equal to the reference block keeps the period, others have n + 1
+    # only the child equal to the reference block keeps the node's period
     same = np.where(first, per[node], n + 1)
     a, c = a[node], c[node]
     u, v = a * x + b[node], c * x + d[node]
     ny = np.maximum((T - 1 - a - v) // u - y0 + 1, 0)
+    return node, x, y0, same, a, c, u, v, ny
+
+
+def _word_children(a, b, c, d, per, xs, ys, T):
+    """Yield the children below trace T of one piece of prenecklace nodes
+    (see `_word_pairs`), in pieces of at most _PIECE_NODES nodes (or one
+    y-run), each from one np.repeat pass over the pairs."""
+    n = len(xs)
+    node, x, y0, same, a, c, u, v, ny = _word_pairs(a, b, c, d, per, xs, ys, T)
     ends = np.cumsum(ny)
     y_off = y0 - ends + ny
     lo = 0
@@ -240,14 +249,15 @@ def _necklace_keys(a, b, c, d, per, xs, ys, t0, T):
     """int64 keys (t*T + m + T)*T + l of the canonical form (m, l, k) of
     each necklace among the nodes of one piece whose trace t is at least t0.
 
-    A word of n blocks is a necklace when n % per == 0.  The m < 0 reduced
-    forms of its class are those of its n rotations L^(y_i) ... R^(x_i) that
-    start at an L-run, the form of [[al, be], [ga, de]] being
-    (-ga, de - al, be), and the canonical form is the smallest of them.
-    Rotation i comes from rotation i - 1 by conjugating with L^(y_(i-1)),
-    (m, l, k) -> (m - y(l - yk), l - 2yk, k), then with R^(x_i),
-    (m, l, k) -> (m, l - 2xm, k - x(l - xm)); rotation 0 is R^(x_0)
-    applied to the word's own form (-c, d - a, b).
+    A word B_0 ... B_(n-1) of blocks B_i = R^(x_i) L^(y_i) is a necklace when
+    n % per == 0.  The m < 0 reduced forms of its class are those of its n
+    rotations L^(y_i) B_(i+1) ... B_(i-1) R^(x_i) that start at an L-run,
+    the form of [[al, be], [ga, de]] being (-ga, de - al, be), and the
+    canonical form is the smallest of them.  Rotation 0 is the word's own
+    form (-c, d - a, b) conjugated by R^(x_0), and rotation i is rotation
+    i - 1 conjugated by L^(y_(i-1)) and then by R^(x_i); on forms these are
+    (m, l, k) -> (m - y(l - yk), l - 2yk, k) and
+    (m, l, k) -> (m, l - 2xm, k - x(l - xm)).
     """
     n = len(xs)
     t = a + d
