@@ -191,10 +191,10 @@ def _word_pairs(a, b, c, d, per, xs, ys, T):
     y0 for ny steps.
 
     A node of n blocks R^x L^y carries its matrix [[a, b], [c, d]], its FKM
-    period per and its blocks as rows xs, ys (one column per node).  Its
-    children append a block (x', y') no smaller than the reference block
-    (rx, ry) = block n - per: x' >= rx, and y' >= ry when x' = rx.  The
-    child's matrix is M [[1 + x'y', x'], [y', 1]] = [[a + y'u, u], [c + y'v, v]]
+    period per and its blocks as int32 rows xs, ys, one column per node
+    (x, y < T, and T < 2^21 for the keys to fit in int64).  Its children
+    append a block (x', y') no smaller than the reference block (rx, ry) =
+    block n - per: x' >= rx, and y' >= ry when x' = rx.  The child's matrix is M [[1 + x'y', x'], [y', 1]] = [[a + y'u, u], [c + y'v, v]]
     with u = ax' + b, v = cx' + d, so for each x' the y' of trace
     a + v + y'u < T form one run.  The x' do not stop at rx when (rx, ry) is
     already too large: (rx + 1, 1) may still fit.
@@ -238,8 +238,8 @@ def _word_children(a, b, c, d, per, xs, ys, T):
         y = np.arange(done, done + len(pair)) + y_off[pair]
         parent, up, vp = node[pair], u[pair], v[pair]
         per_child = np.where(y == y0[pair], same[pair], n + 1)
-        xs_child = np.empty((n + 1, len(pair)), np.int64)
-        ys_child = np.empty((n + 1, len(pair)), np.int64)
+        xs_child = np.empty((n + 1, len(pair)), np.int32)
+        ys_child = np.empty((n + 1, len(pair)), np.int32)
         xs_child[:n], xs_child[n] = xs[:, parent], x[pair]
         ys_child[:n], ys_child[n] = ys[:, parent], y
         yield a[pair] + y * up, up, c[pair] + y * vp, vp, per_child, xs_child, ys_child
@@ -291,7 +291,7 @@ def _word_keys(t0: int, T: int) -> np.ndarray:
     class below it.  Every node is walked, those of trace below t0 too.
     """
     one = np.ones(1, np.int64)
-    no_blocks = np.empty((0, 1), np.int64)
+    no_blocks = np.empty((0, 1), np.int32)
     stack = [_word_children(one, 0 * one, 0 * one, one, one, no_blocks, no_blocks, T)]
     out = []
     while stack:
