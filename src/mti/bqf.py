@@ -194,8 +194,9 @@ def _word_pairs(a, b, c, d, per, xs, ys, T):
     period per and its blocks as int32 rows xs, ys, one column per node
     (x, y < T, and T < 2^21 for the keys to fit in int64).  Its children
     append a block (x', y') no smaller than the reference block (rx, ry) =
-    block n - per: x' >= rx, and y' >= ry when x' = rx.  The child's matrix is M [[1 + x'y', x'], [y', 1]] = [[a + y'u, u], [c + y'v, v]]
-    with u = ax' + b, v = cx' + d, so for each x' the y' of trace
+    block n - per: x' >= rx, and y' >= ry when x' = rx.  The child's matrix
+    is M [[1 + x'y', x'], [y', 1]] = [[a + y'u, u], [c + y'v, v]] with
+    u = ax' + b and v = cx' + d, so for each x' the y' of trace
     a + v + y'u < T form one run.  The x' do not stop at rx when (rx, ry) is
     already too large: (rx + 1, 1) may still fit.
     """
