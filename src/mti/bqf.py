@@ -13,7 +13,10 @@ R^x L^y (x, y >= 1) of R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]]
 (Series, J. London Math. Soc. 31, 1985), periodic words being the
 imprimitive classes; the class store lists one such word per class as a
 necklace of the Fredricksen-Kessler-Maiorana prenecklace tree
-(Ruskey-Savage-Wang, J. Algorithms 13, 1992), pruned by trace.
+(Ruskey-Savage-Wang, J. Algorithms 13, 1992), pruned by trace.  A single
+trace is listed on its own: its m > 0 reduced forms are scanned, and each
+rho-cycle is walked once, two rho steps at a time.  Both paths keep the
+smallest m < 0 form of each cycle as the class's canonical form.
 
 All square-root comparisons are exact (squares are compared, never floats).
 """
@@ -116,8 +119,7 @@ def is_reduced(f: QuadForm) -> bool:
 
 def _rho(m: int, l: int, k: int, D: int, isq: int) -> tuple[int, int, int]:
     # neighbor of a reduced form: leading coefficient k, companion l' the
-    # unique residue of -l mod 2|k| in (sqrt(D) - 2|k|, sqrt(D)); also
-    # elementwise on int64 arrays
+    # unique residue of -l mod 2|k| in (sqrt(D) - 2|k|, sqrt(D))
     two_k = 2 * abs(k)
     l2 = (-l) % two_k
     l2 += ((isq - l2) // two_k) * two_k
@@ -307,54 +309,6 @@ def _word_keys(t0: int, T: int) -> np.ndarray:
     return keys
 
 
-def _trace_keys(t: int) -> np.ndarray:
-    """Sorted int64 keys (t*(t + 1) + m)*(t + 1) + l of the m > 0 reduced
-    forms (m, l, k) of trace t: the lattice points a <= m < d = t - a with
-    l = d - a, found by testing m | a(t - a) - 1 for each m over all
-    a <= min(m, t - 1 - m)."""
-    a = np.arange(1, t // 2 + 1, dtype=np.int64)
-    v = a * (t - a) - 1
-    hits = [np.flatnonzero(v[: min(m, t - 1 - m)] % m == 0) for m in range(1, t - 1)]
-    m = np.repeat(np.arange(1, t - 1, dtype=np.int64), [len(h) for h in hits])
-    return np.sort((t * (t + 1) + m) * (t + 1) + t - 2 * (np.concatenate(hits) + 1))
-
-
-def _cycle_minima(keys: np.ndarray, S: int) -> tuple[np.ndarray, ...]:
-    """int64 columns (t, m, l, k) of one form per rho-cycle, sorted by t
-    and then by form, given the sorted keys (t*S + m)*S + l of every m > 0
-    reduced form of each trace t.
-
-    The leading coefficients alternate in sign around a cycle, so rho^2 is
-    a permutation of the m > 0 forms, and each cycle's form is the smallest
-    m < 0 form that rho steps over.  That minimum is taken by doubling: best
-    <- min(best, best[ptr]), ptr <- ptr[ptr] until best stops changing,
-    which happens only once best is constant on every cycle.
-    """
-    t, m, l = keys // (S * S), keys // S % S, keys % S
-    disc, isq = t * t - 4, t - 1
-    k = (l * l - disc) // (4 * m)
-    # rho(m, l, k) = (k, l1, k1) with k < 0, and rho(k, l1, k1) = (k1, l2, .)
-    _, l1, k1 = _rho(m, l, k, disc, isq)
-    _, l2, _ = _rho(k, l1, k1, disc, isq)
-    # the index of each rho^2 image: the inverse of the order that sorts the
-    # images, since they are the keys again
-    target = (t * S + k1) * S + l2
-    order = np.argsort(target)
-    if not np.array_equal(target[order], keys):
-        raise AssertionError("rho^2 does not permute the forms")
-    ptr = np.empty_like(order)
-    ptr[order] = np.arange(len(order))
-    # m < 0 forms keyed by (m, l), in sorted order
-    val = (k + S) * S + l1
-    best = val
-    while not np.array_equal(best, nxt := np.minimum(best, best[ptr])):
-        best, ptr = nxt, ptr[ptr]
-    # the m < 0 forms of a cycle are distinct, so one row per cycle is left
-    rows = np.flatnonzero(val == best)
-    rows = rows[np.argsort(t[rows] * S * S + val[rows])]
-    return t[rows], k[rows], l1[rows], k1[rows]
-
-
 def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """int64 columns (|t|, m, l, k) of the canonical cycle representatives
     of every trace 3 <= |t| < T, sorted by |t| and then by form.
@@ -398,9 +352,36 @@ def _class_reps(reps: list[tuple[int, int, int]], t: int) -> list[ClassRep]:
     return [ClassRep(bqf_to_matrix(f, t), t, f, f.content) for f in forms]
 
 
-def _trace_reps(abs_t: int) -> list[tuple[int, int, int]]:
-    _, *cols = _cycle_minima(_trace_keys(abs_t), abs_t + 1)
-    return list(zip(*(col.tolist() for col in cols)))
+def _trace_reps(t: int) -> list[tuple[int, int, int]]:
+    """The canonical form (m, l, k) of each rho-cycle of trace t >= 3, sorted.
+
+    The m > 0 reduced forms are the lattice points a <= m < d = t - a with
+    l = d - a and k = -(ad - 1)/m, found by testing m | a(t - a) - 1 for
+    each m over all a <= min(m, t - 1 - m).  The leading coefficients
+    alternate in sign around a cycle, so rho^2 permutes the m > 0 forms:
+    each cycle is walked from one of them, removing every m > 0 form it
+    lands on, and keeps the smallest m < 0 form it steps over.
+    """
+    a = np.arange(1, t // 2 + 1, dtype=np.int64)
+    v = a * (t - a) - 1
+    hits = [np.flatnonzero(v[: min(m, t - 1 - m)] % m == 0) for m in range(1, t - 1)]
+    m = np.repeat(np.arange(1, t - 1, dtype=np.int64), [len(h) for h in hits])
+    i = np.concatenate(hits)
+    remaining = set(zip(m.tolist(), (t - 2 - 2 * i).tolist(), (-(v[i] // m)).tolist()))
+    D, isq = t * t - 4, t - 1
+    reps = []
+    while remaining:
+        start = remaining.pop()
+        negatives = [_rho(*start, D, isq)]
+        while (form := _rho(*negatives[-1], D, isq)) != start:
+            try:
+                remaining.remove(form)
+            except KeyError:
+                raise AssertionError("rho^2 does not permute the forms") from None
+            negatives.append(_rho(*form, D, isq))
+        reps.append(min(negatives))
+    reps.sort()
+    return reps
 
 
 def classes_with_trace(t: int) -> list[ClassRep]:

@@ -61,10 +61,7 @@ def _load_matrix(arg: str) -> IntMatrix:
 def _as_sl2(m: IntMatrix) -> Sl2Matrix:
     if m.rows != 2 or m.cols != 2:
         raise DomainError("expected a 2x2 matrix")
-    try:
-        return Sl2Matrix(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    return Sl2Matrix(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -96,10 +93,7 @@ def _cmd_dw(args) -> int:
     if m.rows == 2:
         val = dw_invariant_sl2(_as_sl2(m), args.prime)
     else:
-        try:
-            val = dw_invariant_genus_g(m, args.prime, check_symplectic=not args.no_check)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+        val = dw_invariant_genus_g(m, args.prime, check_symplectic=not args.no_check)
     payload = {"p": args.prime, "value": str(val.value), "exponent": val.exponent}
     _emit(args, payload, str(val.value))
     return 0
@@ -110,10 +104,7 @@ def _cmd_classify(args) -> int:
     if args.prime == 2:
         label = classify_mod_2(a)
     else:
-        try:
-            label = classify_mod_p(a, args.prime)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+        label = classify_mod_p(a, args.prime)
     payload = {
         "p": label.p,
         "kind": label.kind,
@@ -129,10 +120,7 @@ def _cmd_homology(args) -> int:
     if m.rows == 2:
         group = genus1_homology(_as_sl2(m))
     else:
-        try:
-            group = mapping_torus_homology(m, check_symplectic=not args.no_check)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+        group = mapping_torus_homology(m, check_symplectic=not args.no_check)
     payload = {"free_rank": group.free_rank, "torsion": [str(t) for t in group.torsion]}
     _emit(args, payload, str(group))
     return 0
@@ -341,10 +329,7 @@ def _cmd_csw_sweep(args) -> int:
 
 
 def _cmd_modform(args) -> int:
-    try:
-        report = qexpansion_check(args.d, args.pmax)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    report = qexpansion_check(args.d, args.pmax)
     payload = {
         "d": report.d,
         "pmax": report.pmax,

@@ -147,6 +147,69 @@ def _decode(keys, S):
     return out
 
 
+# The one-trace scan and min-doubling the rho walk of `_trace_reps`
+# replaced, kept verbatim as its oracle and the lattice oracle's cycle step,
+# with the rho step they shared, which also works elementwise on int64 arrays.
+
+
+def _rho(m: int, l: int, k: int, D: int, isq: int) -> tuple[int, int, int]:
+    # neighbor of a reduced form: leading coefficient k, companion l' the
+    # unique residue of -l mod 2|k| in (sqrt(D) - 2|k|, sqrt(D)); also
+    # elementwise on int64 arrays
+    two_k = 2 * abs(k)
+    l2 = (-l) % two_k
+    l2 += ((isq - l2) // two_k) * two_k
+    return (k, l2, (l2 * l2 - D) // (4 * k))
+
+
+def _trace_keys(t: int) -> np.ndarray:
+    """Sorted int64 keys (t*(t + 1) + m)*(t + 1) + l of the m > 0 reduced
+    forms (m, l, k) of trace t: the lattice points a <= m < d = t - a with
+    l = d - a, found by testing m | a(t - a) - 1 for each m over all
+    a <= min(m, t - 1 - m)."""
+    a = np.arange(1, t // 2 + 1, dtype=np.int64)
+    v = a * (t - a) - 1
+    hits = [np.flatnonzero(v[: min(m, t - 1 - m)] % m == 0) for m in range(1, t - 1)]
+    m = np.repeat(np.arange(1, t - 1, dtype=np.int64), [len(h) for h in hits])
+    return np.sort((t * (t + 1) + m) * (t + 1) + t - 2 * (np.concatenate(hits) + 1))
+
+
+def _cycle_minima(keys: np.ndarray, S: int) -> tuple[np.ndarray, ...]:
+    """int64 columns (t, m, l, k) of one form per rho-cycle, sorted by t
+    and then by form, given the sorted keys (t*S + m)*S + l of every m > 0
+    reduced form of each trace t.
+
+    The leading coefficients alternate in sign around a cycle, so rho^2 is
+    a permutation of the m > 0 forms, and each cycle's form is the smallest
+    m < 0 form that rho steps over.  That minimum is taken by doubling: best
+    <- min(best, best[ptr]), ptr <- ptr[ptr] until best stops changing,
+    which happens only once best is constant on every cycle.
+    """
+    t, m, l = keys // (S * S), keys // S % S, keys % S
+    disc, isq = t * t - 4, t - 1
+    k = (l * l - disc) // (4 * m)
+    # rho(m, l, k) = (k, l1, k1) with k < 0, and rho(k, l1, k1) = (k1, l2, .)
+    _, l1, k1 = _rho(m, l, k, disc, isq)
+    _, l2, _ = _rho(k, l1, k1, disc, isq)
+    # the index of each rho^2 image: the inverse of the order that sorts the
+    # images, since they are the keys again
+    target = (t * S + k1) * S + l2
+    order = np.argsort(target)
+    if not np.array_equal(target[order], keys):
+        raise AssertionError("rho^2 does not permute the forms")
+    ptr = np.empty_like(order)
+    ptr[order] = np.arange(len(order))
+    # m < 0 forms keyed by (m, l), in sorted order
+    val = (k + S) * S + l1
+    best = val
+    while not np.array_equal(best, nxt := np.minimum(best, best[ptr])):
+        best, ptr = nxt, ptr[ptr]
+    # the m < 0 forms of a cycle are distinct, so one row per cycle is left
+    rows = np.flatnonzero(val == best)
+    rows = rows[np.argsort(t[rows] * S * S + val[rows])]
+    return t[rows], k[rows], l1[rows], k1[rows]
+
+
 # The listing the run walk replaced, kept verbatim as its oracle: one numpy
 # round per trace step down the tree M -> M R, M R^-1 L R.
 
@@ -226,7 +289,7 @@ def _lattice_class_columns(T: int) -> tuple[np.ndarray, ...]:
         end = lo + _BLOCK_FORMS
         cut = max(keys[end] // (T * T) if end < len(keys) else T, keys[lo] // (T * T) + 1)
         hi = int(np.searchsorted(keys, cut * T * T))
-        blocks.append(bqf._cycle_minima(keys[lo:hi], T))
+        blocks.append(_cycle_minima(keys[lo:hi], T))
         lo = hi
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
@@ -257,7 +320,7 @@ def test_lattice_forms_against_bruteforce(t0):
     for t in range(t0, 61):
         pos = [f[1:] for f in forms if f[0] == t]
         assert _both_signs(pos) == _reduced_forms_bruteforce(t * t - 4), t
-        assert [f[1:] for f in _decode(bqf._trace_keys(t), t + 1)] == sorted(pos), t
+        assert [f[1:] for f in _decode(_trace_keys(t), t + 1)] == sorted(pos), t
 
 
 @pytest.mark.parametrize(
@@ -380,6 +443,28 @@ def test_canonical_reps_are_cycle_minima():
             for g in _both_signs(_positive_reduced_forms(t * t - 4))
         }
         assert bqf._trace_reps(t) == _canonical_cycle_reps(t) == sorted(minima), t
+    # and the rows of the one-trace scan and min-doubling the walk replaced
+    for t in range(3, 400):
+        assert bqf._trace_reps(t) == _rows(_cycle_minima(_trace_keys(t), t + 1)[1:]), t
+
+
+def test_trace_walk_stops_when_rho_squared_leaves_the_forms(monkeypatch):
+    # t = 11 has three cycles; send one rho^2 step of the first into the
+    # second, and the walk stops with the self-check instead of merging the
+    # cycles or going round the second one for ever
+    assert len(bqf._trace_reps(11)) == 3
+    first, second = (reduction_cycle(QuadForm(*rep)) for rep in bqf._trace_reps(11)[:2])
+    neg, into = first[0].as_tuple(), next(f.as_tuple() for f in second if f.m > 0)
+    rho, calls = bqf._rho, itertools.count()
+
+    def corrupted(m, l, k, D, isq):
+        if next(calls) > 1000:
+            raise RuntimeError("the walk does not end")
+        return into if (m, l, k) == neg else rho(m, l, k, D, isq)
+
+    monkeypatch.setattr(bqf, "_rho", corrupted)
+    with pytest.raises(AssertionError, match=r"rho\^2 does not permute the forms"):
+        bqf._trace_reps(11)
 
 
 def test_disc12_two_cycles():

@@ -246,6 +246,31 @@ def test_domain_error_exit_code(capsys):
     assert run(["csw-sweep", "--tmax", "2"]) == 1
 
 
+_NOT_SYMPLECTIC = '[["1","1","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","0","1"]]'
+_IDENTITY_4 = '[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","0","1"]]'
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["dw", "--matrix", '[["2","1"],["1","2"]]', "--prime", "3"],
+            "determinant is not 1: Sl2Matrix(a=2, b=1, c=1, d=2)",
+        ),
+        (["dw", "--matrix", _IDENTITY_4, "--prime", "4"], "4 is not prime"),
+        (["classify", "--matrix", '[["2","1"],["1","1"]]', "--prime", "9"], "p must be an odd prime"),
+        (["homology", "--matrix", _NOT_SYMPLECTIC], "matrix is not symplectic"),
+        (["modform", "--d", "3"], "stored reference coefficients exist only for d = 2"),
+    ],
+    ids=["determinant", "dw-prime", "classify-prime", "symplectic", "modform-d"],
+)
+def test_library_value_errors_exit_1_with_their_message(argv, err, capsys):
+    # the library's ValueError reaches run() unwrapped and prints as is
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err}\n"
+
+
 def test_psi12_is_not_taken_for_a_prime(capsys):
     # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every base 2..37
     for cmd in ("dw", "classify"):
