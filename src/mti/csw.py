@@ -16,12 +16,18 @@ sign this matches |Trace(rep)| of the level-k modular data exactly; the
 residual phase is an A-dependent eighth root of unity (framing correction),
 reported by compare_with_rep_trace.
 
-Each box term is evaluated in O(n log n).  The coefficients (k+2) (b, a-d, c)
-of Q_A are reduced mod |n| exactly as Python integers, so the int64 residues
-built from them never overflow, and every phase is read from one table of
-|n| roots of unity.  The y-sum depends on x only through (k+2)(a-d) x mod |n|,
-so it is one length-|n| FFT of y -> e(-(k+2) c y^2 / n); the x-sum is then a
-single dot product.
+Each box term is a two-variable quadratic Gauss sum, evaluated in closed
+form in plain Python, with no array of length n.  The sum S(q, N) of the
+form q = (u, v, w) = (k+2) sign(n) (b, a-d, -c) over N = |n| is split over
+the prime powers p^e of N by the CRT, S(q, N) = prod S((N/p^e) q, p^e), with
+N factored by trial division; hence |Tr| < MAX_TRACE.  At each prime power
+the common power of p is stripped from the coefficients, and the form is
+diagonalized by completing the square (after making u a unit) or, at p = 2
+with v odd, recognized as the 2-adic block xy or x^2 + xy + y^2; the sum is
+then a product of one-variable Gauss sums G(a, p^f) (Berndt, Evans and
+Williams, Gauss and Jacobi Sums, 1998, ch. 1; Cassels, Rational Quadratic
+Forms, 1978, ch. 8 for p = 2).  Coefficients of any size are reduced mod
+p^e as exact integers.
 """
 
 from __future__ import annotations
@@ -32,12 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# numpy loads np.fft on first use; load it with the module, so that the
-# first Gauss sum of a process does not pay for the import
-from numpy.fft import fft
-
 from .intmat import IntMatrix, smith_normal_form
-from .sl2 import SL2_S, Sl2Matrix
+from .sl2 import SL2_S, Sl2Matrix, legendre
+
+# below this bound, trial division of |Tr| +- 2 takes at most about 2^20 steps
+MAX_TRACE = 2**40
 
 
 def congruence_level(k: int) -> int:
@@ -67,19 +72,88 @@ def coset_reps(M: IntMatrix) -> list[tuple[int, int]]:
     ]
 
 
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _gauss1(a: int, p: int, f: int) -> complex:
+    """G(a, p^f) = sum over x mod p^f of e(a x^2 / p^f), p prime."""
+    a %= p**f
+    j = 0
+    while j < f and a % p == 0:
+        a //= p
+        j += 1
+    if j == f:
+        return p**f
+    f -= j  # G(p^j a, p^(j+f)) = p^j G(a, p^f), a now a unit
+    if p == 2:
+        if f == 1:
+            return 0
+        jacobi2 = 1 if a % 8 in (1, 7) else -1
+        return p**j * (1 + (1j if a % 4 == 1 else -1j)) * jacobi2**f * 2 ** (f / 2)
+    g = p ** (j + f // 2)
+    if f % 2 == 0:
+        return g
+    return g * legendre(a, p) * (1 if p % 4 == 1 else 1j) * math.sqrt(p)
+
+
+def _prime_power_sum(u: int, v: int, w: int, p: int, e: int) -> complex:
+    """S(q, p^e) for q = u x^2 + v xy + w y^2."""
+    pe = p**e
+    u, v, w = u % pe, v % pe, w % pe
+    j = 0
+    while j < e and u % p == 0 and v % p == 0 and w % p == 0:
+        u, v, w = u // p, v // p, w // p
+        j += 1
+    if j == e:
+        return p ** (2 * e)
+    scale = p ** (2 * j)  # S(p^j q, p^(j+f)) = p^(2j) S(q, p^f)
+    e -= j
+    pe = p**e
+    if p == 2 and v % 2:
+        # Z_2-equivalent to xy (uw even) or to x^2 + xy + y^2 (uw odd)
+        return scale * (-1) ** (e * (u * w % 2)) * pe
+    if u % p == 0:
+        if w % p:
+            u, w = w, u
+        else:  # odd p, only v a unit: q(x, x + y) has x^2-coefficient u + v + w
+            u, v = u + v + w, v + 2 * w
+    # complete the square: q = u (x + (v/2u) y)^2 + (w - v^2/4u) y^2 mod p^e
+    if p == 2:
+        h = v // 2
+        a = (u * w - h * h) * pow(u, -1, pe)
+    else:
+        a = (4 * u * w - v * v) * pow(4 * u, -1, pe)
+    return scale * _gauss1(u, p, e) * _gauss1(a, p, e)
+
+
+def _form_gauss_sum(u: int, v: int, w: int, n: int) -> complex:
+    """S(q, n) = sum over (x, y) in (Z/n)^2 of e((u x^2 + v xy + w y^2) / n)."""
+    total = 1 + 0j
+    for p, e in _prime_powers(n):
+        m = n // p**e
+        total *= _prime_power_sum(m * u, m * v, m * w, p, e)
+    return total
+
+
 def _box_term(A: Sl2Matrix, k: int, n: int) -> complex:
     nn = abs(n)
     shift = k + 2 if n > 0 else -(k + 2)
-    # exact Python-int residues first, so the int64 work below never overflows
-    b, ad, c = (shift * A.b) % nn, (-shift * (A.a - A.d)) % nn, (shift * A.c) % nn
-    roots = np.exp(2j * np.pi * np.arange(nn) / nn)
-    x = np.arange(nn, dtype=np.int64)
-    sq = x * x % nn
-    # inner[s] = sum_y e((-c y^2 - s y) / nn); ad is negated above, so the
-    # y-sum at x is inner[ad x]
-    inner = fft(roots[(nn - c) * sq % nn])
-    total = np.dot(roots[b * sq % nn], inner[ad * x % nn])
-    return complex(total) / (nn * math.sqrt(nn))
+    s = _form_gauss_sum(shift * A.b, shift * (A.a - A.d), -shift * A.c, nn)
+    return s / (nn * math.sqrt(nn))
 
 
 def csw_invariant(A: Sl2Matrix, k: int) -> complex:
@@ -87,6 +161,8 @@ def csw_invariant(A: Sl2Matrix, k: int) -> complex:
     t = A.trace
     if abs(t) <= 2:
         raise ValueError("requires |trace| > 2")
+    if abs(t) >= MAX_TRACE:
+        raise ValueError("requires |trace| < 2^40")
     if k < 1:
         raise ValueError("level must be a positive integer")
     sign = 1 if t > 0 else -1

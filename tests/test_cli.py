@@ -199,6 +199,14 @@ def test_csw_oracle(capsys):
     assert "gauss sum" in out and "rep trace" in out
 
 
+def test_csw_rejects_trace_beyond_factoring_bound(capsys):
+    matrix = f'[["{2**40}","1"],["-1","0"]]'
+    assert run(["csw", "--matrix", matrix, "--level", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: requires |trace| < 2^40\n"
+
+
 def test_csw_sweep(capsys):
     code, out = _capture(capsys, ["csw-sweep", "--samples", "15", "--kmax", "4", "--tmax", "25"])
     assert code == 0

@@ -2,14 +2,18 @@ import cmath
 import itertools
 import math
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.fft import fft
 
 from mti.csw import (
+    MAX_TRACE,
     _box_term,
+    _form_gauss_sum,
     compare_with_rep_trace,
     congruence_level,
     coset_reps,
@@ -93,6 +97,22 @@ def _box_term_loop(A: Sl2Matrix, k: int, n: int) -> complex:
     return total / (nn * math.sqrt(nn))
 
 
+def _box_term_fft(A: Sl2Matrix, k: int, n: int) -> complex:
+    # an independent O(n log n) evaluation: the y-sum is one FFT, the x-sum a dot product
+    nn = abs(n)
+    shift = k + 2 if n > 0 else -(k + 2)
+    # exact Python-int residues first, so the int64 work below never overflows
+    b, ad, c = (shift * A.b) % nn, (-shift * (A.a - A.d)) % nn, (shift * A.c) % nn
+    roots = np.exp(2j * np.pi * np.arange(nn) / nn)
+    x = np.arange(nn, dtype=np.int64)
+    sq = x * x % nn
+    # inner[s] = sum_y e((-c y^2 - s y) / nn); ad is negated above, so the
+    # y-sum at x is inner[ad x]
+    inner = fft(roots[(nn - c) * sq % nn])
+    total = np.dot(roots[b * sq % nn], inner[ad * x % nn])
+    return complex(total) / (nn * math.sqrt(nn))
+
+
 def _sl2_with_trace(rng, t):
     while True:
         a = rng.randint(-abs(t), abs(t))
@@ -114,8 +134,33 @@ def test_fft_box_term_matches_loop():
     for a, k in cases:
         for n in (a.trace - 2, a.trace + 2):
             signs.add((n > 0, abs(n) == 1))
-            assert abs(_box_term(a, k, n) - _box_term_loop(a, k, n)) < 1e-10
+            assert abs(_box_term_fft(a, k, n) - _box_term_loop(a, k, n)) < 1e-10
     assert signs == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_closed_form_matches_fft_on_every_form():
+    # every (u, v, w) mod n for n <= 16: p^j dividing all three with j >= e,
+    # a unit only in v at odd p, and v odd with uw odd or even at p = 2.
+    # _box_term_fft reads only A.b, A.a - A.d and A.c, so at k + 2 = 1 a
+    # stand-in with those entries carries any form, determinant or not
+    for n in range(1, 17):
+        norm = n * math.sqrt(n)
+        for u, v, w in itertools.product(range(n), repeat=3):
+            form = types.SimpleNamespace(a=v, b=u, c=-w, d=0)
+            assert abs(_form_gauss_sum(u, v, w, n) / norm - _box_term_fft(form, -1, n)) < 1e-12
+
+
+@pytest.mark.parametrize("p, e", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_closed_form_matches_fft_at_prime_powers(p, e):
+    # |n| = p^e for both box terms and both trace signs, with k + 2 a
+    # multiple of p, so that the form's coefficients share a power of p with n
+    rng = random.Random(p)
+    q = p**e
+    for i in range(4):
+        k = p ** (1 + i % 3) * (i + 2) - 2
+        for n, t in ((q, q + 2), (q, q - 2), (-q, 2 - q), (-q, -2 - q)):
+            a = _sl2_with_trace(rng, t)
+            assert abs(_box_term(a, k, n) - _box_term_fft(a, k, n)) < 1e-12
 
 
 def test_csw_large_entries_reduced_exactly():
@@ -142,6 +187,21 @@ def test_csw_rejects_bad_input():
         csw_invariant(Sl2Matrix(1, 1, 0, 1), 1)
     with pytest.raises(ValueError):
         csw_invariant(Sl2Matrix(2, 1, 1, 1), 0)
+    for t in (MAX_TRACE, -MAX_TRACE, 2**70):
+        with pytest.raises(ValueError, match=r"requires \|trace\| < 2\^40"):
+            csw_invariant(Sl2Matrix(t, 1, -1, 0), 1)
+
+
+def test_csw_largest_trace():
+    # the closed form factors |Tr| +- 2 just below the bound.  rep_trace loses
+    # digits to T-powers near 2^40, so the modulus is checked against the
+    # trace of a small matrix congruent mod 8(k+2), which has the same value
+    for t in (MAX_TRACE - 1, 3 - MAX_TRACE):
+        for k in (1, 2):
+            level = congruence_level(k)
+            small = Sl2Matrix(t % level + level, 1, -1, 0)
+            z = csw_invariant(Sl2Matrix(t, 1, -1, 0), k)
+            assert abs(abs(z) - abs(rep_trace(small, k))) < 1e-10
 
 
 def test_phase_well_defined_on_box_lattice():

@@ -47,9 +47,9 @@ def test_qags_is_quad_bit_for_bit(name):
     assert list(map(repr, qags(f, a, b))) == list(map(repr, expected))
 
 
-def test_import_loads_no_scipy_and_eager_fft():
-    # li(T^2) no longer needs scipy, and numpy.fft, which numpy loads on
-    # first use, is loaded with mti.csw instead of inside the first Gauss sum
+def test_import_loads_no_scipy_and_no_fft():
+    # li(T^2) no longer needs scipy, and the Gauss sum, evaluated in closed
+    # form, no longer needs numpy.fft
     code = (
         "import sys, mti, mti.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
@@ -59,4 +59,4 @@ def test_import_loads_no_scipy_and_eager_fft():
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}
     ).stdout
-    assert out.split("\n")[:2] == ["[]", "True"]
+    assert out.split("\n")[:2] == ["[]", "False"]
