@@ -32,6 +32,9 @@ import numpy as np
 
 from .sl2 import Sl2Matrix
 
+# the trace bound past which the word tree's keys (t*T + m + T)*T + l
+# overflow int64
+_MAX_T = 1 << 21
 # new nodes per piece of the word-tree walk: bounds the working set that
 # growing the store adds to its columns and the sort of its new keys
 _PIECE_NODES = 1 << 13
@@ -194,7 +197,7 @@ def _word_pairs(a, b, c, d, per, xs, ys, T):
 
     A node of n blocks R^x L^y carries its matrix [[a, b], [c, d]], its FKM
     period per and its blocks as int32 rows xs, ys, one column per node
-    (x, y < T, and T < 2^21 for the keys to fit in int64).  Its children
+    (x, y < T, and T < _MAX_T for the keys to fit in int64).  Its children
     append a block (x', y') no smaller than the reference block (rx, ry) =
     block n - per: x' >= rx, and y' >= ry when x' = rx.  The child's matrix
     is M [[1 + x'y', x'], [y', 1]] = [[a + y'u, u], [c + y'v, v]] with
@@ -317,9 +320,12 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     traces it lacks, so no |t| is listed twice, and a smaller T reads a
     prefix of what is stored.  The new traces come from one walk of the
     word tree, whose keys are sorted once and decoded into the columns.
+    T >= 2^21 is refused before the store is touched.
     """
     global _class_store
     T = index(T)
+    if T >= _MAX_T:
+        raise ValueError("T must be below 2^21")
     top, *cols = _class_store
     if T > top:
         keys = _word_keys(top, T)

@@ -117,8 +117,9 @@ def census(p: int, T: int) -> CensusReport:
     residues b = k and c = -m fix it: the class is central exactly when
     b = c = 0, which on s = 2 puts it in category 0 and every other class of
     s = 2 in category 1, and the Legendre symbol of -c (or of b) splits the
-    rest (see `_class_codes`).  Each checkpoint T/2^k counts the codes of
-    the rows below it.
+    rest (see `_class_bins`).  One bincount over every row counts the rows
+    by checkpoint segment, trace slot and symbol; each checkpoint T/2^k sums
+    the segments below it.
     """
     p, T = operator.index(p), operator.index(T)
     if p >= 2**63:
@@ -127,21 +128,18 @@ def census(p: int, T: int) -> CensusReport:
         raise ValueError(f"{p} is not prime")
     if T < 4:
         raise ValueError("T must be >= 4")
+    t, m, _, k = _class_columns(T)
     labels = _LABELS_P2 if p == 2 else _LABELS_ODD
     nl = len(labels)
-    t, m, _, k = _class_columns(T)
-    pos, neg = _class_codes(p, T, t, m, k)
     # checkpoint bounds T/2^k below T, all >= 4, then T itself
     bounds = sorted({T >> j for j in range(1, T.bit_length()) if T >> j >= 4}) + [T]
+    bins, on_pos, on_neg = _class_bins(p, bounds, t, m, k)
+    # counts by bin below each bound, then by code on s = t and on s = -t
+    counts = np.bincount(bins, minlength=len(bounds) * _BINS).reshape(len(bounds), _BINS).cumsum(0)
+    codes = np.eye(3 * nl, dtype=np.int64)
+    pos, neg = counts @ codes[on_pos], counts @ codes[on_neg]
     checkpoints = [
-        _snapshot(
-            bound,
-            np.bincount(pos[:end], minlength=3 * nl).reshape(nl, 3),
-            np.bincount(neg[:end], minlength=3 * nl).reshape(nl, 3),
-            labels,
-            p,
-        )
-        for bound, end in zip(bounds, np.searchsorted(t, bounds).tolist())
+        _snapshot(bound, pos[j].reshape(nl, 3), neg[j].reshape(nl, 3), labels, p) for j, bound in enumerate(bounds)
     ]
     final = checkpoints[-1]
     return CensusReport(
@@ -159,13 +157,19 @@ def census(p: int, T: int) -> CensusReport:
     )
 
 
-def _class_codes(p: int, T: int, t, m, k) -> tuple[np.ndarray, np.ndarray]:
-    """label * 3 + SNF category of every class, for s = t and for s = -t.
+# the bins of one checkpoint segment: four trace slots (the two fixed codes,
+# then s = 2 and s = -2 mod p) of five symbol sums -2 .. 2 each
+_BINS = 4 * 5
+
+
+def _class_bins(p: int, bounds: list[int], t, m, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bin of every row, and the code label * 3 + SNF category of each
+    of a checkpoint segment's _BINS bins on s = t and on s = -t.
 
     The form (m, l, k) stands for the class A = [[(s-l)/2, b], [c, (s+l)/2]]
     with b = k and c = -m, and SNF(A - Id) = diag(A1, A2) with A1 | A2 and
     A1*A2 = |s - 2|.  A trace s other than +-2 mod p fixes the kind of all
-    its classes (C7/C8 by the residue of s^2 - 4, C3 for p = 2), and p does
+    its classes (C7/C8 by the symbol of s^2 - 4, C3 for p = 2), and p does
     not divide A2, so they are all in SNF category 2.  On s = +-2 mod p the
     residues b and c decide the rest:
     - A = +-Id mod p exactly when b = c = 0 mod p;
@@ -174,41 +178,47 @@ def _class_codes(p: int, T: int, t, m, k) -> tuple[np.ndarray, np.ndarray]:
     - a class that is not central is C3/C4 (s = 2) or C5/C6 (s = -2) as the
       Legendre symbol of w = -c (or b where c = 0) is 1 or -1, and C2 for
       p = 2.
-    The form's class of trace -s has the same b and c, so one residue pass
-    and one Legendre pass serve both signs.
+    p divides l^2 - 4mk = s^2 - 4 there, so where neither b nor c is 0 mod p
+    they have the same symbol: the sign of (m/p) + (k/p) is the symbol of w,
+    and the sum is 0 just when the class is central (mod 2, take the
+    residues for symbols).  A row's bin is its segment, its trace's slot and
+    that sum, from one gather per |t| and one per coefficient, read from
+    tables of the coefficients themselves: every stored |m| and k is below
+    |t| < T.  The form's class of trace -s has the same b and c, so the bin
+    serves both signs.
     """
-    traces = np.arange(3, T, dtype=np.int64)
-    # s^2 - 4 from s itself, never from a residue, so it fits int64; p
-    # divides it exactly when s = +-2 mod p
-    disc = (traces * traces - 4) % p
-    # the code of each trace, and whether s = +-2 mod p, indexed by |t|
-    per_trace = np.zeros(T, np.int8)
-    special = np.zeros(T, bool)
-    special[3:] = disc == 0
+    T = bounds[-1]
+    symbol = _legendre_table(p, T + 2)
+    s = np.arange(3, T)
+    below, above = symbol[s - 2], symbol[s + 2]
+    # the symbol of s^2 - 4 picks the fixed code; 0 marks s = +-2 mod p
+    square = below * above
+    slot = np.where(square == 0, 2 + (below != 0), square != 1)
+    base = np.zeros(T, np.intp)
+    base[3:] = (np.searchsorted(bounds, s, "right") * 4 + slot) * 5 + 2
+    # the symbols of k in [1, T), and of m in (-T, 0) indexed from the end
+    of_k, of_m = symbol[:T], (-1 if p % 4 == 3 else 1) * symbol[T:0:-1]
+    bins = base[t]
+    bins += of_m[m]
+    bins += of_k[k]
     # the codes on s = +-2 mod p by the symbol 0 (central), 1 or -1 of w, on
-    # s = 2 (first row) and s = -2
-    if p == 2:
-        per_trace[3:] = 2 * 3 + 2
-        table = np.array([[0 * 3 + 0, 1 * 3 + 1]], np.int8)
+    # s = 2 (first row) and s = -2, spread over the sums -2 .. 2
+    if p == 2:  # s = 2 = -2, and no sum is negative
+        fixed = (2 * 3 + 2, 2 * 3 + 2)
+        table = np.array([[0 * 3 + 0, 1 * 3 + 1, 1 * 3 + 1]] * 2)
     else:
-        per_trace[3:] = np.where(_legendre_symbols(disc, p) == 1, 6 * 3 + 2, 7 * 3 + 2)
-        table = np.array([[0 * 3 + 0, 2 * 3 + 1, 3 * 3 + 1], [1 * 3 + 2, 4 * 3 + 2, 5 * 3 + 2]], np.int8)
-    pos = per_trace[t]
-    neg = pos.copy()
-    rows = np.flatnonzero(special[t])
-    s, b, w = t[rows], k[rows] % p, m[rows] % p
-    w = np.where(w != 0, w, b)  # -c, or b where c = 0: 0 just when central
-    symbol = w if p == 2 else _legendre_symbols(w, p)  # mod 2, w is its symbol
-    pos[rows] = table[((s - 2) % p != 0).astype(np.intp), symbol]
-    neg[rows] = table[((s + 2) % p != 0).astype(np.intp), symbol]
-    return pos, neg
+        fixed = (6 * 3 + 2, 7 * 3 + 2)
+        table = np.array([[0 * 3 + 0, 2 * 3 + 1, 3 * 3 + 1], [1 * 3 + 2, 4 * 3 + 2, 5 * 3 + 2]])
+    table = table[:, [2, 2, 0, 1, 1]]
+    fixed = np.repeat([fixed], 5, axis=0).T
+    return bins, np.concatenate([fixed, table]).ravel(), np.concatenate([fixed, table[::-1]]).ravel()
 
 
-def _legendre_symbols(residues: np.ndarray, p: int) -> np.ndarray:
-    """Legendre symbols mod p of an array of residues, one scalar call per
-    distinct residue present."""
-    distinct, where = np.unique(residues, return_inverse=True)
-    return np.array([legendre(v, p) for v in distinct.tolist()], np.int8)[where]
+def _legendre_table(p: int, n: int) -> np.ndarray:
+    """Legendre symbols mod p of 0 .. n - 1 as int8, mod 2 the residues, from
+    one scalar call per residue below min(p, n)."""
+    residues = np.array([legendre(v, p) for v in range(min(p, n))], np.int8)
+    return residues[np.arange(n) % len(residues)]
 
 
 def _snapshot(T: int, pos: np.ndarray, neg: np.ndarray, labels, p: int) -> Checkpoint:

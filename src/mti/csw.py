@@ -246,7 +246,8 @@ def rep_trace(A: Sl2Matrix, k: int) -> complex:
     m = np.eye(k + 1, dtype=complex)
     for g, e in word:
         if g == "T":
-            m = m * np.exp(2j * np.pi * e * (idx * idx / (4.0 * r) - 0.125))[None, :]
+            # the phase has period 8(k + 2) in e: reduce before the floats
+            m = m * np.exp(2j * np.pi * (e % (8 * r)) * (idx * idx / (4.0 * r) - 0.125))[None, :]
         else:
             m = m @ np.linalg.matrix_power(data.S, e % 4)
     return complex(np.trace(m))

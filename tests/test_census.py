@@ -9,11 +9,15 @@ import pytest
 from mti import bqf
 from mti.bqf import hyperbolic_classes_below
 from mti.census import (
+    _BINS,
+    _LABELS_ODD,
+    _LABELS_P2,
     CSV_HEADER,
     CensusReport,
-    _class_codes,
+    _class_bins,
     _group_counts,
-    _legendre_symbols,
+    _legendre_table,
+    _snapshot,
     census,
     density_report,
     group_fractions,
@@ -21,6 +25,7 @@ from mti.census import (
     predicted_class_fractions,
     theorem_constants,
 )
+from mti.intmat import is_prime
 from mti.sl2 import classify_mod_2, classify_mod_p, dw_invariant_sl2, legendre, sl2_snf_entries
 
 
@@ -159,13 +164,101 @@ def test_census_matches_direct_classification(p):
     )
 
 
+# the tally census ran before the one-bincount tally: per-class codes from a
+# residue pass and one Legendre call per distinct residue, then one prefix
+# bincount per checkpoint; kept as the oracle of `_class_bins`
+
+
+def _class_codes(p: int, T: int, t, m, k) -> tuple[np.ndarray, np.ndarray]:
+    traces = np.arange(3, T, dtype=np.int64)
+    # s^2 - 4 from s itself, never from a residue, so it fits int64; p
+    # divides it exactly when s = +-2 mod p
+    disc = (traces * traces - 4) % p
+    # the code of each trace, and whether s = +-2 mod p, indexed by |t|
+    per_trace = np.zeros(T, np.int8)
+    special = np.zeros(T, bool)
+    special[3:] = disc == 0
+    # the codes on s = +-2 mod p by the symbol 0 (central), 1 or -1 of w, on
+    # s = 2 (first row) and s = -2
+    if p == 2:
+        per_trace[3:] = 2 * 3 + 2
+        table = np.array([[0 * 3 + 0, 1 * 3 + 1]], np.int8)
+    else:
+        per_trace[3:] = np.where(_legendre_symbols(disc, p) == 1, 6 * 3 + 2, 7 * 3 + 2)
+        table = np.array([[0 * 3 + 0, 2 * 3 + 1, 3 * 3 + 1], [1 * 3 + 2, 4 * 3 + 2, 5 * 3 + 2]], np.int8)
+    pos = per_trace[t]
+    neg = pos.copy()
+    rows = np.flatnonzero(special[t])
+    s, b, w = t[rows], k[rows] % p, m[rows] % p
+    w = np.where(w != 0, w, b)  # -c, or b where c = 0: 0 just when central
+    symbol = w if p == 2 else _legendre_symbols(w, p)  # mod 2, w is its symbol
+    pos[rows] = table[((s - 2) % p != 0).astype(np.intp), symbol]
+    neg[rows] = table[((s + 2) % p != 0).astype(np.intp), symbol]
+    return pos, neg
+
+
+def _legendre_symbols(residues: np.ndarray, p: int) -> np.ndarray:
+    distinct, where = np.unique(residues, return_inverse=True)
+    return np.array([legendre(v, p) for v in distinct.tolist()], np.int8)[where]
+
+
+def _oracle_census(p: int, T: int) -> CensusReport:
+    labels = _LABELS_P2 if p == 2 else _LABELS_ODD
+    nl = len(labels)
+    t, m, _, k = bqf._class_columns(T)
+    pos, neg = _class_codes(p, T, t, m, k)
+    # checkpoint bounds T/2^k below T, all >= 4, then T itself
+    bounds = sorted({T >> j for j in range(1, T.bit_length()) if T >> j >= 4}) + [T]
+    checkpoints = [
+        _snapshot(
+            bound,
+            np.bincount(pos[:end], minlength=3 * nl).reshape(nl, 3),
+            np.bincount(neg[:end], minlength=3 * nl).reshape(nl, 3),
+            labels,
+            p,
+        )
+        for bound, end in zip(bounds, np.searchsorted(t, bounds).tolist())
+    ]
+    final = checkpoints[-1]
+    return CensusReport(
+        p=p,
+        T=T,
+        total_classes=final.total,
+        per_label=final.per_label,
+        dw_sum=final.dw_sum,
+        snf_triple=final.snf_triple,
+        li_T2=final.li_T2,
+        checkpoints=checkpoints,
+        total_pos=final.total_pos,
+        dw_sum_pos=final.dw_sum_pos,
+        snf_triple_pos=final.snf_triple_pos,
+    )
+
+
+@pytest.mark.parametrize("T", [*range(4, 21), 37, 200, 500])
+def test_census_matches_oracle_tally(T):
+    # full reports and CSV bytes; the primes around T put p = T, T + 1
+    # (for small T) and T + 2 on both sides of the squares/scalar table switch
+    below = max(q for q in range(2, T) if is_prime(q))
+    above = next(q for q in range(T + 2, 2 * T + 4) if is_prime(q))
+    for p in sorted({2, 3, 5, 7, 11, 13, below, above, 2**63 - 25}):
+        rep, want = census(p, T), _oracle_census(p, T)
+        assert repr(rep) == repr(want), p
+        assert rep.to_csv().encode() == want.to_csv().encode(), p
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 2**63 - 25])
 def test_class_codes_match_per_class_oracle(p):
     # each row's code, for both signs, against the one-class classifiers and
-    # the minor-gcd SNF, so that no two errors can cancel in a tally
+    # the minor-gcd SNF, so that no two errors can cancel in a tally; and its
+    # checkpoint segment against its |t|
     T = 200
     t, m, l, k = bqf._class_columns(T)
-    pos, neg = _class_codes(p, T, t, m, k)
+    rep = census(p, T)
+    bounds = [cp.T for cp in rep.checkpoints]
+    bins, on_pos, on_neg = _class_bins(p, bounds, t, m, k)
+    assert (bins // _BINS).tolist() == np.searchsorted(bounds, t, "right").tolist()
+    pos, neg = on_pos[bins % _BINS], on_neg[bins % _BINS]
     labels = ("C1", "C2", "C3") if p == 2 else tuple(f"C{i}" for i in range(1, 9))
     category = {(True, True): 0, (False, True): 1, (False, False): 2}
     rows = zip(t.tolist(), m.tolist(), l.tolist(), k.tolist(), pos.tolist(), neg.tolist())
@@ -175,14 +268,20 @@ def test_class_codes_match_per_class_oracle(p):
             kind = classify_mod_2(A).kind if p == 2 else classify_mod_p(A, p).kind
             a1, a2 = sl2_snf_entries(A)
             assert code == 3 * labels.index(kind) + category[a1 % p == 0, a2 % p == 0], (p, s, mi, li, ki)
-    assert len(pos) == census(p, T).total_pos
+    assert len(pos) == rep.total_pos
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 2**61 - 1])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**61 - 1])
 def test_legendre_symbols_match_scalar_legendre(p):
-    # one scalar call per distinct residue, spread back to every residue:
-    # seeded residues over all of [0, p), repeats of a few small ones, zero
-    # and p - 1
+    # the census table of 0 .. n - 1 on both sides of n = p (mod 2, the
+    # residues, as `legendre` gives them), and the oracle's one scalar call
+    # per distinct residue spread back to every residue: seeded residues over
+    # all of [0, p), repeats of a few small ones, zero and p - 1
+    for n in (1, 2, p - 1, p, p + 1, 3 * p + 2, 500):
+        if n <= 10**4:
+            table = _legendre_table(p, n)
+            assert table.dtype == np.int8
+            assert table.tolist() == [legendre(v, p) for v in range(n)], n
     rng = np.random.default_rng(2024)
     residues = np.concatenate(
         [rng.integers(0, p, 600, dtype=np.int64), rng.integers(0, min(p, 40), 600, dtype=np.int64), [0, p - 1, 0]]
@@ -334,6 +433,21 @@ def test_census_normalizes_the_prime():
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         census(3.0, 10**4)
     assert bqf._class_store is before
+
+
+def test_bounds_past_the_key_range_leave_the_store_intact(monkeypatch):
+    # at T = 2^21 the store's keys (t*T + m + T)*T + l overflow int64: every
+    # entry point refuses it before a walk starts or the store changes
+    def no_walk(*args):
+        raise AssertionError("walked the word tree")
+
+    monkeypatch.setattr(bqf, "_word_keys", no_walk)
+    before = bqf._class_store
+    calls = (lambda: census(3, 2**21), lambda: next(hyperbolic_classes_below(2**21)), lambda: bqf._class_columns(2**21))
+    for call in calls:
+        with pytest.raises(ValueError, match="below 2\\^21"):
+            call()
+        assert bqf._class_store is before
 
 
 def test_census_rejects_primes_past_int64():

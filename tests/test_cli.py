@@ -5,6 +5,7 @@ import shlex
 
 import pytest
 
+from mti import bqf
 from mti.census import CSV_HEADER, census
 from mti.cli import run
 
@@ -119,6 +120,17 @@ def test_census_tmax_range_is_the_library_range(capsys):
     code, out = _capture(capsys, ["census", "--prime", "3", "--tmax", "8", "--csv", "-"])
     assert code == 0
     assert out == census(3, 8).to_csv()
+
+
+def test_census_refuses_tmax_past_the_key_range(monkeypatch, capsys):
+    def no_walk(*args):
+        raise AssertionError("walked the word tree")
+
+    monkeypatch.setattr(bqf, "_word_keys", no_walk)
+    assert run(["census", "--prime", "3", "--tmax", "2097152"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: T must be below 2^21\n"
 
 
 def test_census_files(tmp_path, capsys):

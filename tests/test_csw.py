@@ -319,6 +319,14 @@ def test_rep_trace_on_negated_matrix():
         assert abs(rep_trace(a, k) - rep_trace(-a, k)) < 1e-12
 
 
+def test_rep_trace_reduces_large_exponents():
+    # T^(2^40 - 1) enters as one exponent; its phase has period 8(k + 2) = 24
+    # and 2^40 - 1 = 39 mod 24, so the trace is that of [[39, 1], [-1, 0]]
+    big = rep_trace(Sl2Matrix(2**40 - 1, 1, -1, 0), 1)
+    assert abs(abs(big) - 1) < 1e-9
+    assert abs(big - rep_trace(Sl2Matrix(39, 1, -1, 0), 1)) < 1e-9
+
+
 def test_modulus_agreement_small_sweep():
     rng = random.Random(29)
     done = 0
