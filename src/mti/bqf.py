@@ -320,10 +320,12 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     traces it lacks, so no |t| is listed twice, and a smaller T reads a
     prefix of what is stored.  The new traces come from one walk of the
     word tree, whose keys are sorted once and decoded into the columns.
-    T >= 2^21 is refused before the store is touched.
+    T < 4 and T >= 2^21 are refused before the store is touched.
     """
     global _class_store
     T = index(T)
+    if T < 4:
+        raise ValueError("T must be at least 4")
     if T >= _MAX_T:
         raise ValueError("T must be below 2^21")
     top, *cols = _class_store
@@ -412,11 +414,13 @@ def hyperbolic_classes_below(T: int) -> Iterator[ClassRep]:
     """Stream every hyperbolic class with |trace| < T, in increasing |trace|.
 
     For each 3 <= t <= T-1 yields the trace-t classes then the trace-(-t)
-    classes, read from the class store.
+    classes, read from the class store.  A bound the store refuses is
+    refused here, before the stream starts.
     """
-    if T < 4:
-        raise ValueError("T must be at least 4")
-    t, *cols = _class_columns(T)
+    return _stream_classes(T, *_class_columns(T))
+
+
+def _stream_classes(T: int, t: np.ndarray, *cols: np.ndarray) -> Iterator[ClassRep]:
     ends = np.searchsorted(t, np.arange(3, T + 1)).tolist()
     for s, lo, hi in zip(range(3, T), ends, ends[1:]):
         reps = list(zip(*(col[lo:hi].tolist() for col in cols)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -21,12 +21,9 @@ import numpy as np
 from ._quadpack import qags
 from .bqf import _class_columns
 from .intmat import is_prime
-from .sl2 import legendre
+from .sl2 import KINDS_ODD, KINDS_P2, dw_exponent_of_kind, legendre
 
 CSV_HEADER = "T,total,c1,c2,unipotent,rest,dw_sum,snf_id,snf_unip,snf_rest,li_T2"
-
-_LABELS_ODD = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
-_LABELS_P2 = ("C1", "C2", "C3")
 
 
 def _inv_log(u: float) -> float:
@@ -70,41 +67,29 @@ class Checkpoint:
 
 
 def _group_counts(per_label: dict[str, int], p: int) -> tuple[int, int, int]:
-    """(identity, Z-equals-p, rest) counts from a label map for the prime p."""
-    c1 = per_label.get("C1", 0)
-    unip = per_label.get("C2", 0) if p == 2 else per_label.get("C3", 0) + per_label.get("C4", 0)
-    total = sum(per_label.values())
-    return c1, unip, total - c1 - unip
+    """(identity, Z-equals-p, rest) counts from a label map for the prime p:
+    the kinds of Z(A, p) = p^2, p and 1."""
+    groups = [0, 0, 0]
+    for kind, count in per_label.items():
+        groups[2 - dw_exponent_of_kind(kind, p)] += count
+    return tuple(groups)
 
 
 @dataclass
-class CensusReport:
-    p: int
-    T: int
-    total_classes: int
-    per_label: dict[str, int]
-    dw_sum: int
-    snf_triple: tuple[int, int, int]
-    li_T2: float
-    checkpoints: list[Checkpoint] = field(default_factory=list)
-    total_pos: int = 0
-    dw_sum_pos: int = 0
-    snf_triple_pos: tuple[int, int, int] = (0, 0, 0)
+class CensusReport(Checkpoint):
+    """The tallies over |Tr| < T, which are its last checkpoint's, and every
+    checkpoint T/2^k below T."""
+
+    checkpoints: list[Checkpoint]
+
+    @property
+    def total_classes(self) -> int:
+        return self.total
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         lines.extend(cp.csv_row() for cp in self.checkpoints)
         return "\n".join(lines) + "\n"
-
-
-def _zp_of_kind(kind: str, p: int) -> int:
-    if p == 2:
-        return {"C1": 4, "C2": 2, "C3": 1}[kind]
-    if kind == "C1":
-        return p * p
-    if kind in ("C3", "C4"):
-        return p
-    return 1
 
 
 def census(p: int, T: int) -> CensusReport:
@@ -126,10 +111,8 @@ def census(p: int, T: int) -> CensusReport:
         raise ValueError("p must be below 2^63")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if T < 4:
-        raise ValueError("T must be >= 4")
     t, m, _, k = _class_columns(T)
-    labels = _LABELS_P2 if p == 2 else _LABELS_ODD
+    labels = KINDS_P2 if p == 2 else KINDS_ODD
     nl = len(labels)
     # checkpoint bounds T/2^k below T, all >= 4, then T itself
     bounds = sorted({T >> j for j in range(1, T.bit_length()) if T >> j >= 4}) + [T]
@@ -141,20 +124,7 @@ def census(p: int, T: int) -> CensusReport:
     checkpoints = [
         _snapshot(bound, pos[j].reshape(nl, 3), neg[j].reshape(nl, 3), labels, p) for j, bound in enumerate(bounds)
     ]
-    final = checkpoints[-1]
-    return CensusReport(
-        p=p,
-        T=T,
-        total_classes=final.total,
-        per_label=final.per_label,
-        dw_sum=final.dw_sum,
-        snf_triple=final.snf_triple,
-        li_T2=final.li_T2,
-        checkpoints=checkpoints,
-        total_pos=final.total_pos,
-        dw_sum_pos=final.dw_sum_pos,
-        snf_triple_pos=final.snf_triple_pos,
-    )
+    return CensusReport(**vars(checkpoints[-1]), checkpoints=checkpoints)
 
 
 # the bins of one checkpoint segment: four trace slots (the two fixed codes,
@@ -223,20 +193,22 @@ def _legendre_table(p: int, n: int) -> np.ndarray:
 
 def _snapshot(T: int, pos: np.ndarray, neg: np.ndarray, labels, p: int) -> Checkpoint:
     # pos, neg: counts by (label, SNF category) of the positive and the
-    # negative traces below T
+    # negative traces below T; the Z values stay Python ints, since p^2
+    # overflows int64 for p near 2^63
     both = pos + neg
     per_label = dict(zip(labels, both.sum(1).tolist()))
     pos_label = dict(zip(labels, pos.sum(1).tolist()))
+    z = [p ** dw_exponent_of_kind(kind, p) for kind in labels]
     return Checkpoint(
         T=T,
         p=p,
         total=sum(per_label.values()),
         per_label=per_label,
-        dw_sum=sum(_zp_of_kind(k, p) * v for k, v in per_label.items()),
+        dw_sum=sum(map(operator.mul, z, per_label.values())),
         snf_triple=tuple(both.sum(0).tolist()),
         li_T2=log_integral(float(T) * T),
         total_pos=sum(pos_label.values()),
-        dw_sum_pos=sum(_zp_of_kind(k, p) * v for k, v in pos_label.items()),
+        dw_sum_pos=sum(map(operator.mul, z, pos_label.values())),
         snf_triple_pos=tuple(pos.sum(0).tolist()),
     )
 
@@ -345,7 +317,7 @@ def theorem_constants(report: CensusReport) -> ConstantsReport:
         dw_printed=(2 * p**3 - 2 * p + 1) / order,
         dw_derived=(2 * p**3 - 2 * p) / order,
         snf_printed=(1 / order, (p * p - 1) / order, (p**3 - p**2 - p - 1) / order),
-        snf_derived=(1 / order, (p * p - 1) / order, (p**3 - p**2 - p) / order),
+        snf_derived=group_fractions(p),
     )
 
 

@@ -130,8 +130,6 @@ def _cmd_classes(args) -> int:
     if args.trace is None and args.tmax is None:
         raise DomainError("need --trace or --tmax")
     if args.trace is not None:
-        if abs(args.trace) <= 2:
-            raise DomainError("|trace| must exceed 2")
         reps = classes_with_trace(args.trace)
         payload = {
             "trace": args.trace,
@@ -146,8 +144,6 @@ def _cmd_classes(args) -> int:
         }
         _emit(args, payload, json.dumps(payload["classes"]))
         return 0
-    if args.tmax < 4:
-        raise DomainError("--tmax must be at least 4")
     if args.count_only:
         per_trace = np.bincount(_class_columns(args.tmax)[0], minlength=args.tmax)
         counts = list(enumerate(per_trace[3:].tolist(), 3))
@@ -155,11 +151,11 @@ def _cmd_classes(args) -> int:
         text = "\n".join(f"{t} {c}" for t, c in counts)
         _emit(args, payload, text)
         return 0
-    lines = [
-        f"{rep.trace} {rep.form.as_tuple()} content={rep.primitive_content}"
-        for rep in hyperbolic_classes_below(args.tmax)
-    ]
-    _emit(args, {"tmax": args.tmax, "total": len(lines)}, "\n".join(lines))
+    # each stored row is one class of trace t and one of trace -t
+    total = 2 * len(_class_columns(args.tmax)[0])
+    listing = () if args.json else hyperbolic_classes_below(args.tmax)
+    text = "\n".join(f"{rep.trace} {rep.form.as_tuple()} content={rep.primitive_content}" for rep in listing)
+    _emit(args, {"tmax": args.tmax, "total": total}, text)
     return 0
 
 
@@ -259,10 +255,6 @@ def _cmd_lambda_check(args) -> int:
 
 def _cmd_csw(args) -> int:
     a = _as_sl2(_load_matrix(args.matrix))
-    if abs(a.trace) <= 2:
-        raise DomainError("|trace| must exceed 2")
-    if args.level < 1:
-        raise DomainError("--level must be a positive integer")
     if args.oracle:
         cmp_ = compare_with_rep_trace(a, args.level)
         payload = {

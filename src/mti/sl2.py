@@ -68,6 +68,10 @@ class Sl2Matrix:
 SL2_T = Sl2Matrix(1, 1, 0, 1)
 SL2_S = Sl2Matrix(0, 1, -1, 0)
 
+#: the mod-p class kinds, for odd p and for p = 2
+KINDS_ODD = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
+KINDS_P2 = ("C1", "C2", "C3")
+
 
 @dataclass(frozen=True)
 class ClassLabel:
@@ -93,6 +97,15 @@ class DwValue:
     @classmethod
     def of(cls, p: int, exponent: int) -> "DwValue":
         return cls(p**exponent, exponent)
+
+
+def dw_exponent_of_kind(kind: str, p: int) -> int:
+    """The exponent e of Z(A, p) = p^e for A of the mod-p class kind: Z is
+    p^2 on C1, p on the unipotent kinds (C3, C4 for odd p; C2 for p = 2) and
+    1 elsewhere."""
+    if kind == "C1":
+        return 2
+    return 1 if kind in (("C2",) if p == 2 else ("C3", "C4")) else 0
 
 
 def sl2_snf_entries(A: Sl2Matrix) -> tuple[int, int]:
@@ -204,8 +217,7 @@ def classify_mod_2(A: Sl2Matrix) -> ClassLabel:
 
 def dw_invariant_sl2_p2(A: Sl2Matrix) -> DwValue:
     """Z(A, 2) from the mod-2 class: 4 / 2 / 1 for C1 / C2 / C3."""
-    kind = classify_mod_2(A).kind
-    return DwValue.of(2, {"C1": 2, "C2": 1, "C3": 0}[kind])
+    return DwValue.of(2, dw_exponent_of_kind(classify_mod_2(A).kind, 2))
 
 
 def geodesic_pullback_splitting(A: Sl2Matrix) -> int:
@@ -285,7 +297,7 @@ def slp_class_census(p: int) -> list[ClassCensusRow]:
             if label.kind in traces:
                 traces[label.kind].add(label.trace_mod_p)
     rows = []
-    for kind in ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8"):
+    for kind in KINDS_ODD:
         total = totals.get(kind, 0)
         if kind in ("C7", "C8"):
             ncls = len(traces[kind])

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intmat import is_prime
+from .sl2 import dw_exponent_of_kind
 
 #: nonzero prime coefficients of the d = 2 form below 100 (all other primes
 #: except the ramified 2, 3 have coefficient 0); from the LMFDB expansion
@@ -94,7 +95,6 @@ class QExpansionReport:
 #: pattern; the identity a_p = Z - 2 holds under this matching (the printed
 #: "+2" dictionary does not reproduce the expansion; see the CLI table)
 _PATTERN_TO_MOD2_CLASS = {SPLIT6: "C1", SPLIT2: "C3", SPLIT3: "C2"}
-_MOD2_CLASS_Z = {"C1": 4, "C2": 2, "C3": 1}
 
 
 def qexpansion_check(d: int = 2, pmax: int = 100, reference=None) -> QExpansionReport:
@@ -123,7 +123,7 @@ def qexpansion_check(d: int = 2, pmax: int = 100, reference=None) -> QExpansionR
                     reference=ref,
                     pattern=pattern,
                     mod2_class=cls,
-                    z_value=_MOD2_CLASS_Z[cls],
+                    z_value=2 ** dw_exponent_of_kind(cls, 2),
                 )
             )
             if computed != ref:

@@ -554,6 +554,19 @@ def _all_sl2_with_trace(t, bound):
     return out
 
 
+def test_class_listing_refuses_bad_bounds_at_the_call():
+    # the store owns the trace bound: T < 4, a float and T >= 2^21 are
+    # refused when the listing is asked for, not at its first class
+    before = bqf._class_store
+    for T, error in ((3, ValueError), (60.0, TypeError), (2**21, ValueError)):
+        with pytest.raises(error):
+            bqf.hyperbolic_classes_below(T)
+        assert bqf._class_store is before, T
+    with pytest.raises(ValueError, match="T must be at least 4"):
+        bqf._class_columns(3)
+    assert bqf._class_store is before
+
+
 def test_completeness_small_trace():
     for t in range(3, 21):
         cycles = [

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -10,8 +11,6 @@ from mti import bqf
 from mti.bqf import hyperbolic_classes_below
 from mti.census import (
     _BINS,
-    _LABELS_ODD,
-    _LABELS_P2,
     CSV_HEADER,
     CensusReport,
     _class_bins,
@@ -26,7 +25,7 @@ from mti.census import (
     theorem_constants,
 )
 from mti.intmat import is_prime
-from mti.sl2 import classify_mod_2, classify_mod_p, dw_invariant_sl2, legendre, sl2_snf_entries
+from mti.sl2 import KINDS_ODD, KINDS_P2, classify_mod_2, classify_mod_p, dw_invariant_sl2, legendre, sl2_snf_entries
 
 
 def _li_simpson(x, steps=20000):
@@ -203,7 +202,7 @@ def _legendre_symbols(residues: np.ndarray, p: int) -> np.ndarray:
 
 
 def _oracle_census(p: int, T: int) -> CensusReport:
-    labels = _LABELS_P2 if p == 2 else _LABELS_ODD
+    labels = KINDS_P2 if p == 2 else KINDS_ODD
     nl = len(labels)
     t, m, _, k = bqf._class_columns(T)
     pos, neg = _class_codes(p, T, t, m, k)
@@ -219,20 +218,7 @@ def _oracle_census(p: int, T: int) -> CensusReport:
         )
         for bound, end in zip(bounds, np.searchsorted(t, bounds).tolist())
     ]
-    final = checkpoints[-1]
-    return CensusReport(
-        p=p,
-        T=T,
-        total_classes=final.total,
-        per_label=final.per_label,
-        dw_sum=final.dw_sum,
-        snf_triple=final.snf_triple,
-        li_T2=final.li_T2,
-        checkpoints=checkpoints,
-        total_pos=final.total_pos,
-        dw_sum_pos=final.dw_sum_pos,
-        snf_triple_pos=final.snf_triple_pos,
-    )
+    return CensusReport(**vars(checkpoints[-1]), checkpoints=checkpoints)
 
 
 @pytest.mark.parametrize("T", [*range(4, 21), 37, 200, 500])
@@ -487,7 +473,7 @@ def test_density_report():
     for row in dens.rows:
         assert abs(row.empirical - row.count / rep.total_classes) < 1e-12
     assert dens.checkpoint_deviations[-1][0] == 80
-    empty = CensusReport(p=3, T=5, total_classes=0, per_label={}, dw_sum=0, snf_triple=(0, 0, 0), li_T2=1.0)
+    empty = dataclasses.replace(rep, total=0)
     with pytest.raises(ValueError):
         density_report(empty)
 

@@ -83,16 +83,17 @@ def test_classes_count_only(capsys):
 
 
 # SHA-256 of stdout, recorded before the listing and the counts were read
-# from the class store
+# from the class store, and the total while it was the length of the listing
 CLASSES_SHA256 = {
     ("classes", "--tmax", "60"): "bad786ca9e638f60262f9c149bbe9a9806ffe0513605526d52ea6a8535a7a651",
     ("classes", "--tmax", "60", "--count-only", "--json"): (
         "46f6c776dbc655598c150124f5c38f4ca3e3106029294edc258a24eb994fc2b4"
     ),
+    ("classes", "--tmax", "60", "--json"): "3e05f0cf3db077f35a136519d10378c18f28a300d3f675049e39c1791a4aa5d0",
 }
 
 
-@pytest.mark.parametrize("argv", list(CLASSES_SHA256), ids=["listing", "counts-json"])
+@pytest.mark.parametrize("argv", list(CLASSES_SHA256), ids=["listing", "counts-json", "total-json"])
 def test_classes_tmax_bytes_pinned(argv, capsys):
     code, out = _capture(capsys, list(argv))
     assert code == 0
@@ -145,10 +146,13 @@ def test_census_files(tmp_path, capsys):
 
 
 # SHA-256 of `census --prime p --tmax 200 --json` stdout, recorded while the
-# document was still assembled field by field
+# document was still assembled field by field (p = 2, 3), and while the report
+# copied its tallies from its last checkpoint (p = 1000003, above every trace,
+# so every class is C7 or C8)
 CENSUS_JSON_SHA256 = {
     2: "10b5d841c0ce5e141765be77f87918057c564d5cfb24af688ef4155ffc0dd731",
     3: "93847302b8fbee151635748ae436a10d53fb0f3d4f2f95dba28e2c1552d535f5",
+    1000003: "2c8e64ee824799f1705ed427eec51f283d756ea841adaa7a8925f6a0441dbb28",
 }
 
 
@@ -160,8 +164,10 @@ def test_census_json_bytes_pinned(p, capsys):
 
 
 # SHA-256 of `census --prime p --tmax 60` stdout, recorded when
-# scripts/density_experiment.py printed the same report
+# scripts/density_experiment.py printed the same report (p = 3, 5), and while
+# the report copied its tallies from its last checkpoint (p = 2)
 CENSUS_TEXT_SHA256 = {
+    2: "6b29c131f7d7e2252154b247e54118e28510d00ac7f789b8a8afbc5ef187d247",
     3: "686e52666d010d8a811dedf995656cec250205815203f164aada255e4367ef23",
     5: "a0d91fcb06b4ca7d12f3de294b9179bdbf356acc20d3fa9e8c815dca00df37ff",
 }
@@ -171,11 +177,11 @@ def test_census_several_primes(tmp_path, capsys):
     outdir = tmp_path / "results" / "run"
     code, out = _capture(capsys, ["census", "--prime", "3", "5", "--tmax", "60", "--outdir", str(outdir)])
     assert code == 0
-    single = [_capture(capsys, ["census", "--prime", str(p), "--tmax", "60"])[1] for p in (3, 5)]
-    assert [_sha256(text) for text in single] == [CENSUS_TEXT_SHA256[3], CENSUS_TEXT_SHA256[5]]
-    assert "class-size-derived 2.0000" in single[0]
+    single = {p: _capture(capsys, ["census", "--prime", str(p), "--tmax", "60"])[1] for p in CENSUS_TEXT_SHA256}
+    assert {p: _sha256(text) for p, text in single.items()} == CENSUS_TEXT_SHA256
+    assert "class-size-derived 2.0000" in single[3]
     # one process, the single-prime reports in the order given
-    assert out == single[0] + single[1]
+    assert out == single[3] + single[5]
     assert sorted(f.name for f in outdir.iterdir()) == ["census_p3_T60.csv", "census_p5_T60.csv"]
     for p in (3, 5):
         assert (outdir / f"census_p{p}_T60.csv").read_text() == census(p, 60).to_csv()
@@ -281,8 +287,22 @@ _IDENTITY_4 = '[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","
         (["classify", "--matrix", '[["2","1"],["1","1"]]', "--prime", "9"], "p must be an odd prime"),
         (["homology", "--matrix", _NOT_SYMPLECTIC], "matrix is not symplectic"),
         (["modform", "--d", "3"], "stored reference coefficients exist only for d = 2"),
+        (["classes", "--trace", "2"], "requires |t| > 2"),
+        (["classes", "--tmax", "3"], "T must be at least 4"),
+        (["csw", "--matrix", '[["1","1"],["0","1"]]', "--level", "1"], "requires |trace| > 2"),
+        (["csw", "--matrix", '[["2","1"],["1","1"]]', "--level", "0"], "level must be a positive integer"),
     ],
-    ids=["determinant", "dw-prime", "classify-prime", "symplectic", "modform-d"],
+    ids=[
+        "determinant",
+        "dw-prime",
+        "classify-prime",
+        "symplectic",
+        "modform-d",
+        "classes-trace",
+        "classes-tmax",
+        "csw-trace",
+        "csw-level",
+    ],
 )
 def test_library_value_errors_exit_1_with_their_message(argv, err, capsys):
     # the library's ValueError reaches run() unwrapped and prints as is

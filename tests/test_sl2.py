@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from mti.intmat import IntMatrix, is_prime, smith_normal_form
 from mti.sl2 import (
+    KINDS_ODD,
+    KINDS_P2,
     SL2_S,
     SL2_T,
     Sl2Matrix,
@@ -14,6 +16,7 @@ from mti.sl2 import (
     classify_mod_2,
     classify_mod_p,
     dw_invariant_genus_g,
+    dw_exponent_of_kind,
     dw_invariant_sl2,
     dw_invariant_sl2_p2,
     fixed_point_count_bruteforce,
@@ -106,6 +109,18 @@ def test_formula_equals_bruteforce_exhaustive_small(p):
     for a, b, c, d in _sl2_fp_elements(p):
         lift = _lift(a, b, c, d, p)
         assert dw_invariant_sl2(lift, p).value == fixed_point_count_bruteforce((a, b, c, d), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_dw_exponent_of_kind_equals_bruteforce_on_every_element(p):
+    # Z(A, p) read from the class kind, against the fixed-point count of
+    # every element of SL(2,F_p); every kind occurs
+    kinds = set()
+    for a, b, c, d in _sl2_fp_elements(p):
+        label = classify_mod_2(_lift(a, b, c, d, 2)) if p == 2 else _classify_residues(a, b, c, d, p)
+        assert p ** dw_exponent_of_kind(label.kind, p) == fixed_point_count_bruteforce((a, b, c, d), p), label
+        kinds.add(label.kind)
+    assert kinds == set(KINDS_P2 if p == 2 else KINDS_ODD) - ({"C7"} if p == 3 else set())
 
 
 def test_classify_examples():
