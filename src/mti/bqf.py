@@ -11,12 +11,14 @@ imprimitive ones are among them, so proper-power classes are included.
 The classes of positive trace are also the cyclic words in the blocks
 R^x L^y (x, y >= 1) of R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]]
 (Series, J. London Math. Soc. 31, 1985), periodic words being the
-imprimitive classes; the class store lists one such word per class as a
-necklace of the Fredricksen-Kessler-Maiorana prenecklace tree
-(Ruskey-Savage-Wang, J. Algorithms 13, 1992), pruned by trace.  A single
-trace is listed on its own: its m > 0 reduced forms are scanned, and each
-rho-cycle is walked once, two rho steps at a time.  Both paths keep the
-smallest m < 0 form of each cycle as the class's canonical form.
+imprimitive classes; one such word per class is walked as a necklace of
+the Fredricksen-Kessler-Maiorana prenecklace tree (Ruskey-Savage-Wang,
+J. Algorithms 13, 1992), pruned by trace.  The census's class store keeps
+one reduced m < 0 form of each necklace's class, unsorted; the listings
+take the smallest m < 0 form over the necklace's rotations as the class's
+canonical form, and sort.  A single trace is listed on its own: its m > 0
+reduced forms are scanned, and each rho-cycle is walked once, two rho steps
+at a time, keeping the smallest m < 0 form it steps over.
 
 All square-root comparisons are exact (squares are compared, never floats).
 """
@@ -32,16 +34,17 @@ import numpy as np
 
 from .sl2 import Sl2Matrix
 
-# the trace bound past which the word tree's keys (t*T + m + T)*T + l
+# the trace bound past which the listing's keys (t*T + m + T)*T + l
 # overflow int64
 _MAX_T = 1 << 21
-# new nodes per piece of the word-tree walk: bounds the working set that
-# growing the store adds to its columns and the sort of its new keys
+# new nodes per piece of the word-tree walk: bounds the working set of one
+# step of the walk
 _PIECE_NODES = 1 << 13
-# the class store: the bound T and the int64 columns (|t|, m, l, k) of the
-# canonical cycle representatives of every trace 3 <= |t| < T, sorted by |t|
-# and then by form; only _class_columns changes it, and only to add traces
-_class_store = (3, *(np.empty(0, np.int64) for _ in range(4)))
+# the census's class store: the bound T and the read-only int32 columns
+# (|t|, m, k) of one reduced m < 0 form (m, l, k) of every class of trace
+# 3 <= |t| < T, in walk order; only _class_rows changes it, and only to add
+# traces
+_class_store = (3, *(np.empty(0, np.int32) for _ in range(3)))
 
 
 @dataclass(frozen=True)
@@ -287,72 +290,103 @@ def _necklace_keys(a, b, c, d, per, xs, ys, t0, T):
     return best + (t[e] + 1) * T * T
 
 
-def _word_keys(t0: int, T: int) -> np.ndarray:
-    """Sorted int64 keys (t*T + m + T)*T + l of the canonical forms
-    (m, l, k) of every class of trace 3 <= t0 <= t < T.
+def _necklace_rows(a, b, c, d, per, xs, ys, t0):
+    """int32 columns (t, m, k) of rotation 0 (see `_necklace_keys`) of each
+    necklace among the nodes of one piece whose trace t is at least t0.
 
-    The prenecklace tree of block words is walked depth-first from the
-    empty word, one piece of children at a time; the trace grows with every
-    block appended and with x and y, so the subtrees cut off at T hold no
-    class below it.  Every node is walked, those of trace below t0 too.
+    Rotation 0 is the word's own form (-c, d - a, b) conjugated by R^(x_0):
+    a reduced m < 0 form of the class, so |m| and k are below t.
+    """
+    t = a + d
+    e = np.flatnonzero((len(xs) % per == 0) & (t >= t0))
+    c, x = c[e], xs[0, e]
+    k = b[e] - x * (d[e] - a[e] + x * c)
+    return t[e].astype(np.int32), (-c).astype(np.int32), k.astype(np.int32)
+
+
+def _word_pieces(T: int):
+    """Yield every piece of nodes below trace T of the prenecklace tree of
+    block words (see `_word_children`), depth-first from the empty word.
+
+    The trace grows with every block appended and with x and y, so the
+    subtrees cut off at T hold no class below it.
     """
     one = np.ones(1, np.int64)
     no_blocks = np.empty((0, 1), np.int32)
     stack = [_word_children(one, 0 * one, 0 * one, one, one, no_blocks, no_blocks, T)]
-    out = []
     while stack:
         piece = next(stack[-1], None)
         if piece is None:
             stack.pop()
             continue
-        out.append(_necklace_keys(*piece, t0, T))
+        yield piece
         stack.append(_word_children(*piece, T))
-    keys = np.concatenate(out)
+
+
+def _word_keys(t0: int, T: int) -> np.ndarray:
+    """Sorted int64 keys (t*T + m + T)*T + l of the canonical forms
+    (m, l, k) of every class of trace 3 <= t0 <= t < T, from one walk of the
+    word tree; every node is walked, those of trace below t0 too."""
+    keys = np.concatenate([_necklace_keys(*piece, t0, T) for piece in _word_pieces(T)])
     keys.sort()
     return keys
 
 
-def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """int64 columns (|t|, m, l, k) of the canonical cycle representatives
-    of every trace 3 <= |t| < T, sorted by |t| and then by form.
-
-    The columns come from one store per process: a larger T appends only the
-    traces it lacks, so no |t| is listed twice, and a smaller T reads a
-    prefix of what is stored.  The new traces come from one walk of the
-    word tree, whose keys are sorted once and decoded into the columns.
-    T < 4 and T >= 2^21 are refused before the store is touched.
-    """
-    global _class_store
+def _checked_bound(T) -> int:
     T = index(T)
     if T < 4:
         raise ValueError("T must be at least 4")
     if T >= _MAX_T:
         raise ValueError("T must be below 2^21")
+    return T
+
+
+def _class_rows(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only int32 columns (|t|, m, k) of one reduced m < 0 form
+    (m, l, k) of every class of trace 3 <= |t| < T, in no particular order:
+    the census's rows.
+
+    The columns come from one store per process: a larger T appends the
+    rotation-0 rows (`_necklace_rows`) of the traces it lacks, from one walk
+    of the word tree, so no |t| is listed twice; a smaller T reads the
+    stored rows of trace below it.  T < 4 and T >= 2^21 are refused before
+    the store is touched.
+    """
+    global _class_store
+    T = _checked_bound(T)
     top, *cols = _class_store
     if T > top:
-        keys = _word_keys(top, T)
-        old = len(cols[0])
-        grown = [np.empty(old + len(keys), np.int64) for _ in cols]
-        for col, part in zip(grown, cols):
-            col[:old] = part
-        t, m, l, k = (col[old:] for col in grown)
-        np.floor_divide(keys, T * T, out=t)
-        np.floor_divide(keys, T, out=m)
-        m %= T
-        m -= T
-        np.remainder(keys, T, out=l)
-        del keys
-        # k = (l^2 - t^2 + 4) / 4m, the form having discriminant t^2 - 4
-        np.subtract(l, t, out=k)
-        k *= l + t
-        k += 4
-        k //= 4 * m
-        for col in grown:
-            col.flags.writeable = False
-        _class_store = (T, *grown)
-        cols = grown
-    n = int(np.searchsorted(cols[0], T))
-    return tuple(c[:n] for c in cols)
+        parts = [[col] for col in cols]
+        for piece in _word_pieces(T):
+            for part, col in zip(parts, _necklace_rows(*piece, top)):
+                part.append(col)
+        # one column at a time, each dropping its pieces once joined
+        cols = [np.concatenate(parts.pop(0)) for _ in range(3)]
+        _class_store = (T, *cols)
+    elif T < top:
+        below = cols[0] < T
+        cols = [col[below] for col in cols]
+    for col in cols:
+        col.flags.writeable = False
+    return tuple(cols)
+
+
+def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """int64 columns (|t|, m, l, k) of the canonical cycle representatives
+    of every trace 3 <= |t| < T, sorted by |t| and then by form: the
+    listings' rows.
+
+    Each call walks the word tree once (`_word_keys`) and decodes the
+    sorted keys; nothing is kept.  T < 4 and T >= 2^21 are refused before
+    the walk.
+    """
+    T = _checked_bound(T)
+    t, rest = np.divmod(_word_keys(3, T), T * T)
+    m, l = np.divmod(rest, T)
+    m -= T
+    # k = (l^2 - t^2 + 4) / 4m, the form having discriminant t^2 - 4
+    k = ((l - t) * (l + t) + 4) // (4 * m)
+    return t, m, l, k
 
 
 def _class_reps(reps: list[tuple[int, int, int]], t: int) -> list[ClassRep]:
@@ -414,8 +448,8 @@ def hyperbolic_classes_below(T: int) -> Iterator[ClassRep]:
     """Stream every hyperbolic class with |trace| < T, in increasing |trace|.
 
     For each 3 <= t <= T-1 yields the trace-t classes then the trace-(-t)
-    classes, read from the class store.  A bound the store refuses is
-    refused here, before the stream starts.
+    classes, from one walk of the word tree (`_class_columns`).  A bound the
+    walk refuses is refused here, before the stream starts.
     """
     return _stream_classes(T, *_class_columns(T))
 

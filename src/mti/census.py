@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from ._quadpack import qags
-from .bqf import _class_columns
+from .bqf import _class_rows
 from .intmat import is_prime
 from .sl2 import KINDS_ODD, KINDS_P2, dw_exponent_of_kind, legendre
 
@@ -96,8 +96,9 @@ def census(p: int, T: int) -> CensusReport:
     """Classify every hyperbolic class with |Tr| < T modulo p.
 
     The classes come from the process-wide class store of `bqf` as columns
-    of canonical (m, l, k) forms, one row per |t| and class, for both trace
-    signs.  Each class gets a code label * 3 + SNF category.  A trace
+    (|t|, m, k) of one reduced m < 0 form (m, l, k) per class, in no
+    particular order, one row per |t| and class for both trace signs.  Each
+    class gets a code label * 3 + SNF category.  A trace
     s != +-2 mod p fixes the code of all its classes; on s = +-2 mod p the
     residues b = k and c = -m fix it: the class is central exactly when
     b = c = 0, which on s = 2 puts it in category 0 and every other class of
@@ -111,7 +112,7 @@ def census(p: int, T: int) -> CensusReport:
         raise ValueError("p must be below 2^63")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    t, m, _, k = _class_columns(T)
+    t, m, k = _class_rows(T)
     labels = KINDS_P2 if p == 2 else KINDS_ODD
     nl = len(labels)
     # checkpoint bounds T/2^k below T, all >= 4, then T itself
@@ -185,10 +186,31 @@ def _class_bins(p: int, bounds: list[int], t, m, k) -> tuple[np.ndarray, np.ndar
 
 
 def _legendre_table(p: int, n: int) -> np.ndarray:
-    """Legendre symbols mod p of 0 .. n - 1 as int8, mod 2 the residues, from
-    one scalar call per residue below min(p, n)."""
-    residues = np.array([legendre(v, p) for v in range(min(p, n))], np.int8)
-    return residues[np.arange(n) % len(residues)]
+    """Legendre symbols mod p of 0 .. n - 1 as int8, mod 2 the residues.
+
+    For p <= n, from one scalar call per residue mod p.  For p > n every
+    0 < v < n is a unit mod p and the symbol is completely multiplicative, so
+    one scalar call per prime q < n does: v is a non-residue exactly when an
+    odd number of the prime powers q^e dividing it have (q/p) = -1.
+    """
+    if p <= n:
+        residues = np.array([legendre(v, p) for v in range(p)], np.int8)
+        return residues[np.arange(n) % p]
+    prime = np.ones(n, bool)
+    prime[:2] = False
+    for q in range(2, math.isqrt(n - 1) + 1):
+        if prime[q]:
+            prime[q * q :: q] = False
+    odd = np.zeros(n, np.int8)
+    for q in np.flatnonzero(prime).tolist():
+        if legendre(q, p) == -1:
+            power = q
+            while power < n:
+                odd[::power] ^= 1
+                power *= q
+    table = 1 - 2 * odd
+    table[0] = 0
+    return table
 
 
 def _snapshot(T: int, pos: np.ndarray, neg: np.ndarray, labels, p: int) -> Checkpoint:

@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bqf import _class_columns, classes_with_trace, hyperbolic_classes_below
+from .bqf import _class_rows, classes_with_trace, hyperbolic_classes_below
 from .census import census, census_text, density_report, theorem_constants
 from .csw import compare_with_rep_trace, csw_invariant
 from .intmat import IntMatrix, mapping_torus_homology, smith_normal_form
@@ -130,6 +130,8 @@ def _cmd_classes(args) -> int:
     if args.trace is None and args.tmax is None:
         raise DomainError("need --trace or --tmax")
     if args.trace is not None:
+        if args.tmax is not None or args.count_only:
+            raise DomainError("--trace lists one trace: give no --tmax or --count-only")
         reps = classes_with_trace(args.trace)
         payload = {
             "trace": args.trace,
@@ -144,15 +146,17 @@ def _cmd_classes(args) -> int:
         }
         _emit(args, payload, json.dumps(payload["classes"]))
         return 0
+    # the counts come from the census's class store; only the text listing
+    # walks the word tree, once, for the canonical forms
     if args.count_only:
-        per_trace = np.bincount(_class_columns(args.tmax)[0], minlength=args.tmax)
+        per_trace = np.bincount(_class_rows(args.tmax)[0], minlength=args.tmax)
         counts = list(enumerate(per_trace[3:].tolist(), 3))
         payload = {"tmax": args.tmax, "counts": [{"t": t, "classes_per_sign": c} for t, c in counts]}
         text = "\n".join(f"{t} {c}" for t, c in counts)
         _emit(args, payload, text)
         return 0
     # each stored row is one class of trace t and one of trace -t
-    total = 2 * len(_class_columns(args.tmax)[0])
+    total = 2 * len(_class_rows(args.tmax)[0])
     listing = () if args.json else hyperbolic_classes_below(args.tmax)
     text = "\n".join(f"{rep.trace} {rep.form.as_tuple()} content={rep.primitive_content}" for rep in listing)
     _emit(args, {"tmax": args.tmax, "total": total}, text)

@@ -295,11 +295,53 @@ def _lattice_class_columns(T: int) -> tuple[np.ndarray, ...]:
 
 
 def _fresh_store(monkeypatch, top=3):
-    monkeypatch.setattr(bqf, "_class_store", (top, *(np.empty(0, np.int64) for _ in range(4))))
+    monkeypatch.setattr(bqf, "_class_store", (top, *(np.empty(0, np.int32) for _ in range(3))))
 
 
 def _rows(cols):
     return list(zip(*(col.tolist() for col in cols)))
+
+
+def _store_forms(t, m, k):
+    # int64 (t, m, l, k) of the stored rows, l > 0 from the discriminant
+    # t^2 - 4 = l^2 - 4mk, which must be a square; each form must be reduced
+    # (`is_reduced` with isqrt(t^2 - 4) = t - 1), so that rho cycles it
+    t, m, k = (col.astype(np.int64) for col in (t, m, k))
+    square = t * t - 4 + 4 * m * k
+    l = np.sqrt(square).round().astype(np.int64)
+    assert np.array_equal(l * l, square)
+    x = 2 * np.abs(m)
+    assert ((0 < l) & (l < t) & (x + l >= t) & (x - l < t)).all()
+    return t, m, l, k
+
+
+def _cycle_minima_of_rows(T, t, m, k):
+    # int64 columns (t, m, l, k) of the smallest m < 0 form of each stored
+    # row's rho-cycle, row by row: the rho step of every row at once until
+    # each is back at its start
+    t, m, l, k = _store_forms(t, m, k)
+    disc, isq = t * t - 4, t - 1
+    best = np.where(m < 0, m * T + l, T * T)
+    cur, idx = (m, l, k), np.arange(len(t))
+    while len(idx):
+        cur = _rho(*cur, disc[idx], isq[idx])
+        key = np.where(cur[0] < 0, cur[0] * T + cur[1], T * T)
+        best[idx] = np.minimum(best[idx], key)
+        more = (cur[0] != m[idx]) | (cur[1] != l[idx])
+        cur, idx = tuple(c[more] for c in cur), idx[more]
+    bm, bl = np.divmod(best, T)
+    return t, bm, bl, ((bl - t) * (bl + t) + 4) // (4 * bm)
+
+
+def _canonical_of_rows(T, t, m, k):
+    # the same, sorted by t and then by form like the listing
+    cols = _cycle_minima_of_rows(T, t, m, k)
+    order = np.lexsort(cols[2::-1])
+    return tuple(col[order] for col in cols)
+
+
+def _sorted_rows(cols):
+    return sorted(_rows(cols))
 
 
 def test_scan_oracle_against_bruteforce():
@@ -338,9 +380,9 @@ def test_lattice_runs_equal_tree_walk(size, bounds):
 
 
 def test_class_columns_match_oracle():
-    # the store rows are the canonical representatives of the old walk
+    # the listing's rows are the canonical representatives of the old walk
     t, m, l, k = bqf._class_columns(2010)
-    assert all(col.dtype == np.int64 and not col.flags.writeable for col in (t, m, l, k))
+    assert all(col.dtype == np.int64 for col in (t, m, l, k))
     rows = _rows((t, m, l, k))
     n = int(np.searchsorted(t, 400))
     assert rows[:n] == [(s, *f) for s in range(3, 400) for f in _canonical_cycle_reps(s)]
@@ -349,50 +391,65 @@ def test_class_columns_match_oracle():
 
 
 def test_trace_path_equals_store_rows_past_old_sieve_cap(monkeypatch):
-    # (t^2 - 4)/4 passed the old 8M sieve cap at t = 5657; the one-trace scan
-    # and the block path agree on both sides of it
-    _fresh_store(monkeypatch, top=5650)
-    rows = _rows(bqf._class_columns(5665))
+    # (t^2 - 4)/4 passed the old 8M sieve cap at t = 5657; the one-trace scan,
+    # the listing and the census's store agree on both sides of it
+    cols = bqf._class_columns(5665)
+    start = int(np.searchsorted(cols[0], 5650))
+    rows = _rows(col[start:] for col in cols)
     assert rows == [(t, *f) for t in range(5650, 5665) for f in bqf._trace_reps(t)]
     assert bqf._trace_reps(5657) == [r[1:] for r in rows if r[0] == 5657]
+    _fresh_store(monkeypatch, top=5650)
+    t, m, k = bqf._class_rows(5665)
+    assert t.min() == 5650
+    assert _rows(_canonical_of_rows(5665, t, m, k)) == rows
 
 
 @pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-blocks"])
 def test_class_columns_independent_of_block_splits(size, monkeypatch):
     # a store grown in steps, or walked in pieces of other sizes, holds the
-    # same columns as one grown in one call
+    # same rows as one grown in one call, and the listing the same columns
     _fresh_store(monkeypatch)
-    whole = _rows(bqf._class_columns(101))
+    whole = _sorted_rows(bqf._class_rows(101))
+    listing = _rows(bqf._class_columns(101))
     monkeypatch.setattr(bqf, "_PIECE_NODES", size)
     _fresh_store(monkeypatch)
     for T in (60, 100, 101):
-        bqf._class_columns(T)
-    assert _rows(bqf._class_columns(101)) == whole
+        bqf._class_rows(T)
+    assert _sorted_rows(bqf._class_rows(101)) == whole
+    assert _rows(bqf._class_columns(101)) == listing
 
 
 def test_class_columns_enumerate_each_trace_once(monkeypatch):
-    # the store lists only the traces it lacks and serves smaller bounds
-    # from a prefix; its rows are the canonical representatives in order
+    # the store walks only when a bound passes its top and serves smaller
+    # bounds from its rows; each |t| is stored once, and the rows are one
+    # form of each canonical representative's class
     calls = []
-    keys = bqf._word_keys
+    pieces = bqf._word_pieces
 
-    def counted(t0, t1):
-        calls.append((t0, t1))
-        return keys(t0, t1)
+    def counted(T):
+        calls.append(T)
+        return pieces(T)
 
     _fresh_store(monkeypatch)
-    monkeypatch.setattr(bqf, "_word_keys", counted)
+    monkeypatch.setattr(bqf, "_word_pieces", counted)
     for T in (60, 100, 40, 100, 101):
-        rows = _rows(bqf._class_columns(T))
+        rows = _rows(_canonical_of_rows(T, *bqf._class_rows(T)))
         assert rows == [(s, *f) for s in range(3, T) for f in _canonical_cycle_reps(s)], T
-    assert calls == [(3, 60), (60, 100), (100, 101)]
+    assert calls == [60, 100, 101]
+    assert bqf._class_store[0] == 101
 
 
 def _assert_store_equals_lattice_oracle(T):
-    cols = bqf._class_columns(T)
-    assert all(col.dtype == np.int64 and not col.flags.writeable for col in cols), T
+    # the listing's columns, and the canonical forms of the store's rows,
+    # are the oracle's columns
     oracle = _lattice_class_columns(T)
+    cols = bqf._class_columns(T)
+    assert all(col.dtype == np.int64 for col in cols), T
     assert all(np.array_equal(col, want) for col, want in zip(cols, oracle, strict=True)), T
+    rows = bqf._class_rows(T)
+    assert all(col.dtype == np.int32 and not col.flags.writeable for col in rows), T
+    canonical = _canonical_of_rows(T, *rows)
+    assert all(np.array_equal(col, want) for col, want in zip(canonical, oracle, strict=True)), T
 
 
 def test_word_store_equals_lattice_oracle(monkeypatch):
@@ -406,11 +463,39 @@ def test_word_store_equals_lattice_oracle(monkeypatch):
 @pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
 def test_word_store_grown_in_steps_equals_lattice_oracle(size, monkeypatch):
     # a store grown up and down in steps, walked in pieces of either size,
-    # serves every bound the oracle's columns
+    # serves every bound the oracle's classes
     monkeypatch.setattr(bqf, "_PIECE_NODES", size)
     _fresh_store(monkeypatch)
     for T in (60, 100, 40, 100, 101, 500):
         _assert_store_equals_lattice_oracle(T)
+
+
+@pytest.mark.parametrize("T", [101, 500])
+def test_rotation_zero_is_in_the_cycle_of_its_necklace(T):
+    # node by node, the stored row of each necklace (rotation 0) is a form of
+    # the class whose canonical form the listing takes from the same node,
+    # not only of some class of the listing: a row of the word's own form
+    # (-c, d - a, b), read with l > 0, would be a form of the reversed word's
+    # class
+    for piece in bqf._word_pieces(T):
+        t, rest = np.divmod(bqf._necklace_keys(*piece, 3, T), T * T)
+        m, l = np.divmod(rest, T)
+        got = _cycle_minima_of_rows(T, *bqf._necklace_rows(*piece, 3))
+        assert all(np.array_equal(g, w) for g, w in zip(got[:3], (t, m - T, l), strict=True))
+
+
+def test_store_rows_are_reduced_forms_below_their_trace(monkeypatch):
+    # every stored row is a reduced form with m < 0 < k and |m|, k < |t|
+    # (the census's coefficient tables rely on it), and each |t| holds as
+    # many rows as the listing has classes
+    _fresh_store(monkeypatch)
+    t, m, k = bqf._class_rows(2010)
+    assert ((m < 0) & (0 < k)).all()
+    assert ((-m < t) & (k < t)).all()
+    assert np.array_equal(np.bincount(t, minlength=2010), np.bincount(bqf._class_columns(2010)[0], minlength=2010))
+    below = t < 500
+    forms = _store_forms(t[below], m[below], k[below])[1:]
+    assert all(is_reduced(QuadForm(*f)) for f in _rows(forms))
 
 
 def test_word_walk_keeps_larger_blocks_past_an_overshooting_reference(monkeypatch):
@@ -418,15 +503,14 @@ def test_word_walk_keeps_larger_blocks_past_an_overshooting_reference(monkeypatc
     # (rx + 1, 1): a walk that stopped at x' = rx there lost 196 of the 4177
     # classes below T = 200
     _fresh_store(monkeypatch)
-    t = bqf._class_columns(200)[0]
-    assert len(t) == 4177
-    assert np.bincount(t, minlength=200)[3:].tolist() == [class_count_with_trace(s) for s in range(3, 200)]
+    for t in (bqf._class_columns(200)[0], bqf._class_rows(200)[0]):
+        assert len(t) == 4177
+        assert np.bincount(t, minlength=200)[3:].tolist() == [class_count_with_trace(s) for s in range(3, 200)]
 
 
-def test_periodic_word_is_one_imprimitive_class(monkeypatch):
+def test_periodic_word_is_one_imprimitive_class():
     # (RL)^2 = [[5, 3], [3, 2]] is a periodic word: its class, of trace 7 and
     # form content 3, is stored exactly once
-    _fresh_store(monkeypatch)
     rows = [r[1:] for r in _rows(bqf._class_columns(8)) if r[0] == 7]
     assert len(set(rows)) == len(rows) == class_count_with_trace(7)
     q = reduce_indefinite(matrix_to_bqf(Sl2Matrix(5, 3, 3, 2))).as_tuple()
@@ -555,15 +639,18 @@ def _all_sl2_with_trace(t, bound):
 
 
 def test_class_listing_refuses_bad_bounds_at_the_call():
-    # the store owns the trace bound: T < 4, a float and T >= 2^21 are
-    # refused when the listing is asked for, not at its first class
+    # one check owns the trace bound: T < 4, a float and T >= 2^21 are
+    # refused when the listing or the store is asked for, not at the first
+    # class, and the store is left as it was
     before = bqf._class_store
     for T, error in ((3, ValueError), (60.0, TypeError), (2**21, ValueError)):
-        with pytest.raises(error):
-            bqf.hyperbolic_classes_below(T)
-        assert bqf._class_store is before, T
-    with pytest.raises(ValueError, match="T must be at least 4"):
-        bqf._class_columns(3)
+        for call in (bqf.hyperbolic_classes_below, bqf._class_columns, bqf._class_rows):
+            with pytest.raises(error):
+                call(T)
+            assert bqf._class_store is before, T
+    for call in (bqf._class_columns, bqf._class_rows):
+        with pytest.raises(ValueError, match="T must be at least 4"):
+            call(3)
     assert bqf._class_store is before
 
 

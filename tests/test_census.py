@@ -233,6 +233,16 @@ def test_census_matches_oracle_tally(T):
         assert rep.to_csv().encode() == want.to_csv().encode(), p
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 2**61 - 1])
+def test_census_equals_tally_over_canonical_rows(p):
+    # the store's rows are some reduced form of each class, the listing's the
+    # canonical one: both tally to the same report and CSV bytes
+    for T in (4, 5, 37, 500, 2010):
+        rep, want = census(p, T), _oracle_census(p, T)
+        assert repr(rep) == repr(want), T
+        assert rep.to_csv().encode() == want.to_csv().encode(), T
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 2**63 - 25])
 def test_class_codes_match_per_class_oracle(p):
     # each row's code, for both signs, against the one-class classifiers and
@@ -255,6 +265,17 @@ def test_class_codes_match_per_class_oracle(p):
             a1, a2 = sl2_snf_entries(A)
             assert code == 3 * labels.index(kind) + category[a1 % p == 0, a2 % p == 0], (p, s, mi, li, ki)
     assert len(pos) == rep.total_pos
+
+
+@pytest.mark.parametrize("p", [2**63 - 25, 2**61 - 1, 10007])
+def test_legendre_table_past_the_bound_matches_scalar_legendre(p):
+    # for p > n the table multiplies the symbols of the primes below n;
+    # n = 1 .. 3 hold no or one prime, 2^11 and 3001 reach prime powers
+    # (2^11, 3^7, 7^4, 13^3, 53^2) and composites of many non-residues
+    for n in (1, 2, 3, 4, 100, 2**11, 3001):
+        table = _legendre_table(p, n)
+        assert table.dtype == np.int8
+        assert table.tolist() == [legendre(v, p) for v in range(n)], n
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**61 - 1])
@@ -381,9 +402,9 @@ def test_census_independent_of_store_history(p, monkeypatch):
     # a census reads the same bytes from a fresh class store, from one that
     # holds a larger bound, and from one it extends
     def outputs(T, stored=None):
-        monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int64) for _ in range(4))))
+        monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int32) for _ in range(3))))
         if stored:
-            bqf._class_columns(stored)
+            bqf._class_rows(stored)
         rep = census(p, T)
         return rep.to_csv(), repr(rep)
 
@@ -395,18 +416,25 @@ def test_census_independent_of_store_history(p, monkeypatch):
 
 def test_non_integer_bound_leaves_the_store_intact(monkeypatch):
     # a float bound is refused before it reaches the class store, so a later
-    # census still reads int64 columns; any integer type gives the same report
+    # census still reads int32 columns; any integer type gives the same report
     def fresh_store():
-        monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int64) for _ in range(4))))
+        monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int32) for _ in range(3))))
 
     fresh_store()
     fresh = repr(census(3, 100))
-    calls = (lambda: census(3, 60.0), lambda: next(hyperbolic_classes_below(60.0)), lambda: bqf._class_columns(60.0))
+    calls = (
+        lambda: census(3, 60.0),
+        lambda: next(hyperbolic_classes_below(60.0)),
+        lambda: bqf._class_columns(60.0),
+        lambda: bqf._class_rows(60.0),
+    )
     for call in calls:
         fresh_store()
         with pytest.raises(TypeError):
             call()
+        assert bqf._class_store[0] == 3
         assert repr(census(3, 100)) == fresh
+        assert all(col.dtype == np.int32 for col in bqf._class_store[1:])
     assert repr(census(3, np.int64(100))) == fresh
     assert type(census(3, np.int64(100)).T) is int
 
@@ -422,14 +450,19 @@ def test_census_normalizes_the_prime():
 
 
 def test_bounds_past_the_key_range_leave_the_store_intact(monkeypatch):
-    # at T = 2^21 the store's keys (t*T + m + T)*T + l overflow int64: every
-    # entry point refuses it before a walk starts or the store changes
+    # at T = 2^21 the listing's keys (t*T + m + T)*T + l overflow int64:
+    # every entry point refuses it before a walk starts or the store changes
     def no_walk(*args):
         raise AssertionError("walked the word tree")
 
-    monkeypatch.setattr(bqf, "_word_keys", no_walk)
+    monkeypatch.setattr(bqf, "_word_pieces", no_walk)
     before = bqf._class_store
-    calls = (lambda: census(3, 2**21), lambda: next(hyperbolic_classes_below(2**21)), lambda: bqf._class_columns(2**21))
+    calls = (
+        lambda: census(3, 2**21),
+        lambda: next(hyperbolic_classes_below(2**21)),
+        lambda: bqf._class_columns(2**21),
+        lambda: bqf._class_rows(2**21),
+    )
     for call in calls:
         with pytest.raises(ValueError, match="below 2\\^21"):
             call()

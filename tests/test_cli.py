@@ -3,6 +3,7 @@ import json
 import pathlib
 import shlex
 
+import numpy as np
 import pytest
 
 from mti import bqf
@@ -100,6 +101,42 @@ def test_classes_tmax_bytes_pinned(argv, capsys):
     assert _sha256(out) == CLASSES_SHA256[argv]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classes", "--trace", "3", "--tmax", "10", "--count-only"],
+        ["classes", "--trace", "3", "--tmax", "10"],
+        ["classes", "--trace", "3", "--count-only", "--json"],
+    ],
+    ids=["both", "tmax", "count-only"],
+)
+def test_classes_refuses_trace_with_tmax_or_count_only(argv, capsys):
+    # --trace used to win silently and print the trace-3 listing
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trace lists one trace: give no --tmax or --count-only\n"
+
+
+@pytest.mark.parametrize(
+    "extra, walks", [((), 1), (("--json",), 0), (("--count-only",), 0), (("--count-only", "--json"), 0)]
+)
+def test_classes_tmax_walks_the_listing_at_most_once(extra, walks, monkeypatch, capsys):
+    # the counts and the total come from the census's class store; only the
+    # text listing walks the word tree for the canonical forms, once
+    calls = []
+    keys = bqf._word_keys
+
+    def counted(t0, T):
+        calls.append((t0, T))
+        return keys(t0, T)
+
+    monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int32) for _ in range(3))))
+    monkeypatch.setattr(bqf, "_word_keys", counted)
+    assert _capture(capsys, ["classes", "--tmax", "60", *extra])[0] == 0
+    assert calls == [(3, 60)] * walks
+
+
 def test_census_csv_stdout(capsys):
     code, out = _capture(capsys, ["census", "--prime", "3", "--tmax", "20", "--csv", "-"])
     assert code == 0
@@ -127,7 +164,7 @@ def test_census_refuses_tmax_past_the_key_range(monkeypatch, capsys):
     def no_walk(*args):
         raise AssertionError("walked the word tree")
 
-    monkeypatch.setattr(bqf, "_word_keys", no_walk)
+    monkeypatch.setattr(bqf, "_word_pieces", no_walk)
     assert run(["census", "--prime", "3", "--tmax", "2097152"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
