@@ -13,12 +13,13 @@ R^x L^y (x, y >= 1) of R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]]
 (Series, J. London Math. Soc. 31, 1985), periodic words being the
 imprimitive classes; one such word per class is walked as a necklace of
 the Fredricksen-Kessler-Maiorana prenecklace tree (Ruskey-Savage-Wang,
-J. Algorithms 13, 1992), pruned by trace.  The census's class store keeps
-one reduced m < 0 form of each necklace's class, unsorted; the listings
-take the smallest m < 0 form over the necklace's rotations as the class's
-canonical form, and sort.  A single trace is listed on its own: its m > 0
-reduced forms are scanned, and each rho-cycle is walked once, two rho steps
-at a time, keeping the smallest m < 0 form it steps over.
+J. Algorithms 13, 1992), pruned by trace.  The census's rows are one
+reduced m < 0 form of each necklace's class, unsorted, kept for the last
+bound asked for only; the listings take the smallest m < 0 form over the
+necklace's rotations as the class's canonical form, and sort.  A single
+trace is listed on its own: its m > 0 reduced forms are scanned, and each
+rho-cycle is walked once, two rho steps at a time, keeping the smallest
+m < 0 form it steps over.
 
 All square-root comparisons are exact (squares are compared, never floats).
 """
@@ -26,6 +27,7 @@ All square-root comparisons are exact (squares are compared, never floats).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import index
 from typing import Iterator
@@ -40,11 +42,6 @@ _MAX_T = 1 << 21
 # new nodes per piece of the word-tree walk: bounds the working set of one
 # step of the walk
 _PIECE_NODES = 1 << 13
-# the census's class store: the bound T and the read-only int32 columns
-# (|t|, m, k) of one reduced m < 0 form (m, l, k) of every class of trace
-# 3 <= |t| < T, in walk order; only _class_rows changes it, and only to add
-# traces
-_class_store = (3, *(np.empty(0, np.int32) for _ in range(3)))
 
 
 @dataclass(frozen=True)
@@ -254,9 +251,9 @@ def _word_children(a, b, c, d, per, xs, ys, T):
         yield a[pair] + y * up, up, c[pair] + y * vp, vp, per_child, xs_child, ys_child
 
 
-def _necklace_keys(a, b, c, d, per, xs, ys, t0, T):
+def _necklace_keys(a, b, c, d, per, xs, ys, T):
     """int64 keys (t*T + m + T)*T + l of the canonical form (m, l, k) of
-    each necklace among the nodes of one piece whose trace t is at least t0.
+    each necklace among the nodes of one piece, t being its trace.
 
     A word B_0 ... B_(n-1) of blocks B_i = R^(x_i) L^(y_i) is a necklace when
     n % per == 0.  The m < 0 reduced forms of its class are those of its n
@@ -270,7 +267,7 @@ def _necklace_keys(a, b, c, d, per, xs, ys, t0, T):
     """
     n = len(xs)
     t = a + d
-    e = np.flatnonzero((n % per == 0) & (t >= t0))
+    e = np.flatnonzero(n % per == 0)
     m, l, k = -c[e], d[e] - a[e], b[e]
     best = None
     for i in range(n):
@@ -290,15 +287,15 @@ def _necklace_keys(a, b, c, d, per, xs, ys, t0, T):
     return best + (t[e] + 1) * T * T
 
 
-def _necklace_rows(a, b, c, d, per, xs, ys, t0):
+def _necklace_rows(a, b, c, d, per, xs, ys):
     """int32 columns (t, m, k) of rotation 0 (see `_necklace_keys`) of each
-    necklace among the nodes of one piece whose trace t is at least t0.
+    necklace among the nodes of one piece, t being its trace.
 
     Rotation 0 is the word's own form (-c, d - a, b) conjugated by R^(x_0):
     a reduced m < 0 form of the class, so |m| and k are below t.
     """
     t = a + d
-    e = np.flatnonzero((len(xs) % per == 0) & (t >= t0))
+    e = np.flatnonzero(len(xs) % per == 0)
     c, x = c[e], xs[0, e]
     k = b[e] - x * (d[e] - a[e] + x * c)
     return t[e].astype(np.int32), (-c).astype(np.int32), k.astype(np.int32)
@@ -323,11 +320,11 @@ def _word_pieces(T: int):
         stack.append(_word_children(*piece, T))
 
 
-def _word_keys(t0: int, T: int) -> np.ndarray:
+def _word_keys(T: int) -> np.ndarray:
     """Sorted int64 keys (t*T + m + T)*T + l of the canonical forms
-    (m, l, k) of every class of trace 3 <= t0 <= t < T, from one walk of the
-    word tree; every node is walked, those of trace below t0 too."""
-    keys = np.concatenate([_necklace_keys(*piece, t0, T) for piece in _word_pieces(T)])
+    (m, l, k) of every class of trace 3 <= t < T, from one walk of the word
+    tree."""
+    keys = np.concatenate([_necklace_keys(*piece, T) for piece in _word_pieces(T)])
     keys.sort()
     return keys
 
@@ -346,29 +343,27 @@ def _class_rows(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (m, l, k) of every class of trace 3 <= |t| < T, in no particular order:
     the census's rows.
 
-    The columns come from one store per process: a larger T appends the
-    rotation-0 rows (`_necklace_rows`) of the traces it lacks, from one walk
-    of the word tree, so no |t| is listed twice; a smaller T reads the
-    stored rows of trace below it.  T < 4 and T >= 2^21 are refused before
-    the store is touched.
+    The rows of the last bound asked for are kept, so the census of several
+    primes at one T walks the word tree once; any other bound walks it once
+    and replaces them, so a process that alternates between bounds re-walks
+    at each switch.  T < 4, a non-integer T and T >= 2^21 are refused before
+    the kept rows or the walk are reached.
     """
-    global _class_store
-    T = _checked_bound(T)
-    top, *cols = _class_store
-    if T > top:
-        parts = [[col] for col in cols]
-        for piece in _word_pieces(T):
-            for part, col in zip(parts, _necklace_rows(*piece, top)):
-                part.append(col)
-        # one column at a time, each dropping its pieces once joined
-        cols = [np.concatenate(parts.pop(0)) for _ in range(3)]
-        _class_store = (T, *cols)
-    elif T < top:
-        below = cols[0] < T
-        cols = [col[below] for col in cols]
+    return _walked_rows(_checked_bound(T))
+
+
+@lru_cache(maxsize=1)
+def _walked_rows(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the rotation-0 rows (`_necklace_rows`) of one walk of the word tree
+    parts = [[], [], []]
+    for piece in _word_pieces(T):
+        for part, col in zip(parts, _necklace_rows(*piece)):
+            part.append(col)
+    # one column at a time, each dropping its pieces once joined
+    cols = tuple(np.concatenate(parts.pop(0)) for _ in range(3))
     for col in cols:
         col.flags.writeable = False
-    return tuple(cols)
+    return cols
 
 
 def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -381,7 +376,7 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     the walk.
     """
     T = _checked_bound(T)
-    t, rest = np.divmod(_word_keys(3, T), T * T)
+    t, rest = np.divmod(_word_keys(T), T * T)
     m, l = np.divmod(rest, T)
     m -= T
     # k = (l^2 - t^2 + 4) / 4m, the form having discriminant t^2 - 4

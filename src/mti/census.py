@@ -95,10 +95,10 @@ class CensusReport(Checkpoint):
 def census(p: int, T: int) -> CensusReport:
     """Classify every hyperbolic class with |Tr| < T modulo p.
 
-    The classes come from the process-wide class store of `bqf` as columns
-    (|t|, m, k) of one reduced m < 0 form (m, l, k) per class, in no
-    particular order, one row per |t| and class for both trace signs.  Each
-    class gets a code label * 3 + SNF category.  A trace
+    The classes come from `bqf`, which keeps the rows of the last bound
+    asked for, as columns (|t|, m, k) of one reduced m < 0 form (m, l, k)
+    per class, in no particular order, one row per |t| and class for both
+    trace signs.  Each class gets a code label * 3 + SNF category.  A trace
     s != +-2 mod p fixes the code of all its classes; on s = +-2 mod p the
     residues b = k and c = -m fix it: the class is central exactly when
     b = c = 0, which on s = 2 puts it in category 0 and every other class of
@@ -188,29 +188,28 @@ def _class_bins(p: int, bounds: list[int], t, m, k) -> tuple[np.ndarray, np.ndar
 def _legendre_table(p: int, n: int) -> np.ndarray:
     """Legendre symbols mod p of 0 .. n - 1 as int8, mod 2 the residues.
 
-    For p <= n, from one scalar call per residue mod p.  For p > n every
-    0 < v < n is a unit mod p and the symbol is completely multiplicative, so
-    one scalar call per prime q < n does: v is a non-residue exactly when an
-    odd number of the prime powers q^e dividing it have (q/p) = -1.
+    Every 0 < v < min(p, n) is a unit mod p and the symbol is completely
+    multiplicative, so one scalar call per prime q < min(p, n) gives them:
+    v is a non-residue exactly when an odd number of the prime powers q^e
+    dividing it have (q/p) = -1.  For p <= n the symbols of 0 .. p - 1 are
+    repeated mod p.
     """
-    if p <= n:
-        residues = np.array([legendre(v, p) for v in range(p)], np.int8)
-        return residues[np.arange(n) % p]
-    prime = np.ones(n, bool)
+    r = min(p, n)
+    prime = np.ones(r, bool)
     prime[:2] = False
-    for q in range(2, math.isqrt(n - 1) + 1):
+    for q in range(2, math.isqrt(r - 1) + 1):
         if prime[q]:
             prime[q * q :: q] = False
-    odd = np.zeros(n, np.int8)
+    odd = np.zeros(r, np.int8)
     for q in np.flatnonzero(prime).tolist():
         if legendre(q, p) == -1:
             power = q
-            while power < n:
+            while power < r:
                 odd[::power] ^= 1
                 power *= q
     table = 1 - 2 * odd
     table[0] = 0
-    return table
+    return table if p > n else table[np.arange(n) % p]
 
 
 def _snapshot(T: int, pos: np.ndarray, neg: np.ndarray, labels, p: int) -> Checkpoint:

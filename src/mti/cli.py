@@ -146,8 +146,8 @@ def _cmd_classes(args) -> int:
         }
         _emit(args, payload, json.dumps(payload["classes"]))
         return 0
-    # the counts come from the census's class store; only the text listing
-    # walks the word tree, once, for the canonical forms
+    # the counts come from the census's rows; only the text listing walks
+    # the word tree again, once, for the canonical forms
     if args.count_only:
         per_trace = np.bincount(_class_rows(args.tmax)[0], minlength=args.tmax)
         counts = list(enumerate(per_trace[3:].tolist(), 3))
@@ -155,7 +155,7 @@ def _cmd_classes(args) -> int:
         text = "\n".join(f"{t} {c}" for t, c in counts)
         _emit(args, payload, text)
         return 0
-    # each stored row is one class of trace t and one of trace -t
+    # each row is one class of trace t and one of trace -t
     total = 2 * len(_class_rows(args.tmax)[0])
     listing = () if args.json else hyperbolic_classes_below(args.tmax)
     text = "\n".join(f"{rep.trace} {rep.form.as_tuple()} content={rep.primitive_content}" for rep in listing)
@@ -187,7 +187,7 @@ def _cmd_census(args) -> int:
         raise DomainError("--csv - writes the CSV to stdout; write the JSON document with --json-out")
     if len(args.prime) > 1 and (args.csv or args.json or args.json_out):
         raise DomainError("--csv, --json and --json-out name one document: give one --prime")
-    # every census runs before anything is written; they share one class store
+    # every census runs before anything is written; they share one walk
     reports = [census(p, args.tmax) for p in args.prime]
     if args.outdir:
         pathlib.Path(args.outdir).mkdir(parents=True, exist_ok=True)

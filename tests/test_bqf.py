@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from math import gcd, isqrt
 
 import numpy as np
@@ -21,6 +23,7 @@ from mti.bqf import (
     reduce_with_transform,
     reduction_cycle,
 )
+from mti.census import census
 from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
 
 
@@ -294,10 +297,6 @@ def _lattice_class_columns(T: int) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _fresh_store(monkeypatch, top=3):
-    monkeypatch.setattr(bqf, "_class_store", (top, *(np.empty(0, np.int32) for _ in range(3))))
-
-
 def _rows(cols):
     return list(zip(*(col.tolist() for col in cols)))
 
@@ -390,29 +389,28 @@ def test_class_columns_match_oracle():
     assert rows[n:] == [(s, *f) for s in range(2000, 2010) for f in _canonical_cycle_reps(s)]
 
 
-def test_trace_path_equals_store_rows_past_old_sieve_cap(monkeypatch):
+def test_trace_path_equals_store_rows_past_old_sieve_cap():
     # (t^2 - 4)/4 passed the old 8M sieve cap at t = 5657; the one-trace scan,
-    # the listing and the census's store agree on both sides of it
+    # the listing and the census's rows agree on both sides of it
     cols = bqf._class_columns(5665)
     start = int(np.searchsorted(cols[0], 5650))
     rows = _rows(col[start:] for col in cols)
     assert rows == [(t, *f) for t in range(5650, 5665) for f in bqf._trace_reps(t)]
     assert bqf._trace_reps(5657) == [r[1:] for r in rows if r[0] == 5657]
-    _fresh_store(monkeypatch, top=5650)
     t, m, k = bqf._class_rows(5665)
-    assert t.min() == 5650
-    assert _rows(_canonical_of_rows(5665, t, m, k)) == rows
+    above = t >= 5650
+    assert _rows(_canonical_of_rows(5665, t[above], m[above], k[above])) == rows
 
 
 @pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-blocks"])
 def test_class_columns_independent_of_block_splits(size, monkeypatch):
-    # a store grown in steps, or walked in pieces of other sizes, holds the
-    # same rows as one grown in one call, and the listing the same columns
-    _fresh_store(monkeypatch)
+    # rows walked after other bounds, or in pieces of other sizes, are the
+    # same rows as those of one fresh walk, and the listing the same columns
+    bqf._walked_rows.cache_clear()
     whole = _sorted_rows(bqf._class_rows(101))
     listing = _rows(bqf._class_columns(101))
     monkeypatch.setattr(bqf, "_PIECE_NODES", size)
-    _fresh_store(monkeypatch)
+    bqf._walked_rows.cache_clear()
     for T in (60, 100, 101):
         bqf._class_rows(T)
     assert _sorted_rows(bqf._class_rows(101)) == whole
@@ -420,9 +418,10 @@ def test_class_columns_independent_of_block_splits(size, monkeypatch):
 
 
 def test_class_columns_enumerate_each_trace_once(monkeypatch):
-    # the store walks only when a bound passes its top and serves smaller
-    # bounds from its rows; each |t| is stored once, and the rows are one
-    # form of each canonical representative's class
+    # the census of four primes at one bound walks the word tree once; a
+    # repeated bound reads the kept rows, and every other bound walks once
+    # and replaces them; each |t| is listed once, and the rows are one form
+    # of each canonical representative's class
     calls = []
     pieces = bqf._word_pieces
 
@@ -430,13 +429,31 @@ def test_class_columns_enumerate_each_trace_once(monkeypatch):
         calls.append(T)
         return pieces(T)
 
-    _fresh_store(monkeypatch)
+    bqf._walked_rows.cache_clear()
     monkeypatch.setattr(bqf, "_word_pieces", counted)
-    for T in (60, 100, 40, 100, 101):
+    for p in (2, 3, 5, 7):
+        census(p, 500)
+    assert calls == [500]
+    calls.clear()
+    for T in (60, 60, 100, 40, 40, 100, 101):
         rows = _rows(_canonical_of_rows(T, *bqf._class_rows(T)))
         assert rows == [(s, *f) for s in range(3, T) for f in _canonical_cycle_reps(s)], T
-    assert calls == [60, 100, 101]
-    assert bqf._class_store[0] == 101
+    assert calls == [60, 100, 40, 100, 101]
+    bqf._class_rows(101)
+    assert calls == [60, 100, 40, 100, 101]
+    assert bqf._walked_rows.cache_info().currsize == 1
+
+
+def test_rows_of_a_larger_bound_are_dropped_for_a_smaller_one():
+    # only the rows of the last bound are kept: once a smaller bound is
+    # asked for, nothing holds the larger bound's rows for the process
+    bqf._walked_rows.cache_clear()
+    t = bqf._class_rows(2010)[0]
+    ref = weakref.ref(t)
+    del t
+    bqf._class_rows(60)
+    gc.collect()
+    assert ref() is None
 
 
 def _assert_store_equals_lattice_oracle(T):
@@ -452,20 +469,20 @@ def _assert_store_equals_lattice_oracle(T):
     assert all(np.array_equal(col, want) for col, want in zip(canonical, oracle, strict=True)), T
 
 
-def test_word_store_equals_lattice_oracle(monkeypatch):
+def test_word_store_equals_lattice_oracle():
     # the word tree's columns are those of the lattice listing and
-    # min-doubling, for a fresh store at every bound
+    # min-doubling, for a fresh walk at every bound
     for T in [*range(4, 121), 500, 2010]:
-        _fresh_store(monkeypatch)
+        bqf._walked_rows.cache_clear()
         _assert_store_equals_lattice_oracle(T)
 
 
 @pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
 def test_word_store_grown_in_steps_equals_lattice_oracle(size, monkeypatch):
-    # a store grown up and down in steps, walked in pieces of either size,
-    # serves every bound the oracle's classes
+    # bounds asked for up and down in steps, walked in pieces of either
+    # size, get the oracle's classes
     monkeypatch.setattr(bqf, "_PIECE_NODES", size)
-    _fresh_store(monkeypatch)
+    bqf._walked_rows.cache_clear()
     for T in (60, 100, 40, 100, 101, 500):
         _assert_store_equals_lattice_oracle(T)
 
@@ -478,17 +495,17 @@ def test_rotation_zero_is_in_the_cycle_of_its_necklace(T):
     # (-c, d - a, b), read with l > 0, would be a form of the reversed word's
     # class
     for piece in bqf._word_pieces(T):
-        t, rest = np.divmod(bqf._necklace_keys(*piece, 3, T), T * T)
+        t, rest = np.divmod(bqf._necklace_keys(*piece, T), T * T)
         m, l = np.divmod(rest, T)
-        got = _cycle_minima_of_rows(T, *bqf._necklace_rows(*piece, 3))
+        got = _cycle_minima_of_rows(T, *bqf._necklace_rows(*piece))
         assert all(np.array_equal(g, w) for g, w in zip(got[:3], (t, m - T, l), strict=True))
 
 
-def test_store_rows_are_reduced_forms_below_their_trace(monkeypatch):
-    # every stored row is a reduced form with m < 0 < k and |m|, k < |t|
-    # (the census's coefficient tables rely on it), and each |t| holds as
-    # many rows as the listing has classes
-    _fresh_store(monkeypatch)
+def test_store_rows_are_reduced_forms_below_their_trace():
+    # every row is a reduced form with m < 0 < k and |m|, k < |t| (the
+    # census's coefficient tables rely on it), and each |t| holds as many
+    # rows as the listing has classes
+    bqf._walked_rows.cache_clear()
     t, m, k = bqf._class_rows(2010)
     assert ((m < 0) & (0 < k)).all()
     assert ((-m < t) & (k < t)).all()
@@ -498,11 +515,11 @@ def test_store_rows_are_reduced_forms_below_their_trace(monkeypatch):
     assert all(is_reduced(QuadForm(*f)) for f in _rows(forms))
 
 
-def test_word_walk_keeps_larger_blocks_past_an_overshooting_reference(monkeypatch):
+def test_word_walk_keeps_larger_blocks_past_an_overshooting_reference():
     # a node whose reference block (rx, ry) already reaches T can still take
     # (rx + 1, 1): a walk that stopped at x' = rx there lost 196 of the 4177
     # classes below T = 200
-    _fresh_store(monkeypatch)
+    bqf._walked_rows.cache_clear()
     for t in (bqf._class_columns(200)[0], bqf._class_rows(200)[0]):
         assert len(t) == 4177
         assert np.bincount(t, minlength=200)[3:].tolist() == [class_count_with_trace(s) for s in range(3, 200)]
@@ -640,18 +657,19 @@ def _all_sl2_with_trace(t, bound):
 
 def test_class_listing_refuses_bad_bounds_at_the_call():
     # one check owns the trace bound: T < 4, a float and T >= 2^21 are
-    # refused when the listing or the store is asked for, not at the first
-    # class, and the store is left as it was
-    before = bqf._class_store
+    # refused when the listing or the rows are asked for, not at the first
+    # class, and the kept rows are left as they were: no hit, no miss
+    bqf._class_rows(60)
+    before = bqf._walked_rows.cache_info()
     for T, error in ((3, ValueError), (60.0, TypeError), (2**21, ValueError)):
         for call in (bqf.hyperbolic_classes_below, bqf._class_columns, bqf._class_rows):
             with pytest.raises(error):
                 call(T)
-            assert bqf._class_store is before, T
+            assert bqf._walked_rows.cache_info() == before, T
     for call in (bqf._class_columns, bqf._class_rows):
         with pytest.raises(ValueError, match="T must be at least 4"):
             call(3)
-    assert bqf._class_store is before
+    assert bqf._walked_rows.cache_info() == before
 
 
 def test_completeness_small_trace():

@@ -267,11 +267,13 @@ def test_class_codes_match_per_class_oracle(p):
     assert len(pos) == rep.total_pos
 
 
-@pytest.mark.parametrize("p", [2**63 - 25, 2**61 - 1, 10007])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 1009, 10007, 2**61 - 1, 2**63 - 25])
 def test_legendre_table_past_the_bound_matches_scalar_legendre(p):
-    # for p > n the table multiplies the symbols of the primes below n;
-    # n = 1 .. 3 hold no or one prime, 2^11 and 3001 reach prime powers
-    # (2^11, 3^7, 7^4, 13^3, 53^2) and composites of many non-residues
+    # the table multiplies the symbols of the primes below min(p, n), and
+    # for p <= n repeats them mod p (mod 2, the residues); n = 1 .. 3 hold
+    # no or one prime, 2^11 and 3001 reach prime powers (2^11, 3^7, 7^4,
+    # 13^3, 53^2) and composites of many non-residues, and p = 1009 has
+    # them below p
     for n in (1, 2, 3, 4, 100, 2**11, 3001):
         table = _legendre_table(p, n)
         assert table.dtype == np.int8
@@ -398,11 +400,11 @@ def test_census_checkpoints_equal_smaller_censuses(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_census_independent_of_store_history(p, monkeypatch):
-    # a census reads the same bytes from a fresh class store, from one that
-    # holds a larger bound, and from one it extends
+def test_census_independent_of_store_history(p):
+    # a census reads the same bytes after a fresh start, and after the rows
+    # of a larger or a smaller bound were kept
     def outputs(T, stored=None):
-        monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int32) for _ in range(3))))
+        bqf._walked_rows.cache_clear()
         if stored:
             bqf._class_rows(stored)
         rep = census(p, T)
@@ -414,13 +416,11 @@ def test_census_independent_of_store_history(p, monkeypatch):
         assert outputs(T, stored=smaller) == fresh, T
 
 
-def test_non_integer_bound_leaves_the_store_intact(monkeypatch):
-    # a float bound is refused before it reaches the class store, so a later
-    # census still reads int32 columns; any integer type gives the same report
-    def fresh_store():
-        monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int32) for _ in range(3))))
-
-    fresh_store()
+def test_non_integer_bound_leaves_the_store_intact():
+    # a float bound is refused before it reaches the kept rows (no hit, no
+    # miss), so a later census still reads int32 columns; any integer type
+    # gives the same report
+    bqf._walked_rows.cache_clear()
     fresh = repr(census(3, 100))
     calls = (
         lambda: census(3, 60.0),
@@ -429,34 +429,36 @@ def test_non_integer_bound_leaves_the_store_intact(monkeypatch):
         lambda: bqf._class_rows(60.0),
     )
     for call in calls:
-        fresh_store()
+        bqf._walked_rows.cache_clear()
+        before = bqf._walked_rows.cache_info()
         with pytest.raises(TypeError):
             call()
-        assert bqf._class_store[0] == 3
+        assert bqf._walked_rows.cache_info() == before
         assert repr(census(3, 100)) == fresh
-        assert all(col.dtype == np.int32 for col in bqf._class_store[1:])
+        assert all(col.dtype == np.int32 for col in bqf._class_rows(100))
     assert repr(census(3, np.int64(100))) == fresh
     assert type(census(3, np.int64(100)).T) is int
 
 
 def test_census_normalizes_the_prime():
     # any integer type gives the report of the int; a float is refused
-    # before the class store is touched
+    # before the kept rows are reached
     assert repr(census(np.int64(3), 10)) == repr(census(3, 10))
-    before = bqf._class_store
+    before = bqf._walked_rows.cache_info()
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         census(3.0, 10**4)
-    assert bqf._class_store is before
+    assert bqf._walked_rows.cache_info() == before
 
 
 def test_bounds_past_the_key_range_leave_the_store_intact(monkeypatch):
     # at T = 2^21 the listing's keys (t*T + m + T)*T + l overflow int64:
-    # every entry point refuses it before a walk starts or the store changes
+    # every entry point refuses it before a walk starts or the kept rows are
+    # reached
     def no_walk(*args):
         raise AssertionError("walked the word tree")
 
     monkeypatch.setattr(bqf, "_word_pieces", no_walk)
-    before = bqf._class_store
+    before = bqf._walked_rows.cache_info()
     calls = (
         lambda: census(3, 2**21),
         lambda: next(hyperbolic_classes_below(2**21)),
@@ -466,7 +468,7 @@ def test_bounds_past_the_key_range_leave_the_store_intact(monkeypatch):
     for call in calls:
         with pytest.raises(ValueError, match="below 2\\^21"):
             call()
-        assert bqf._class_store is before
+        assert bqf._walked_rows.cache_info() == before
 
 
 def test_census_rejects_primes_past_int64():

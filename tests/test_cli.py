@@ -3,7 +3,6 @@ import json
 import pathlib
 import shlex
 
-import numpy as np
 import pytest
 
 from mti import bqf
@@ -122,19 +121,19 @@ def test_classes_refuses_trace_with_tmax_or_count_only(argv, capsys):
     "extra, walks", [((), 1), (("--json",), 0), (("--count-only",), 0), (("--count-only", "--json"), 0)]
 )
 def test_classes_tmax_walks_the_listing_at_most_once(extra, walks, monkeypatch, capsys):
-    # the counts and the total come from the census's class store; only the
-    # text listing walks the word tree for the canonical forms, once
+    # the counts and the total come from the census's rows; only the text
+    # listing walks the word tree for the canonical forms, once
     calls = []
     keys = bqf._word_keys
 
-    def counted(t0, T):
-        calls.append((t0, T))
-        return keys(t0, T)
+    def counted(T):
+        calls.append(T)
+        return keys(T)
 
-    monkeypatch.setattr(bqf, "_class_store", (3, *(np.empty(0, np.int32) for _ in range(3))))
+    bqf._walked_rows.cache_clear()
     monkeypatch.setattr(bqf, "_word_keys", counted)
     assert _capture(capsys, ["classes", "--tmax", "60", *extra])[0] == 0
-    assert calls == [(3, 60)] * walks
+    assert calls == [60] * walks
 
 
 def test_census_csv_stdout(capsys):
