@@ -13,13 +13,15 @@ R^x L^y (x, y >= 1) of R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]]
 (Series, J. London Math. Soc. 31, 1985), periodic words being the
 imprimitive classes; one such word per class is walked as a necklace of
 the Fredricksen-Kessler-Maiorana prenecklace tree (Ruskey-Savage-Wang,
-J. Algorithms 13, 1992), pruned by trace.  The census's rows are one
-reduced m < 0 form of each necklace's class, unsorted, kept for the last
-bound asked for only; the listings take the smallest m < 0 form over the
-necklace's rotations as the class's canonical form, and sort.  A single
-trace is listed on its own: its m > 0 reduced forms are scanned, and each
-rho-cycle is walked once, two rho steps at a time, keeping the smallest
-m < 0 form it steps over.
+J. Algorithms 13, 1992), pruned by trace.  The tree is walked by runs:
+the children appending (x', y') for one x' are linear in y', and only
+those that can have children are built as nodes.  The census's rows are
+one reduced m < 0 form of each necklace's class, read off the runs,
+unsorted, kept for the last bound asked for only; the listings build each
+run's necklaces, take the smallest m < 0 form over their rotations as the
+class's canonical form, and sort.  A single trace is listed on its own:
+its m > 0 reduced forms are scanned, and each rho-cycle is walked once,
+two rho steps at a time, keeping the smallest m < 0 form it steps over.
 
 All square-root comparisons are exact (squares are compared, never floats).
 """
@@ -39,8 +41,8 @@ from .sl2 import Sl2Matrix
 # the trace bound past which the listing's keys (t*T + m + T)*T + l
 # overflow int64
 _MAX_T = 1 << 21
-# new nodes per piece of the word-tree walk: bounds the working set of one
-# step of the walk
+# children per chunk of runs of the word-tree walk: bounds the working set
+# of one step of the walk
 _PIECE_NODES = 1 << 13
 
 
@@ -225,30 +227,34 @@ def _word_pairs(a, b, c, d, per, xs, ys, T):
     return node, x, y0, same, a, c, u, v, ny
 
 
-def _word_children(a, b, c, d, per, xs, ys, T):
-    """Yield the children below trace T of one piece of prenecklace nodes
-    (see `_word_pairs`), in pieces of at most _PIECE_NODES nodes (or one
-    y-run), each from one np.repeat pass over the pairs."""
-    n = len(xs)
-    node, x, y0, same, a, c, u, v, ny = _word_pairs(a, b, c, d, per, xs, ys, T)
-    ends = np.cumsum(ny)
-    y_off = y0 - ends + ny
+def _word_runs(a, b, c, d, per, xs, ys, T):
+    """Yield the (node, x') runs below trace T of one piece of nodes (see
+    `_word_pairs`) in chunks of at most _PIECE_NODES children (or one run):
+    the nodes' blocks xs, ys and the runs' node, x, y0, same, a, c, u, v, ny."""
+    pairs = _word_pairs(a, b, c, d, per, xs, ys, T)
+    ends = np.cumsum(pairs[-1])
     lo = 0
-    while lo < len(ny):
+    while lo < len(ends):
         done = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, done + _PIECE_NODES, "right")))
-        pair = np.repeat(np.arange(lo, hi), ny[lo:hi])
+        yield xs, ys, *(col[lo:hi] for col in pairs)
         lo = hi
-        if not len(pair):
-            continue
-        y = np.arange(done, done + len(pair)) + y_off[pair]
-        parent, up, vp = node[pair], u[pair], v[pair]
-        per_child = np.where(y == y0[pair], same[pair], n + 1)
-        xs_child = np.empty((n + 1, len(pair)), np.int32)
-        ys_child = np.empty((n + 1, len(pair)), np.int32)
-        xs_child[:n], xs_child[n] = xs[:, parent], x[pair]
-        ys_child[:n], ys_child[n] = ys[:, parent], y
-        yield a[pair] + y * up, up, c[pair] + y * vp, vp, per_child, xs_child, ys_child
+
+
+def _run_children(xs, ys, node, x, y0, same, a, c, u, v, ny):
+    """The children y' = y0 .. y0 + ny - 1 of each run of a chunk as a piece
+    of nodes (a, b, c, d, per, xs, ys): [[a + y'u, u], [c + y'v, v]], period
+    same at y0 and n + 1 past it, blocks (x', y') appended."""
+    n = len(xs)
+    pair = np.repeat(np.arange(len(ny)), ny)
+    y = np.arange(len(pair)) - (np.cumsum(ny) - ny - y0)[pair]
+    parent, up, vp = node[pair], u[pair], v[pair]
+    per = np.where(y == y0[pair], same[pair], n + 1)
+    xs_child = np.empty((n + 1, len(pair)), np.int32)
+    ys_child = np.empty((n + 1, len(pair)), np.int32)
+    xs_child[:n], xs_child[n] = xs[:, parent], x[pair]
+    ys_child[:n], ys_child[n] = ys[:, parent], y
+    return a[pair] + y * up, up, c[pair] + y * vp, vp, per, xs_child, ys_child
 
 
 def _necklace_keys(a, b, c, d, per, xs, ys, T):
@@ -287,44 +293,52 @@ def _necklace_keys(a, b, c, d, per, xs, ys, T):
     return best + (t[e] + 1) * T * T
 
 
-def _necklace_rows(a, b, c, d, per, xs, ys):
+def _necklace_rows(xs, ys, node, x, y0, same, a, c, u, v, ny):
     """int32 columns (t, m, k) of rotation 0 (see `_necklace_keys`) of each
-    necklace among the nodes of one piece, t being its trace.
+    necklace among the children of one chunk of runs, t being its trace.
 
-    Rotation 0 is the word's own form (-c, d - a, b) conjugated by R^(x_0):
-    a reduced m < 0 form of the class, so |m| and k are below t.
-    """
-    t = a + d
-    e = np.flatnonzero(len(xs) % per == 0)
-    c, x = c[e], xs[0, e]
-    k = b[e] - x * (d[e] - a[e] + x * c)
-    return t[e].astype(np.int32), (-c).astype(np.int32), k.astype(np.int32)
+    Rotation 0, the word's own form (-c, d - a, b) conjugated by R^(x_0), is
+    a reduced m < 0 form of the class, so |m| and k are below t.  Along a
+    run it is linear in y': (a + v, -c, u - x0(v - a + x0 c)) plus y' times
+    (u, -v, x0(u - x0 v)).  Only a y0 child of period same can fail to be a
+    necklace, so no child's blocks are built."""
+    x0 = xs[0, node] if len(xs) else x
+    skip = (ny > 0) & ((len(xs) + 1) % same != 0)
+    y0, ny = y0 + skip, ny - skip
+    y = np.arange(ny.sum()) - np.repeat(np.cumsum(ny) - ny - y0, ny)
+    lines = ((a + v, u), (-c, -v), (u - x0 * (v - a + x0 * c), x0 * (u - x0 * v)))
+    return tuple((np.repeat(c0, ny) + y * np.repeat(c1, ny)).astype(np.int32) for c0, c1 in lines)
 
 
 def _word_pieces(T: int):
-    """Yield every piece of nodes below trace T of the prenecklace tree of
-    block words (see `_word_children`), depth-first from the empty word.
+    """Yield every chunk of runs below trace T of the prenecklace tree of
+    block words (see `_word_runs`), depth-first from the empty word.
 
     The trace grows with every block appended and with x and y, so the
-    subtrees cut off at T hold no class below it.
+    subtrees cut off at T hold no class below it.  A node's smallest child
+    M RL has trace 2a + b + c + d, so of each run only the prefix with
+    y'(2u + v) < T - 2a - u - c - v, which can have children, becomes nodes.
     """
     one = np.ones(1, np.int64)
     no_blocks = np.empty((0, 1), np.int32)
-    stack = [_word_children(one, 0 * one, 0 * one, one, one, no_blocks, no_blocks, T)]
+    stack = [_word_runs(one, 0 * one, 0 * one, one, one, no_blocks, no_blocks, T)]
     while stack:
-        piece = next(stack[-1], None)
-        if piece is None:
+        chunk = next(stack[-1], None)
+        if chunk is None:
             stack.pop()
             continue
-        yield piece
-        stack.append(_word_children(*piece, T))
+        yield chunk
+        y0, _, a, c, u, v, ny = chunk[4:]
+        fit = np.clip((T - 1 - 2 * a - u - c - v) // (2 * u + v) - y0 + 1, 0, ny)
+        if fit.any():
+            stack.append(_word_runs(*_run_children(*chunk[:-1], fit), T))
 
 
 def _word_keys(T: int) -> np.ndarray:
     """Sorted int64 keys (t*T + m + T)*T + l of the canonical forms
     (m, l, k) of every class of trace 3 <= t < T, from one walk of the word
     tree."""
-    keys = np.concatenate([_necklace_keys(*piece, T) for piece in _word_pieces(T)])
+    keys = np.concatenate([_necklace_keys(*_run_children(*chunk), T) for chunk in _word_pieces(T)])
     keys.sort()
     return keys
 
@@ -344,20 +358,21 @@ def _class_rows(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the census's rows.
 
     The rows of the last bound asked for are kept, so the census of several
-    primes at one T walks the word tree once; any other bound walks it once
-    and replaces them, so a process that alternates between bounds re-walks
-    at each switch.  T < 4, a non-integer T and T >= 2^21 are refused before
-    the kept rows or the walk are reached.
+    primes at one T walks the word tree once; any other bound drops them and
+    walks once, so a process that alternates between bounds re-walks at each
+    switch, and two bounds' rows are never held at once.  T < 4, a
+    non-integer T and T >= 2^21 are refused before the kept rows or the walk.
     """
     return _walked_rows(_checked_bound(T))
 
 
 @lru_cache(maxsize=1)
 def _walked_rows(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # the rotation-0 rows (`_necklace_rows`) of one walk of the word tree
+    # the rotation-0 rows (`_necklace_rows`) of one walk, the last bound's rows dropped first
+    _walked_rows.cache_clear()
     parts = [[], [], []]
-    for piece in _word_pieces(T):
-        for part, col in zip(parts, _necklace_rows(*piece)):
+    for chunk in _word_pieces(T):
+        for part, col in zip(parts, _necklace_rows(*chunk)):
             part.append(col)
     # one column at a time, each dropping its pieces once joined
     cols = tuple(np.concatenate(parts.pop(0)) for _ in range(3))

@@ -297,6 +297,64 @@ def _lattice_class_columns(T: int) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
+# The walk the run-wise walk replaced, kept verbatim as its oracle, the
+# piece size made a constant: every node below T materialized with its
+# matrix, period and blocks (`bqf._word_pairs` lists their runs), and the
+# rows of rotation 0 read node by node.
+
+_NODE_PIECE = 1 << 13
+
+
+def _word_children(a, b, c, d, per, xs, ys, T):
+    n = len(xs)
+    node, x, y0, same, a, c, u, v, ny = bqf._word_pairs(a, b, c, d, per, xs, ys, T)
+    ends = np.cumsum(ny)
+    y_off = y0 - ends + ny
+    lo = 0
+    while lo < len(ny):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _NODE_PIECE, "right")))
+        pair = np.repeat(np.arange(lo, hi), ny[lo:hi])
+        lo = hi
+        if not len(pair):
+            continue
+        y = np.arange(done, done + len(pair)) + y_off[pair]
+        parent, up, vp = node[pair], u[pair], v[pair]
+        per_child = np.where(y == y0[pair], same[pair], n + 1)
+        xs_child = np.empty((n + 1, len(pair)), np.int32)
+        ys_child = np.empty((n + 1, len(pair)), np.int32)
+        xs_child[:n], xs_child[n] = xs[:, parent], x[pair]
+        ys_child[:n], ys_child[n] = ys[:, parent], y
+        yield a[pair] + y * up, up, c[pair] + y * vp, vp, per_child, xs_child, ys_child
+
+
+def _node_rows(a, b, c, d, per, xs, ys):
+    t = a + d
+    e = np.flatnonzero(len(xs) % per == 0)
+    c, x = c[e], xs[0, e]
+    k = b[e] - x * (d[e] - a[e] + x * c)
+    return t[e].astype(np.int32), (-c).astype(np.int32), k.astype(np.int32)
+
+
+def _node_pieces(T):
+    one = np.ones(1, np.int64)
+    no_blocks = np.empty((0, 1), np.int32)
+    stack = [_word_children(one, 0 * one, 0 * one, one, one, no_blocks, no_blocks, T)]
+    while stack:
+        piece = next(stack[-1], None)
+        if piece is None:
+            stack.pop()
+            continue
+        yield piece
+        stack.append(_word_children(*piece, T))
+
+
+def _row_multiset(cols):
+    # the rows (t, m, k) in one canonical order, as one int64 array
+    rows = np.stack(cols).astype(np.int64)
+    return rows[:, np.lexsort(rows[::-1])]
+
+
 def _rows(cols):
     return list(zip(*(col.tolist() for col in cols)))
 
@@ -456,6 +514,25 @@ def test_rows_of_a_larger_bound_are_dropped_for_a_smaller_one():
     assert ref() is None
 
 
+def test_rows_of_the_last_bound_are_dropped_before_a_new_walk(monkeypatch):
+    # the kept rows are released when a new bound misses, before its walk
+    # starts, so the two bounds' rows never coexist
+    bqf._walked_rows.cache_clear()
+    ref = weakref.ref(bqf._class_rows(2010)[0])
+    alive = []
+    pieces = bqf._word_pieces
+
+    def checked(T):
+        gc.collect()
+        alive.append(ref() is not None)
+        return pieces(T)
+
+    monkeypatch.setattr(bqf, "_word_pieces", checked)
+    bqf._class_rows(2011)
+    assert alive == [False]
+    assert bqf._walked_rows.cache_info().currsize == 1
+
+
 def _assert_store_equals_lattice_oracle(T):
     # the listing's columns, and the canonical forms of the store's rows,
     # are the oracle's columns
@@ -489,16 +566,49 @@ def test_word_store_grown_in_steps_equals_lattice_oracle(size, monkeypatch):
 
 @pytest.mark.parametrize("T", [101, 500])
 def test_rotation_zero_is_in_the_cycle_of_its_necklace(T):
-    # node by node, the stored row of each necklace (rotation 0) is a form of
-    # the class whose canonical form the listing takes from the same node,
-    # not only of some class of the listing: a row of the word's own form
-    # (-c, d - a, b), read with l > 0, would be a form of the reversed word's
-    # class
-    for piece in bqf._word_pieces(T):
-        t, rest = np.divmod(bqf._necklace_keys(*piece, T), T * T)
+    # chunk by chunk, the row of each necklace (rotation 0, read off its run)
+    # is a form of the class whose canonical form the listing takes from the
+    # same child, not only of some class of the listing: a row of the word's
+    # own form (-c, d - a, b), read with l > 0, would be a form of the
+    # reversed word's class
+    for chunk in bqf._word_pieces(T):
+        t, rest = np.divmod(bqf._necklace_keys(*bqf._run_children(*chunk), T), T * T)
         m, l = np.divmod(rest, T)
-        got = _cycle_minima_of_rows(T, *bqf._necklace_rows(*piece))
+        got = _cycle_minima_of_rows(T, *bqf._necklace_rows(*chunk))
         assert all(np.array_equal(g, w) for g, w in zip(got[:3], (t, m - T, l), strict=True))
+
+
+@pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
+def test_run_rows_equal_node_walk(size, monkeypatch):
+    # the rows read off the runs are the node walk's rows, as multisets, at
+    # every bound and in chunks of either size
+    monkeypatch.setattr(bqf, "_PIECE_NODES", size)
+    for T in [*range(4, 121), 500, 2010]:
+        bqf._walked_rows.cache_clear()
+        parts = zip(*(_node_rows(*piece) for piece in _node_pieces(T)))
+        want = _row_multiset([np.concatenate(part) for part in parts])
+        assert np.array_equal(_row_multiset(bqf._class_rows(T)), want), T
+
+
+def test_walk_materializes_only_nodes_that_can_have_children(monkeypatch):
+    # a node's smallest child has trace 2a + b + c + d, so the walk builds
+    # no node that reaches T there: at T = 500 it builds 4118 of the 23468
+    # children, where the node walk built all of them (1959 have a child)
+    nodes = []
+    pairs = bqf._word_pairs
+
+    def counted(a, b, c, d, per, xs, ys, T):
+        nodes.append((len(xs), 2 * a + b + c + d))
+        return pairs(a, b, c, d, per, xs, ys, T)
+
+    monkeypatch.setattr(bqf, "_word_pairs", counted)
+    for T in [*range(4, 121), 500, 2010]:
+        nodes.clear()
+        children = sum(int(chunk[-1].sum()) for chunk in bqf._word_pieces(T))
+        assert all((low < T).all() for _, low in nodes), T
+        if T == 500:
+            assert children == 23468
+            assert sum(len(low) for n, low in nodes if n) <= 4118
 
 
 def test_store_rows_are_reduced_forms_below_their_trace():
