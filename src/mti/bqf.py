@@ -15,11 +15,12 @@ imprimitive classes; one such word per class is walked as a necklace of
 the Fredricksen-Kessler-Maiorana prenecklace tree (Ruskey-Savage-Wang,
 J. Algorithms 13, 1992), pruned by trace.  The tree is walked by runs:
 the children appending (x', y') for one x' are linear in y', and only
-those that can have children are built as nodes.  The census's rows are
-one reduced m < 0 form of each necklace's class, read off the runs,
-unsorted, kept for the last bound asked for only; the listings build each
-run's necklaces, take the smallest m < 0 form over their rotations as the
-class's canonical form, and sort.  A single trace is listed on its own:
+those that can have children are built as nodes.  Every rotation of a
+run's necklaces is a line in y' too, so both outputs are read off the
+runs: the census's rows are rotation 0, one reduced m < 0 form of each
+class, unsorted, kept for the last bound asked for only; the listings take
+the smallest m < 0 form over the rotations as the class's canonical form,
+and sort.  A single trace is listed on its own:
 its m > 0 reduced forms are scanned, and each rho-cycle is walked once,
 two rho steps at a time, keeping the smallest m < 0 form it steps over.
 
@@ -257,57 +258,67 @@ def _run_children(xs, ys, node, x, y0, same, a, c, u, v, ny):
     return a[pair] + y * up, up, c[pair] + y * vp, vp, per, xs_child, ys_child
 
 
-def _necklace_keys(a, b, c, d, per, xs, ys, T):
-    """int64 keys (t*T + m + T)*T + l of the canonical form (m, l, k) of
-    each necklace among the nodes of one piece, t being its trace.
+def _rotation_zero(xs, ys, node, x, y0, same, a, c, u, v, ny):
+    """The necklaces among the children of one chunk of runs, and their
+    rotation 0 as lines in y': the number of necklaces in each run, each
+    necklace's y', and per run the pairs (c0, c1) of t, m, l and k, a
+    necklace's coefficient being c0 + y'c1 of its run.
 
     A word B_0 ... B_(n-1) of blocks B_i = R^(x_i) L^(y_i) is a necklace when
-    n % per == 0.  The m < 0 reduced forms of its class are those of its n
-    rotations L^(y_i) B_(i+1) ... B_(i-1) R^(x_i) that start at an L-run,
-    the form of [[al, be], [ga, de]] being (-ga, de - al, be), and the
-    canonical form is the smallest of them.  Rotation 0 is the word's own
-    form (-c, d - a, b) conjugated by R^(x_0), and rotation i is rotation
-    i - 1 conjugated by L^(y_(i-1)) and then by R^(x_i); on forms these are
-    (m, l, k) -> (m - y(l - yk), l - 2yk, k) and
-    (m, l, k) -> (m, l - 2xm, k - x(l - xm)).
+    n % per == 0, so only a y0 child of period same can fail.  Rotation 0,
+    the word's own form (-c, d - a, b) conjugated by R^(x_0), is a reduced
+    m < 0 form of the class, so |m|, l and k are below t; for the child
+    [[a + y'u, u], [c + y'v, v]] it is (-c, w + x0 c, u - x0 w) plus y'
+    times (-v, 2x0 v - u, x0(u - x0 v)), with w = v - a + x0 c.
     """
-    n = len(xs)
-    t = a + d
-    e = np.flatnonzero(n % per == 0)
-    m, l, k = -c[e], d[e] - a[e], b[e]
-    best = None
-    for i in range(n):
-        if i:
-            y = ys[i - 1, e]
-            yk = y * k
-            l = l - yk
-            m = m - y * l
-            l = l - yk
-        x = xs[i, e]
-        xm = x * m
-        l = l - xm
-        k = k - x * l
-        l = l - xm
-        key = m * T + l
-        best = key if best is None else np.minimum(best, key)
-    return best + (t[e] + 1) * T * T
-
-
-def _necklace_rows(xs, ys, node, x, y0, same, a, c, u, v, ny):
-    """int32 columns (t, m, k) of rotation 0 (see `_necklace_keys`) of each
-    necklace among the children of one chunk of runs, t being its trace.
-
-    Rotation 0, the word's own form (-c, d - a, b) conjugated by R^(x_0), is
-    a reduced m < 0 form of the class, so |m| and k are below t.  Along a
-    run it is linear in y': (a + v, -c, u - x0(v - a + x0 c)) plus y' times
-    (u, -v, x0(u - x0 v)).  Only a y0 child of period same can fail to be a
-    necklace, so no child's blocks are built."""
     x0 = xs[0, node] if len(xs) else x
     skip = (ny > 0) & ((len(xs) + 1) % same != 0)
     y0, ny = y0 + skip, ny - skip
     y = np.arange(ny.sum()) - np.repeat(np.cumsum(ny) - ny - y0, ny)
-    lines = ((a + v, u), (-c, -v), (u - x0 * (v - a + x0 * c), x0 * (u - x0 * v)))
-    return tuple((np.repeat(c0, ny) + y * np.repeat(c1, ny)).astype(np.int32) for c0, c1 in lines)
+    w = v - a + x0 * c
+    lines = ((a + v, u), (-c, -v), (w + x0 * c, 2 * x0 * v - u), (u - x0 * w, x0 * (u - x0 * v)))
+    return ny, y, lines
+
+
+def _necklace_rows(*chunk):
+    """int32 columns (t, m, k) of rotation 0 (`_rotation_zero`) of each
+    necklace among the children of one chunk of runs, t being its trace;
+    no child's blocks are built."""
+    ny, y, (t, m, _, k) = _rotation_zero(*chunk)
+    return tuple((np.repeat(c0, ny) + y * np.repeat(c1, ny)).astype(np.int32) for c0, c1 in (t, m, k))
+
+
+def _necklace_keys(xs, ys, node, x, y0, same, a, c, u, v, ny, T):
+    """int64 keys (t*T + m + T)*T + l of the canonical form (m, l, k) of
+    each necklace among the children of one chunk of runs, t being its
+    trace.
+
+    The m < 0 reduced forms of a necklace's class are those of its n
+    rotations L^(y_i) B_(i+1) ... B_(i-1) R^(x_i) that start at an L-run,
+    the form of [[al, be], [ga, de]] being (-ga, de - al, be), and the
+    canonical form is the smallest of them.  Rotation i is rotation i - 1
+    conjugated by L^(y_(i-1)) and then by R^(x_i); on forms these are the
+    linear maps (m, l, k) -> (m - y(l - yk), l - 2yk, k) and
+    (m, l, k) -> (m, l - 2xm, k - x(l - xm)).  A child of n + 1 blocks
+    steps through rotations 1 ... n with its parent's blocks and its own
+    x', never its y', so every rotation is a line in y' stepped per run
+    from rotation 0 (`_rotation_zero`), and only the key m*T + l is read
+    per child.  A line's value at y' = 0 may be far larger than any child's;
+    int64 arithmetic is exact mod 2^64, so each child's key, which fits, is.
+    """
+    ny, y, (t, m, l, k) = _rotation_zero(xs, ys, node, x, y0, same, a, c, u, v, ny)
+    run = np.repeat(np.arange(len(ny)), ny)
+    m, l, k = (np.array(line) for line in (m, l, k))
+    key = m * T + l
+    best = key[0, run] + y * key[1, run]
+    n = len(xs)
+    for i in range(1, n + 1):
+        yb, xb = ys[i - 1, node], xs[i, node] if i < n else x
+        m, l = m - yb * (l - yb * k), l - 2 * yb * k
+        l, k = l - 2 * xb * m, k - xb * (l - xb * m)
+        key = m * T + l
+        best = np.minimum(best, key[0, run] + y * key[1, run])
+    return best + (t[0][run] + y * t[1][run] + 1) * T * T
 
 
 def _word_pieces(T: int):
@@ -332,15 +343,6 @@ def _word_pieces(T: int):
         fit = np.clip((T - 1 - 2 * a - u - c - v) // (2 * u + v) - y0 + 1, 0, ny)
         if fit.any():
             stack.append(_word_runs(*_run_children(*chunk[:-1], fit), T))
-
-
-def _word_keys(T: int) -> np.ndarray:
-    """Sorted int64 keys (t*T + m + T)*T + l of the canonical forms
-    (m, l, k) of every class of trace 3 <= t < T, from one walk of the word
-    tree."""
-    keys = np.concatenate([_necklace_keys(*_run_children(*chunk), T) for chunk in _word_pieces(T)])
-    keys.sort()
-    return keys
 
 
 def _checked_bound(T) -> int:
@@ -386,12 +388,14 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     of every trace 3 <= |t| < T, sorted by |t| and then by form: the
     listings' rows.
 
-    Each call walks the word tree once (`_word_keys`) and decodes the
-    sorted keys; nothing is kept.  T < 4 and T >= 2^21 are refused before
-    the walk.
+    Each call walks the word tree once, sorts the keys of its necklaces
+    (`_necklace_keys`) and decodes them; nothing is kept.  T < 4 and
+    T >= 2^21 are refused before the walk.
     """
     T = _checked_bound(T)
-    t, rest = np.divmod(_word_keys(T), T * T)
+    keys = np.concatenate([_necklace_keys(*chunk, T) for chunk in _word_pieces(T)])
+    keys.sort()
+    t, rest = np.divmod(keys, T * T)
     m, l = np.divmod(rest, T)
     m -= T
     # k = (l^2 - t^2 + 4) / 4m, the form having discriminant t^2 - 4

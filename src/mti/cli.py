@@ -146,8 +146,8 @@ def _cmd_classes(args) -> int:
         }
         _emit(args, payload, json.dumps(payload["classes"]))
         return 0
-    # the counts come from the census's rows; only the text listing walks
-    # the word tree again, once, for the canonical forms
+    # the counts and the total come from the census's rows; the text
+    # listing walks the word tree once for the canonical forms instead
     if args.count_only:
         per_trace = np.bincount(_class_rows(args.tmax)[0], minlength=args.tmax)
         counts = list(enumerate(per_trace[3:].tolist(), 3))
@@ -155,11 +155,11 @@ def _cmd_classes(args) -> int:
         text = "\n".join(f"{t} {c}" for t, c in counts)
         _emit(args, payload, text)
         return 0
-    # each row is one class of trace t and one of trace -t
-    total = 2 * len(_class_rows(args.tmax)[0])
-    listing = () if args.json else hyperbolic_classes_below(args.tmax)
-    text = "\n".join(f"{rep.trace} {rep.form.as_tuple()} content={rep.primitive_content}" for rep in listing)
-    _emit(args, {"tmax": args.tmax, "total": total}, text)
+    if args.json:  # each row is one class of trace t and one of trace -t
+        _emit(args, {"tmax": args.tmax, "total": 2 * len(_class_rows(args.tmax)[0])}, "")
+    else:
+        listing = hyperbolic_classes_below(args.tmax)
+        print("\n".join(f"{rep.trace} {rep.form.as_tuple()} content={rep.primitive_content}" for rep in listing))
     return 0
 
 

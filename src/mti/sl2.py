@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .intmat import AbelianGroup, IntMatrix, is_prime, rank_mod_p
+from .intmat import AbelianGroup, IntMatrix, is_prime, is_symplectic, rank_mod_p
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,9 @@ def _unipotent_invariant(am, bm, cm, dm, p) -> int:
     N = A - Id has rank 1 and N^2 = 0; pick a basis vector e with Ne != 0
     and return det[Ne | e], well-defined up to squares.
     """
-    na, nb, nc, nd = (am - 1) % p, bm, cm, (dm - 1) % p
-    if na or nc:  # e = (1, 0), Ne = (na, nc)
-        u = (na * 0 - nc * 1) % p
-    else:  # e = (0, 1), Ne = (nb, nd)
-        u = (nb * 1 - nd * 0) % p
-    return u % p
+    if (am - 1) % p or cm:  # e = (1, 0), Ne = (am - 1, cm)
+        return -cm % p
+    return bm % p  # e = (0, 1), Ne = (bm, dm - 1)
 
 
 def classify_mod_p(A: Sl2Matrix, p: int) -> ClassLabel:
@@ -233,8 +230,6 @@ def geodesic_pullback_splitting(A: Sl2Matrix) -> int:
 
 def dw_invariant_genus_g(fhat: IntMatrix, p: int, check_symplectic: bool = True) -> DwValue:
     """Z of the genus-g mapping torus: exponent 2g - rank_p(fhat - Id)."""
-    from .intmat import is_symplectic
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if fhat.rows != fhat.cols or fhat.rows % 2 != 0:
@@ -321,9 +316,9 @@ def _classify_residues(a: int, b: int, c: int, d: int, p: int) -> ClassLabel:
         return ClassLabel("C3" if is_qr else "C4", p, t, qr_flag=is_qr)
     if t == (p - 2) % p:
         u = _unipotent_invariant((-a) % p, (-b) % p, (-c) % p, (-d) % p, p)
-        # anchor: the printed representative [[-1,1],[0,-1]] defines the C5 square class
-        u0 = _unipotent_invariant(1, p - 1, 0, 1, p)
-        same = legendre(u, p) == legendre(u0, p)
+        # anchor: the printed representative [[-1,1],[0,-1]] defines the C5
+        # square class; its negative's invariant is -1
+        same = legendre(u, p) == legendre(-1, p)
         return ClassLabel("C5" if same else "C6", p, t, qr_flag=same)
     disc = (t * t - 4) % p
     is_qr = legendre(disc, p) == 1

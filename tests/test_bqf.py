@@ -349,6 +349,48 @@ def _node_pieces(T):
         stack.append(_word_children(*piece, T))
 
 
+# The listing's keys as they were read before every rotation became a line
+# in y', kept verbatim as the run-wise keys' oracle: every child of a chunk
+# built as a node with its blocks (`bqf._run_children`), and its rotations
+# stepped node by node.
+
+
+def _node_necklace_keys(a, b, c, d, per, xs, ys, T):
+    """int64 keys (t*T + m + T)*T + l of the canonical form (m, l, k) of
+    each necklace among the nodes of one piece, t being its trace.
+
+    A word B_0 ... B_(n-1) of blocks B_i = R^(x_i) L^(y_i) is a necklace when
+    n % per == 0.  The m < 0 reduced forms of its class are those of its n
+    rotations L^(y_i) B_(i+1) ... B_(i-1) R^(x_i) that start at an L-run,
+    the form of [[al, be], [ga, de]] being (-ga, de - al, be), and the
+    canonical form is the smallest of them.  Rotation 0 is the word's own
+    form (-c, d - a, b) conjugated by R^(x_0), and rotation i is rotation
+    i - 1 conjugated by L^(y_(i-1)) and then by R^(x_i); on forms these are
+    (m, l, k) -> (m - y(l - yk), l - 2yk, k) and
+    (m, l, k) -> (m, l - 2xm, k - x(l - xm)).
+    """
+    n = len(xs)
+    t = a + d
+    e = np.flatnonzero(n % per == 0)
+    m, l, k = -c[e], d[e] - a[e], b[e]
+    best = None
+    for i in range(n):
+        if i:
+            y = ys[i - 1, e]
+            yk = y * k
+            l = l - yk
+            m = m - y * l
+            l = l - yk
+        x = xs[i, e]
+        xm = x * m
+        l = l - xm
+        k = k - x * l
+        l = l - xm
+        key = m * T + l
+        best = key if best is None else np.minimum(best, key)
+    return best + (t[e] + 1) * T * T
+
+
 def _row_multiset(cols):
     # the rows (t, m, k) in one canonical order, as one int64 array
     rows = np.stack(cols).astype(np.int64)
@@ -572,10 +614,42 @@ def test_rotation_zero_is_in_the_cycle_of_its_necklace(T):
     # own form (-c, d - a, b), read with l > 0, would be a form of the
     # reversed word's class
     for chunk in bqf._word_pieces(T):
-        t, rest = np.divmod(bqf._necklace_keys(*bqf._run_children(*chunk), T), T * T)
+        t, rest = np.divmod(bqf._necklace_keys(*chunk, T), T * T)
         m, l = np.divmod(rest, T)
         got = _cycle_minima_of_rows(T, *bqf._necklace_rows(*chunk))
         assert all(np.array_equal(g, w) for g, w in zip(got[:3], (t, m - T, l), strict=True))
+
+
+@pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
+def test_run_keys_equal_node_keys(size, monkeypatch):
+    # chunk by chunk, the keys stepped as lines per run are the keys of the
+    # same chunk's children built as nodes, in the same order
+    monkeypatch.setattr(bqf, "_PIECE_NODES", size)
+    for T in [*range(4, 121), 500, 2010]:
+        for chunk in bqf._word_pieces(T):
+            want = _node_necklace_keys(*bqf._run_children(*chunk), T)
+            assert np.array_equal(bqf._necklace_keys(*chunk, T), want), T
+
+
+@pytest.mark.parametrize("T", [101, 2010])
+def test_listing_builds_only_the_nodes_of_the_walk(T, monkeypatch):
+    # the listing reads its keys off the runs as the census's rows do, so it
+    # builds as nodes only the prefixes the walk itself builds (it used to
+    # build every child of every run a second time for its keys)
+    built = []
+    children = bqf._run_children
+
+    def counted(*chunk):
+        built.append(int(chunk[-1].sum()))
+        return children(*chunk)
+
+    monkeypatch.setattr(bqf, "_run_children", counted)
+    bqf._walked_rows.cache_clear()
+    bqf._class_rows(T)
+    walk = built.copy()
+    built.clear()
+    bqf._class_columns(T)
+    assert built == walk
 
 
 @pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])

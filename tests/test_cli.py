@@ -122,18 +122,26 @@ def test_classes_refuses_trace_with_tmax_or_count_only(argv, capsys):
 )
 def test_classes_tmax_walks_the_listing_at_most_once(extra, walks, monkeypatch, capsys):
     # the counts and the total come from the census's rows; only the text
-    # listing walks the word tree for the canonical forms, once
-    calls = []
-    keys = bqf._word_keys
+    # listing walks for the canonical forms, and then it is the one walk of
+    # the word tree (it used to walk a second time for a total it never
+    # printed)
+    calls, listings = [], []
+    pieces, columns = bqf._word_pieces, bqf._class_columns
 
     def counted(T):
         calls.append(T)
-        return keys(T)
+        return pieces(T)
+
+    def listed(T):
+        listings.append(T)
+        return columns(T)
 
     bqf._walked_rows.cache_clear()
-    monkeypatch.setattr(bqf, "_word_keys", counted)
+    monkeypatch.setattr(bqf, "_word_pieces", counted)
+    monkeypatch.setattr(bqf, "_class_columns", listed)
     assert _capture(capsys, ["classes", "--tmax", "60", *extra])[0] == 0
-    assert calls == [60] * walks
+    assert calls == [60]
+    assert listings == [60] * walks
 
 
 def test_census_csv_stdout(capsys):
