@@ -7,6 +7,9 @@ classes of forms of that discriminant, realized here as rho-cycles of
 Gauss-reduced forms.  The m > 0 reduced forms of discriminant t^2 - 4 are
 the lattice points 1 <= a <= m < d with a + d = t and m | ad - 1; the
 imprimitive ones are among them, so proper-power classes are included.
+A class's canonical form is the smallest m < 0 form of its cycle
+(Buchmann-Vollmer, Binary Quadratic Forms, 2007); `_cycle_minima` alone
+picks it.
 
 The classes of positive trace are also the cyclic words in the blocks
 R^x L^y (x, y >= 1) of R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]]
@@ -15,14 +18,12 @@ imprimitive classes; one such word per class is walked as a necklace of
 the Fredricksen-Kessler-Maiorana prenecklace tree (Ruskey-Savage-Wang,
 J. Algorithms 13, 1992), pruned by trace.  The tree is walked by runs:
 the children appending (x', y') for one x' are linear in y', and only
-those that can have children are built as nodes.  Every rotation of a
-run's necklaces is a line in y' too, so both outputs are read off the
-runs: the census's rows are rotation 0, one reduced m < 0 form of each
-class, unsorted, kept for the last bound asked for only; the listings take
-the smallest m < 0 form over the rotations as the class's canonical form,
-and sort.  A single trace is listed on its own:
-its m > 0 reduced forms are scanned, and each rho-cycle is walked once,
-two rho steps at a time, keeping the smallest m < 0 form it steps over.
+those that can have children are built as nodes.  The census's rows are
+read off the runs as one reduced m < 0 form of each class, unsorted, and
+kept for the last bound asked for only; the listings take the cycle
+minima of the same rows, chunk by chunk, and sort.  A single trace is
+listed on its own: its m > 0 reduced forms are scanned, and the cycle
+minima of their negatives are its classes.
 
 All square-root comparisons are exact (squares are compared, never floats).
 """
@@ -40,11 +41,13 @@ import numpy as np
 from .sl2 import Sl2Matrix
 
 # the trace bound past which the listing's keys (t*T + m + T)*T + l
-# overflow int64
+# overflow int64; traces at or past it are refused
 _MAX_T = 1 << 21
 # children per chunk of runs of the word-tree walk: bounds the working set
 # of one step of the walk
 _PIECE_NODES = 1 << 13
+# rho^2 steps that close every cycle of a trace below _MAX_T (`_cycle_minima`)
+_CYCLE_STEPS = 15
 
 
 @dataclass(frozen=True)
@@ -258,67 +261,70 @@ def _run_children(xs, ys, node, x, y0, same, a, c, u, v, ny):
     return a[pair] + y * up, up, c[pair] + y * vp, vp, per, xs_child, ys_child
 
 
-def _rotation_zero(xs, ys, node, x, y0, same, a, c, u, v, ny):
-    """The necklaces among the children of one chunk of runs, and their
-    rotation 0 as lines in y': the number of necklaces in each run, each
-    necklace's y', and per run the pairs (c0, c1) of t, m, l and k, a
-    necklace's coefficient being c0 + y'c1 of its run.
+def _necklace_rows(xs, ys, node, x, y0, same, a, c, u, v, ny):
+    """int32 columns (t, m, k) of rotation 0 of each necklace among the
+    children of one chunk of runs, t being its trace; no child's blocks are
+    built.
 
     A word B_0 ... B_(n-1) of blocks B_i = R^(x_i) L^(y_i) is a necklace when
     n % per == 0, so only a y0 child of period same can fail.  Rotation 0,
     the word's own form (-c, d - a, b) conjugated by R^(x_0), is a reduced
-    m < 0 form of the class, so |m|, l and k are below t; for the child
-    [[a + y'u, u], [c + y'v, v]] it is (-c, w + x0 c, u - x0 w) plus y'
-    times (-v, 2x0 v - u, x0(u - x0 v)), with w = v - a + x0 c.
+    m < 0 form of the class, so |m| and k are below t; for the child
+    [[a + y'u, u], [c + y'v, v]] its m and k are -c and u - x0 w plus y'
+    times -v and x0(u - x0 v), with w = v - a + x0 c: lines in y' per run.
     """
     x0 = xs[0, node] if len(xs) else x
     skip = (ny > 0) & ((len(xs) + 1) % same != 0)
     y0, ny = y0 + skip, ny - skip
     y = np.arange(ny.sum()) - np.repeat(np.cumsum(ny) - ny - y0, ny)
     w = v - a + x0 * c
-    lines = ((a + v, u), (-c, -v), (w + x0 * c, 2 * x0 * v - u), (u - x0 * w, x0 * (u - x0 * v)))
-    return ny, y, lines
+    lines = ((a + v, u), (-c, -v), (u - x0 * w, x0 * (u - x0 * v)))
+    del x0, skip, y0, w  # per-run temporaries, dropped before the per-child expansion
+    return tuple((np.repeat(c0, ny) + y * np.repeat(c1, ny)).astype(np.int32) for c0, c1 in lines)
 
 
-def _necklace_rows(*chunk):
-    """int32 columns (t, m, k) of rotation 0 (`_rotation_zero`) of each
-    necklace among the children of one chunk of runs, t being its trace;
-    no child's blocks are built."""
-    ny, y, (t, m, _, k) = _rotation_zero(*chunk)
-    return tuple((np.repeat(c0, ny) + y * np.repeat(c1, ny)).astype(np.int32) for c0, c1 in (t, m, k))
+def _cycle_minima(t, m, l, k):
+    """int64 key m*t + l (0 < l < t, so ordered by (m, l)) of the canonical
+    form of the cycle of each reduced m < 0 form (m, l, k) of trace t, column
+    by column (t may be one trace for all).
+
+    The leading coefficients alternate in sign around a cycle, so rho^2
+    steps from each m < 0 form to the next; every column steps until each
+    has been back at its start, past which it only repeats its cycle.  A
+    cycle has one m < 0 form per block of its word, and a word of n blocks
+    has trace at least that of (RL)^n, the Lucas number L_2n, which passes
+    2^21 at n = 16: no cycle below 2^21 takes more than _CYCLE_STEPS steps,
+    and a form not back by then is not reduced (AssertionError).
+    """
+    isq = t - 1
+    best = start = m * t + l
+    back = np.zeros(np.shape(start), bool)
+    for _ in range(_CYCLE_STEPS):
+        # rho twice, (m, l, k) -> (k, l1, k1) -> (k1, l2, k2) with k > 0 > k1:
+        # rho is (m, l, k) -> (k, -l, m) shifted by q sgn(k), q = (isq + l) // 2|k|
+        q, r = np.divmod(isq + l, 2 * k)
+        l1, k1 = isq - r, m + q * (k * q - l)
+        q, r = np.divmod(isq + l1, -2 * k1)
+        m, l, k = k1, isq - r, k + q * (l1 + k1 * q)
+        key = m * t + l
+        best = np.minimum(best, key)
+        back |= key == start
+        if back.all():
+            return best
+    raise AssertionError("a rho-cycle does not close within its step bound")
 
 
 def _necklace_keys(xs, ys, node, x, y0, same, a, c, u, v, ny, T):
     """int64 keys (t*T + m + T)*T + l of the canonical form (m, l, k) of
     each necklace among the children of one chunk of runs, t being its
-    trace.
-
-    The m < 0 reduced forms of a necklace's class are those of its n
-    rotations L^(y_i) B_(i+1) ... B_(i-1) R^(x_i) that start at an L-run,
-    the form of [[al, be], [ga, de]] being (-ga, de - al, be), and the
-    canonical form is the smallest of them.  Rotation i is rotation i - 1
-    conjugated by L^(y_(i-1)) and then by R^(x_i); on forms these are the
-    linear maps (m, l, k) -> (m - y(l - yk), l - 2yk, k) and
-    (m, l, k) -> (m, l - 2xm, k - x(l - xm)).  A child of n + 1 blocks
-    steps through rotations 1 ... n with its parent's blocks and its own
-    x', never its y', so every rotation is a line in y' stepped per run
-    from rotation 0 (`_rotation_zero`), and only the key m*T + l is read
-    per child.  A line's value at y' = 0 may be far larger than any child's;
-    int64 arithmetic is exact mod 2^64, so each child's key, which fits, is.
-    """
-    ny, y, (t, m, l, k) = _rotation_zero(xs, ys, node, x, y0, same, a, c, u, v, ny)
-    run = np.repeat(np.arange(len(ny)), ny)
-    m, l, k = (np.array(line) for line in (m, l, k))
-    key = m * T + l
-    best = key[0, run] + y * key[1, run]
-    n = len(xs)
-    for i in range(1, n + 1):
-        yb, xb = ys[i - 1, node], xs[i, node] if i < n else x
-        m, l = m - yb * (l - yb * k), l - 2 * yb * k
-        l, k = l - 2 * xb * m, k - xb * (l - xb * m)
-        key = m * T + l
-        best = np.minimum(best, key[0, run] + y * key[1, run])
-    return best + (t[0][run] + y * t[1][run] + 1) * T * T
+    trace: the cycle minima of the census's rows (`_necklace_rows`), whose
+    l^2 = t^2 - 4 + 4mk is an exact square below 2^53, so its float root is
+    exact."""
+    rows = _necklace_rows(xs, ys, node, x, y0, same, a, c, u, v, ny)
+    t, m, k = (col.astype(np.int64) for col in rows)
+    l = np.sqrt(t * t - 4 + 4 * m * k).astype(np.int64)
+    m, l = np.divmod(_cycle_minima(t, m, l, k), t)
+    return (t * T + m + T) * T + l
 
 
 def _word_pieces(T: int):
@@ -409,35 +415,31 @@ def _class_reps(reps: list[tuple[int, int, int]], t: int) -> list[ClassRep]:
 
 
 def _trace_reps(t: int) -> list[tuple[int, int, int]]:
-    """The canonical form (m, l, k) of each rho-cycle of trace t >= 3, sorted.
+    """The canonical form (m, l, k) of each rho-cycle of trace 3 <= t < 2^21,
+    sorted.
 
     The m > 0 reduced forms are the lattice points a <= m < d = t - a with
     l = d - a and k = -(ad - 1)/m, found by testing m | a(t - a) - 1 for
-    each m over all a <= min(m, t - 1 - m).  The leading coefficients
-    alternate in sign around a cycle, so rho^2 permutes the m > 0 forms:
-    each cycle is walked from one of them, removing every m > 0 form it
-    lands on, and keeps the smallest m < 0 form it steps over.
+    each m over all a <= min(m, t - 1 - m).  Reducedness does not depend on
+    the sign of m, so their negatives are the m < 0 reduced forms, and each
+    cycle's canonical form is their common cycle minimum (`_cycle_minima`).
     """
     a = np.arange(1, t // 2 + 1, dtype=np.int64)
     v = a * (t - a) - 1
     hits = [np.flatnonzero(v[: min(m, t - 1 - m)] % m == 0) for m in range(1, t - 1)]
     m = np.repeat(np.arange(1, t - 1, dtype=np.int64), [len(h) for h in hits])
     i = np.concatenate(hits)
-    remaining = set(zip(m.tolist(), (t - 2 - 2 * i).tolist(), (-(v[i] // m)).tolist()))
-    D, isq = t * t - 4, t - 1
-    reps = []
-    while remaining:
-        start = remaining.pop()
-        negatives = [_rho(*start, D, isq)]
-        while (form := _rho(*negatives[-1], D, isq)) != start:
-            try:
-                remaining.remove(form)
-            except KeyError:
-                raise AssertionError("rho^2 does not permute the forms") from None
-            negatives.append(_rho(*form, D, isq))
-        reps.append(min(negatives))
-    reps.sort()
-    return reps
+    m, l = np.divmod(np.unique(_cycle_minima(t, -m, t - 2 - 2 * i, v[i] // m)), t)
+    return list(zip(m.tolist(), l.tolist(), ((l * l - t * t + 4) // (4 * m)).tolist()))
+
+
+def _checked_trace(t) -> int:
+    t = abs(index(t))
+    if t <= 2:
+        raise ValueError("requires |t| > 2")
+    if t >= _MAX_T:
+        raise ValueError("|t| must be below 2^21")
+    return t
 
 
 def classes_with_trace(t: int) -> list[ClassRep]:
@@ -446,16 +448,12 @@ def classes_with_trace(t: int) -> list[ClassRep]:
     One ClassRep per reduction cycle of discriminant t^2 - 4, imprimitive
     forms included; deterministic order (sorted canonical forms).
     """
-    if abs(t) <= 2:
-        raise ValueError("requires |t| > 2")
-    return _class_reps(_trace_reps(abs(t)), t)
+    return _class_reps(_trace_reps(_checked_trace(t)), t)
 
 
 def class_count_with_trace(t: int) -> int:
     """Number of hyperbolic classes of trace t (= rho-cycles of disc t^2-4)."""
-    if abs(t) <= 2:
-        raise ValueError("requires |t| > 2")
-    return len(_trace_reps(abs(t)))
+    return len(_trace_reps(_checked_trace(t)))
 
 
 def hyperbolic_classes_below(T: int) -> Iterator[ClassRep]:

@@ -97,23 +97,20 @@ class QExpansionReport:
 _PATTERN_TO_MOD2_CLASS = {SPLIT6: "C1", SPLIT2: "C3", SPLIT3: "C2"}
 
 
-def qexpansion_check(d: int = 2, pmax: int = 100, reference=None) -> QExpansionReport:
+def qexpansion_check(d: int = 2, pmax: int = 100) -> QExpansionReport:
     """Compare computed prime coefficients against the stored reference list.
 
-    Only d = 2 has a stored reference; a custom mapping p -> a_p can be
-    injected for harness self-tests.
+    Only d = 2 has a stored reference.
     """
-    if reference is None:
-        if d != 2:
-            raise ValueError("stored reference coefficients exist only for d = 2")
-        reference = LMFDB_D2_PRIME_COEFFS
+    if d != 2:
+        raise ValueError("stored reference coefficients exist only for d = 2")
     rows = []
     mismatches = []
     p = 5
     while p < pmax:
         if is_prime(p) and p % 3 != 0 and d % p != 0:
             computed = ap_coefficient(d, p)
-            ref = reference.get(p, 0)
+            ref = LMFDB_D2_PRIME_COEFFS.get(p, 0)
             pattern = splitting_pattern(d, p)
             cls = _PATTERN_TO_MOD2_CLASS[pattern]
             rows.append(

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import random
 import weakref
 from math import gcd, isqrt
@@ -349,8 +348,8 @@ def _node_pieces(T):
         stack.append(_word_children(*piece, T))
 
 
-# The listing's keys as they were read before every rotation became a line
-# in y', kept verbatim as the run-wise keys' oracle: every child of a chunk
+# The listing's keys as they were read before they became cycle minima of
+# the census's rows, kept verbatim as their oracle: every child of a chunk
 # built as a node with its blocks (`bqf._run_children`), and its rotations
 # stepped node by node.
 
@@ -620,17 +619,6 @@ def test_rotation_zero_is_in_the_cycle_of_its_necklace(T):
         assert all(np.array_equal(g, w) for g, w in zip(got[:3], (t, m - T, l), strict=True))
 
 
-@pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
-def test_run_keys_equal_node_keys(size, monkeypatch):
-    # chunk by chunk, the keys stepped as lines per run are the keys of the
-    # same chunk's children built as nodes, in the same order
-    monkeypatch.setattr(bqf, "_PIECE_NODES", size)
-    for T in [*range(4, 121), 500, 2010]:
-        for chunk in bqf._word_pieces(T):
-            want = _node_necklace_keys(*bqf._run_children(*chunk), T)
-            assert np.array_equal(bqf._necklace_keys(*chunk, T), want), T
-
-
 @pytest.mark.parametrize("T", [101, 2010])
 def test_listing_builds_only_the_nodes_of_the_walk(T, monkeypatch):
     # the listing reads its keys off the runs as the census's rows do, so it
@@ -654,14 +642,28 @@ def test_listing_builds_only_the_nodes_of_the_walk(T, monkeypatch):
 
 @pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
 def test_run_rows_equal_node_walk(size, monkeypatch):
-    # the rows read off the runs are the node walk's rows, as multisets, at
-    # every bound and in chunks of either size
+    # one walk per bound, in chunks of either size: the rows read off the
+    # runs are the node walk's rows, as multisets, and chunk by chunk the
+    # listing's keys are those of the same chunk's children built as nodes,
+    # in the same order
     monkeypatch.setattr(bqf, "_PIECE_NODES", size)
+    pieces, chunks = bqf._word_pieces, []
+
+    def recorded(T):
+        for chunk in pieces(T):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(bqf, "_word_pieces", recorded)
     for T in [*range(4, 121), 500, 2010]:
         bqf._walked_rows.cache_clear()
+        chunks.clear()
+        rows = bqf._class_rows(T)
         parts = zip(*(_node_rows(*piece) for piece in _node_pieces(T)))
-        want = _row_multiset([np.concatenate(part) for part in parts])
-        assert np.array_equal(_row_multiset(bqf._class_rows(T)), want), T
+        assert np.array_equal(_row_multiset(rows), _row_multiset([np.concatenate(part) for part in parts])), T
+        for chunk in chunks:
+            want = _node_necklace_keys(*bqf._run_children(*chunk), T)
+            assert np.array_equal(bqf._necklace_keys(*chunk, T), want), T
 
 
 def test_walk_materializes_only_nodes_that_can_have_children(monkeypatch):
@@ -733,23 +735,16 @@ def test_canonical_reps_are_cycle_minima():
         assert bqf._trace_reps(t) == _rows(_cycle_minima(_trace_keys(t), t + 1)[1:]), t
 
 
-def test_trace_walk_stops_when_rho_squared_leaves_the_forms(monkeypatch):
-    # t = 11 has three cycles; send one rho^2 step of the first into the
-    # second, and the walk stops with the self-check instead of merging the
-    # cycles or going round the second one for ever
-    assert len(bqf._trace_reps(11)) == 3
-    first, second = (reduction_cycle(QuadForm(*rep)) for rep in bqf._trace_reps(11)[:2])
-    neg, into = first[0].as_tuple(), next(f.as_tuple() for f in second if f.m > 0)
-    rho, calls = bqf._rho, itertools.count()
-
-    def corrupted(m, l, k, D, isq):
-        if next(calls) > 1000:
-            raise RuntimeError("the walk does not end")
-        return into if (m, l, k) == neg else rho(m, l, k, D, isq)
-
-    monkeypatch.setattr(bqf, "_rho", corrupted)
-    with pytest.raises(AssertionError, match=r"rho\^2 does not permute the forms"):
-        bqf._trace_reps(11)
+def test_cycle_minima_refuse_a_form_whose_orbit_never_closes():
+    # (-29, 1, 1) has discriminant 11^2 - 4 but is not reduced: rho^2 takes
+    # it into a cycle of trace 11 and never back, so the bounded steps end
+    # with the self-check instead of a wrong minimum or an endless loop
+    assert not is_reduced(QuadForm(-29, 1, 1))
+    t, m, l, k = (np.array([x, y], np.int64) for x, y in ((11, 11), (-1, -29), (9, 1), (9, 1)))
+    with pytest.raises(AssertionError, match="does not close"):
+        bqf._cycle_minima(t, m, l, k)
+    # alone, the reduced (-1, 9, 9) gives its own key: it is its cycle's minimum
+    assert bqf._cycle_minima(t[:1], m[:1], l[:1], k[:1]).tolist() == [-1 * 11 + 9]
 
 
 def test_disc12_two_cycles():
@@ -811,6 +806,16 @@ def test_trace11_contains_imprimitive_class():
 def test_counts_symmetric_in_sign():
     for t in range(3, 30):
         assert len(classes_with_trace(t)) == len(classes_with_trace(-t))
+
+
+def test_single_trace_refuses_traces_past_the_key_range():
+    # |t| >= 2^21 is refused before the scan, which would otherwise try to
+    # allocate t/2 int64 per m (10^12 asked for terabytes) or, nearer the
+    # bound, run silently for minutes
+    for t in (10**12, -(10**12), 2**21, -(2**21)):
+        for call in (classes_with_trace, class_count_with_trace):
+            with pytest.raises(ValueError, match=r"\|t\| must be below 2\^21"):
+                call(t)
 
 
 def test_hyperbolic_classes_below():

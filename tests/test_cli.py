@@ -332,6 +332,7 @@ _IDENTITY_4 = '[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","
         (["homology", "--matrix", _NOT_SYMPLECTIC], "matrix is not symplectic"),
         (["modform", "--d", "3"], "stored reference coefficients exist only for d = 2"),
         (["classes", "--trace", "2"], "requires |t| > 2"),
+        (["classes", "--trace", "1000000000000"], "|t| must be below 2^21"),
         (["classes", "--tmax", "3"], "T must be at least 4"),
         (["csw", "--matrix", '[["1","1"],["0","1"]]', "--level", "1"], "requires |trace| > 2"),
         (["csw", "--matrix", '[["2","1"],["1","1"]]', "--level", "0"], "level must be a positive integer"),
@@ -343,6 +344,7 @@ _IDENTITY_4 = '[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","
         "symplectic",
         "modform-d",
         "classes-trace",
+        "classes-trace-huge",
         "classes-tmax",
         "csw-trace",
         "csw-level",

@@ -1,5 +1,6 @@
 import pytest
 
+from mti import weight1
 from mti.intmat import is_prime
 from mti.weight1 import (
     LMFDB_D2_PRIME_COEFFS,
@@ -78,10 +79,11 @@ def test_qexpansion_small_window():
     assert [r.p for r in report.rows] == [5, 7]
 
 
-def test_qexpansion_mismatch_injection():
+def test_qexpansion_mismatch_injection(monkeypatch):
     corrupted = dict(LMFDB_D2_PRIME_COEFFS)
     corrupted[7] = 2  # wrong on purpose
-    report = qexpansion_check(2, 100, reference=corrupted)
+    monkeypatch.setattr(weight1, "LMFDB_D2_PRIME_COEFFS", corrupted)
+    report = qexpansion_check(2, 100)
     assert report.mismatches == [7]
 
 
