@@ -641,29 +641,26 @@ def test_listing_builds_only_the_nodes_of_the_walk(T, monkeypatch):
 
 
 @pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
-def test_run_rows_equal_node_walk(size, monkeypatch):
-    # one walk per bound, in chunks of either size: the rows read off the
-    # runs are the node walk's rows, as multisets, and chunk by chunk the
-    # listing's keys are those of the same chunk's children built as nodes,
-    # in the same order
+def test_run_keys_equal_node_keys(size, monkeypatch):
+    # chunk by chunk, the listing's keys are those of the same chunk's
+    # children built as nodes, in the same order
     monkeypatch.setattr(bqf, "_PIECE_NODES", size)
-    pieces, chunks = bqf._word_pieces, []
-
-    def recorded(T):
-        for chunk in pieces(T):
-            chunks.append(chunk)
-            yield chunk
-
-    monkeypatch.setattr(bqf, "_word_pieces", recorded)
     for T in [*range(4, 121), 500, 2010]:
-        bqf._walked_rows.cache_clear()
-        chunks.clear()
-        rows = bqf._class_rows(T)
-        parts = zip(*(_node_rows(*piece) for piece in _node_pieces(T)))
-        assert np.array_equal(_row_multiset(rows), _row_multiset([np.concatenate(part) for part in parts])), T
-        for chunk in chunks:
+        for chunk in bqf._word_pieces(T):
             want = _node_necklace_keys(*bqf._run_children(*chunk), T)
             assert np.array_equal(bqf._necklace_keys(*chunk, T), want), T
+
+
+@pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
+def test_run_rows_equal_node_walk(size, monkeypatch):
+    # the rows read off the runs are the node walk's rows, as multisets, at
+    # every bound and in chunks of either size
+    monkeypatch.setattr(bqf, "_PIECE_NODES", size)
+    for T in [*range(4, 121), 500, 2010]:
+        bqf._walked_rows.cache_clear()
+        parts = zip(*(_node_rows(*piece) for piece in _node_pieces(T)))
+        want = _row_multiset([np.concatenate(part) for part in parts])
+        assert np.array_equal(_row_multiset(bqf._class_rows(T)), want), T
 
 
 def test_walk_materializes_only_nodes_that_can_have_children(monkeypatch):
