@@ -7,7 +7,6 @@ from .bqf import (
     bqf_to_matrix,
     class_count_with_trace,
     classes_with_trace,
-    hyperbolic_classes_below,
     is_reduced,
     matrix_to_bqf,
     reduce_indefinite,

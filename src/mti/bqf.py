@@ -20,8 +20,9 @@ J. Algorithms 13, 1992), pruned by trace.  The tree is walked by runs:
 the children appending (x', y') for one x' are linear in y', and only
 those that can have children are built as nodes.  The census's rows are
 read off the runs as one reduced m < 0 form of each class, unsorted, and
-kept for the last bound asked for only; the listings take the cycle
-minima of the same rows, chunk by chunk, and sort.  A single trace is
+kept for the last bound asked for only; the listing below a bound takes
+the cycle minima of the same rows, chunk by chunk, and sorts them into
+columns, which `mti classes --tmax` prints as they are.  A single trace is
 listed on its own: its m > 0 reduced forms are scanned, and the cycle
 minima of their negatives are its classes.
 
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import index
-from typing import Iterator
 
 import numpy as np
 
@@ -392,7 +392,7 @@ def _walked_rows(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """int64 columns (|t|, m, l, k) of the canonical cycle representatives
     of every trace 3 <= |t| < T, sorted by |t| and then by form: the
-    listings' rows.
+    listing's rows.
 
     Each call walks the word tree once, sorts the keys of its necklaces
     (`_necklace_keys`) and decodes them; nothing is kept.  T < 4 and
@@ -407,11 +407,6 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     # k = (l^2 - t^2 + 4) / 4m, the form having discriminant t^2 - 4
     k = ((l - t) * (l + t) + 4) // (4 * m)
     return t, m, l, k
-
-
-def _class_reps(reps: list[tuple[int, int, int]], t: int) -> list[ClassRep]:
-    forms = [QuadForm(*rep) for rep in reps]
-    return [ClassRep(bqf_to_matrix(f, t), t, f, f.content) for f in forms]
 
 
 def _trace_reps(t: int) -> list[tuple[int, int, int]]:
@@ -448,27 +443,11 @@ def classes_with_trace(t: int) -> list[ClassRep]:
     One ClassRep per reduction cycle of discriminant t^2 - 4, imprimitive
     forms included; deterministic order (sorted canonical forms).
     """
-    return _class_reps(_trace_reps(_checked_trace(t)), t)
+    forms = [QuadForm(*rep) for rep in _trace_reps(_checked_trace(t))]
+    return [ClassRep(bqf_to_matrix(f, t), t, f, f.content) for f in forms]
 
 
 def class_count_with_trace(t: int) -> int:
     """Number of hyperbolic classes of trace t (= rho-cycles of disc t^2-4)."""
     return len(_trace_reps(_checked_trace(t)))
 
-
-def hyperbolic_classes_below(T: int) -> Iterator[ClassRep]:
-    """Stream every hyperbolic class with |trace| < T, in increasing |trace|.
-
-    For each 3 <= t <= T-1 yields the trace-t classes then the trace-(-t)
-    classes, from one walk of the word tree (`_class_columns`).  A bound the
-    walk refuses is refused here, before the stream starts.
-    """
-    return _stream_classes(T, *_class_columns(T))
-
-
-def _stream_classes(T: int, t: np.ndarray, *cols: np.ndarray) -> Iterator[ClassRep]:
-    ends = np.searchsorted(t, np.arange(3, T + 1)).tolist()
-    for s, lo, hi in zip(range(3, T), ends, ends[1:]):
-        reps = list(zip(*(col[lo:hi].tolist() for col in cols)))
-        yield from _class_reps(reps, s)
-        yield from _class_reps(reps, -s)

@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bqf import _class_rows, classes_with_trace, hyperbolic_classes_below
+from .bqf import _class_columns, _class_rows, classes_with_trace
 from .census import census, census_text, density_report, theorem_constants
 from .csw import compare_with_rep_trace, csw_invariant
 from .intmat import IntMatrix, mapping_torus_homology, smith_normal_form
@@ -157,9 +157,14 @@ def _cmd_classes(args) -> int:
         return 0
     if args.json:  # each row is one class of trace t and one of trace -t
         _emit(args, {"tmax": args.tmax, "total": 2 * len(_class_rows(args.tmax)[0])}, "")
-    else:
-        listing = hyperbolic_classes_below(args.tmax)
-        print("\n".join(f"{rep.trace} {rep.form.as_tuple()} content={rep.primitive_content}" for rep in listing))
+    else:  # one piece per trace s: its forms as trace s, then as trace -s
+        t, *form = _class_columns(args.tmax)
+        cols = (*form, np.gcd.reduce(form))
+        ends = np.searchsorted(t, np.arange(3, args.tmax + 1)).tolist()
+        for s, lo, hi in zip(range(3, args.tmax), ends, ends[1:]):
+            cells = zip(*(col[lo:hi].tolist() for col in cols))
+            rows = ["({}, {}, {}) content={}\n".format(*cell) for cell in cells]
+            sys.stdout.write("".join(f"{s} {row}" for row in rows) + "".join(f"{-s} {row}" for row in rows))
     return 0
 
 
@@ -283,8 +288,9 @@ def _cmd_csw(args) -> int:
 
 
 def _cmd_csw_sweep(args) -> int:
-    if args.kmax < 1 or args.tmax < 3 or args.samples < 0:
-        raise DomainError("need --kmax >= 1, --tmax >= 3 and --samples >= 0")
+    # classes_with_trace refuses |t| >= 2^21: refuse such a --tmax before any sample runs
+    if args.kmax < 1 or not 3 <= args.tmax < 2**21 or args.samples < 0:
+        raise DomainError("need --kmax >= 1, 3 <= --tmax < 2^21 and --samples >= 0")
     rng = random.Random(0)
     worst = 0.0
     phases = [0] * 8  # nonvanishing values by residual phase in eighths of a turn

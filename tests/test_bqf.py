@@ -15,7 +15,6 @@ from mti.bqf import (
     bqf_to_matrix,
     class_count_with_trace,
     classes_with_trace,
-    hyperbolic_classes_below,
     is_reduced,
     matrix_to_bqf,
     reduce_indefinite,
@@ -815,17 +814,6 @@ def test_single_trace_refuses_traces_past_the_key_range():
                 call(t)
 
 
-def test_hyperbolic_classes_below():
-    reps = list(hyperbolic_classes_below(5))
-    assert len(reps) == 6  # one cycle at disc 5, two at disc 12, both signs
-    assert [r.trace for r in reps] == [3, -3, 4, 4, -4, -4]
-    small = list(hyperbolic_classes_below(4))
-    assert len(small) == 2
-    assert all(abs(r.trace) == 3 and r.matrix.a * r.matrix.d - r.matrix.b * r.matrix.c == 1 for r in small)
-    with pytest.raises(ValueError):
-        list(hyperbolic_classes_below(3))
-
-
 def _all_sl2_with_trace(t, bound):
     out = []
     for a in range(-bound, bound + 1):
@@ -848,7 +836,7 @@ def test_class_listing_refuses_bad_bounds_at_the_call():
     bqf._class_rows(60)
     before = bqf._walked_rows.cache_info()
     for T, error in ((3, ValueError), (60.0, TypeError), (2**21, ValueError)):
-        for call in (bqf.hyperbolic_classes_below, bqf._class_columns, bqf._class_rows):
+        for call in (bqf._class_columns, bqf._class_rows):
             with pytest.raises(error):
                 call(T)
             assert bqf._walked_rows.cache_info() == before, T

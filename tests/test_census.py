@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mti import bqf
-from mti.bqf import hyperbolic_classes_below
+from mti.bqf import classes_with_trace
 from mti.census import (
     _BINS,
     CSV_HEADER,
@@ -107,9 +107,18 @@ def test_census_small_hand_check():
     assert rep.snf_triple == (0, 2, 4)
 
 
+def _classes_below(T):
+    # every class of trace 3 <= |t| < T, those of trace s and then of -s for
+    # each s, lazily from the single-trace scan, which shares no code with
+    # the word walk that the census tallies
+    for s in range(3, T):
+        yield from classes_with_trace(s)
+        yield from classes_with_trace(-s)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 1_000_003, 2**31 - 1, 2**32 + 15, 2**63 - 25])
 def test_census_matches_direct_classification(p):
-    # oracle: classify every class of the stream one by one, then compare
+    # oracle: classify every class of the scan one by one, then compare
     # each checkpoint's tallies over both signs and over positive traces;
     # T = 120 meets every residue of the trace mod p; past every trace, each
     # kind comes from the Legendre symbol of t^2 - 4, and above 3.04e9 the
@@ -119,7 +128,7 @@ def test_census_matches_direct_classification(p):
     T = 120 if p < 120 else 60
     rep = census(p, T)
     rows = []
-    for r in hyperbolic_classes_below(T):
+    for r in _classes_below(T):
         kind = classify_mod_2(r.matrix).kind if p == 2 else classify_mod_p(r.matrix, p).kind
         a1, a2 = sl2_snf_entries(r.matrix)
         if a1 % p == 0 and a2 % p == 0:
@@ -328,7 +337,7 @@ def test_census_checkpoints():
     assert totals == sorted(totals)
     # cumulative consistency: totals count classes under each bound
     for cp in rep.checkpoints:
-        expect = sum(1 for r in hyperbolic_classes_below(cp.T))
+        expect = sum(1 for r in _classes_below(cp.T))
         assert cp.total == expect
 
 
@@ -424,7 +433,6 @@ def test_non_integer_bound_leaves_the_store_intact():
     fresh = repr(census(3, 100))
     calls = (
         lambda: census(3, 60.0),
-        lambda: next(hyperbolic_classes_below(60.0)),
         lambda: bqf._class_columns(60.0),
         lambda: bqf._class_rows(60.0),
     )
@@ -461,7 +469,6 @@ def test_bounds_past_the_key_range_leave_the_store_intact(monkeypatch):
     before = bqf._walked_rows.cache_info()
     calls = (
         lambda: census(3, 2**21),
-        lambda: next(hyperbolic_classes_below(2**21)),
         lambda: bqf._class_columns(2**21),
         lambda: bqf._class_rows(2**21),
     )
@@ -479,7 +486,7 @@ def test_census_rejects_primes_past_int64():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_census_snf_triple_pos_direct_count(p):
     snf = [0, 0, 0]
-    for r in hyperbolic_classes_below(200):
+    for r in _classes_below(200):
         if r.trace < 0:
             continue
         a1, a2 = sl2_snf_entries(r.matrix)
@@ -516,7 +523,7 @@ def test_density_report():
 def test_snf_routing_first_ten_thousand_classes():
     # divisibility category <-> label-group routing, re-checked per class
     seen = 0
-    for r in hyperbolic_classes_below(400):
+    for r in _classes_below(400):
         a1, a2 = sl2_snf_entries(r.matrix)
         for p in (2, 3, 5, 7):
             kind = classify_mod_2(r.matrix).kind if p == 2 else classify_mod_p(r.matrix, p).kind

@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from mti import bqf
+from mti import bqf, cli
 from mti.census import CSV_HEADER, census
 from mti.cli import run
 
@@ -82,18 +82,28 @@ def test_classes_count_only(capsys):
     assert lines[2] == "5 2"  # disc 21 splits into two cycles (no norm -1 unit)
 
 
+def test_classes_tmax_lists_both_signs_of_each_trace(capsys):
+    # one cycle at disc 5 and two at disc 12, each listed as trace s and -s
+    three = "3 (-1, 1, 1) content=1\n-3 (-1, 1, 1) content=1\n"
+    four = "4 (-2, 2, 1) content=1\n4 (-1, 2, 2) content=1\n-4 (-2, 2, 1) content=1\n-4 (-1, 2, 2) content=1\n"
+    assert _capture(capsys, ["classes", "--tmax", "4"]) == (0, three)
+    assert _capture(capsys, ["classes", "--tmax", "5"]) == (0, three + four)
+
+
 # SHA-256 of stdout, recorded before the listing and the counts were read
-# from the class store, and the total while it was the length of the listing
+# from the class store, and the total while it was the length of the listing;
+# the T = 500 listing while it was printed from one object per class
 CLASSES_SHA256 = {
     ("classes", "--tmax", "60"): "bad786ca9e638f60262f9c149bbe9a9806ffe0513605526d52ea6a8535a7a651",
     ("classes", "--tmax", "60", "--count-only", "--json"): (
         "46f6c776dbc655598c150124f5c38f4ca3e3106029294edc258a24eb994fc2b4"
     ),
     ("classes", "--tmax", "60", "--json"): "3e05f0cf3db077f35a136519d10378c18f28a300d3f675049e39c1791a4aa5d0",
+    ("classes", "--tmax", "500"): "a9b80ad61f5bbd37b4b029c2779fe5aabad418194b8451eec02e98781f55d5b7",
 }
 
 
-@pytest.mark.parametrize("argv", list(CLASSES_SHA256), ids=["listing", "counts-json", "total-json"])
+@pytest.mark.parametrize("argv", list(CLASSES_SHA256), ids=["listing", "counts-json", "total-json", "listing-500"])
 def test_classes_tmax_bytes_pinned(argv, capsys):
     code, out = _capture(capsys, list(argv))
     assert code == 0
@@ -139,6 +149,7 @@ def test_classes_tmax_walks_the_listing_at_most_once(extra, walks, monkeypatch, 
     bqf._walked_rows.cache_clear()
     monkeypatch.setattr(bqf, "_word_pieces", counted)
     monkeypatch.setattr(bqf, "_class_columns", listed)
+    monkeypatch.setattr(cli, "_class_columns", listed)
     assert _capture(capsys, ["classes", "--tmax", "60", *extra])[0] == 0
     assert calls == [60]
     assert listings == [60] * walks
@@ -292,6 +303,21 @@ def test_csw_sweep(capsys):
     assert doc["vanishing"] == 7
     assert doc["phase_eighths"] == [0, 0, 4, 3, 0, 1, 0, 0]
     assert doc["worst_modulus_difference"] < 1e-8
+
+
+def test_csw_sweep_refuses_tmax_past_the_trace_range(monkeypatch, capsys):
+    # the sweep draws |t| up to --tmax and classes_with_trace refuses
+    # |t| >= 2^21, so such a --tmax is refused before the first sample
+    def no_sample(t):
+        raise AssertionError(f"sampled trace {t}")
+
+    monkeypatch.setattr(cli, "classes_with_trace", no_sample)
+    for tmax in (2**21, 3 * 10**6):
+        assert run(["csw-sweep", "--tmax", str(tmax), "--samples", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need --kmax >= 1, 3 <= --tmax < 2^21 and --samples >= 0\n"
+    assert run(["csw-sweep", "--tmax", str(2**21 - 1), "--samples", "0"]) == 0
 
 
 def test_modform(capsys):
