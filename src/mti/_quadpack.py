@@ -1,20 +1,22 @@
 """QUADPACK's QAGS (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
 *QUADPACK*, Springer 1983), which `mti.census` uses for li(x).
 
-This is `dqagse` with the 21-point Gauss-Kronrod rule `dqk21`, the error
-list ordering `dqpsrt` and the Wynn epsilon extrapolation `dqelg`, ported
-statement by statement with epsabs = epsrel = 1.49e-8 (the defaults of
-`scipy.integrate.quad`) and limit = 200 subintervals.  Every floating-point
-operation keeps QUADPACK's operands and order (the Gauss nodes before the
-Kronrod-only ones, the final sum over the interval list in index order), so
-`qags(f, a, b)` equals `quad(f, a, b, limit=200)[:2]` bit for bit.  The
-census integrates only the smooth 1/log u, which runs a small part of the
-control flow; the integrand is a parameter so that the tests can drive the
-rest (extrapolation, reordering, the subdivision limit) against `quad`.
-Arrays are 1-based as in the Fortran (index 0 is unused), which keeps the
-index arithmetic of the original.
+This is `dqagse` with the error list ordering `dqpsrt` and the Wynn epsilon
+extrapolation `dqelg`, ported statement by statement with
+epsabs = epsrel = 1.49e-8 (the defaults of `scipy.integrate.quad`) and
+limit = 200 subintervals.  The 21-point Gauss-Kronrod rule `dqk21` is the
+parameter: `qags(rule, a, b)` calls rule(a', b') -> (result, abserr, resabs,
+resasc) on [a, b] and on every subinterval it bisects.  The one rule here,
+`dqk21_inv_log`, is `dqk21` for the census's 1/log u, written out node by
+node.  Every floating-point operation keeps QUADPACK's operands and order
+(the Gauss nodes before the Kronrod-only ones, the final sum over the
+interval list in index order), so `qags(dqk21_inv_log, a, b)` equals
+`quad(lambda u: 1.0 / log(u), a, b, limit=200)[:2]` bit for bit.  The smooth
+1/log u runs a small part of the control flow; the tests drive the rest
+(extrapolation, reordering, the subdivision limit) against `quad` through a
+generic `dqk21` of any integrand.  Arrays are 1-based as in the Fortran
+(index 0 is unused), which keeps the index arithmetic of the original.
 """
-
 from __future__ import annotations
 
 from math import log
@@ -65,42 +67,73 @@ _WG = (
 )
 
 
-def _dqk21(f, a: float, b: float) -> tuple[float, float, float, float]:
-    """(result, abserr, resabs, resasc) of the 21-point rule for f on [a, b]."""
+def dqk21_inv_log(a: float, b: float) -> tuple[float, float, float, float]:
+    """(result, abserr, resabs, resasc) of the 21-point rule for 1/log u on
+    [a, b]: `dqk21` written out node by node, each value 1.0 / log(u), with
+    QUADPACK's operands and order in every sum (the Gauss nodes before the
+    Kronrod-only ones)."""
+    _, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = _XGK
+    _, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11 = _WGK
+    _, g1, g2, g3, g4, g5 = _WG
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
-    fv1 = [0.0] * 11
-    fv2 = [0.0] * 11
-    resg = 0.0
-    fc = f(centr)
-    resk = _WGK[11] * fc
+    fc = 1.0 / log(centr)
+    # the values left (l) and right (r) of the centre at each abscissa
+    h = hlgth * x2
+    l2, r2 = 1.0 / log(centr - h), 1.0 / log(centr + h)
+    h = hlgth * x4
+    l4, r4 = 1.0 / log(centr - h), 1.0 / log(centr + h)
+    h = hlgth * x6
+    l6, r6 = 1.0 / log(centr - h), 1.0 / log(centr + h)
+    h = hlgth * x8
+    l8, r8 = 1.0 / log(centr - h), 1.0 / log(centr + h)
+    h = hlgth * x10
+    l10, r10 = 1.0 / log(centr - h), 1.0 / log(centr + h)
+    h = hlgth * x1
+    l1, r1 = 1.0 / log(centr - h), 1.0 / log(centr + h)
+    h = hlgth * x3
+    l3, r3 = 1.0 / log(centr - h), 1.0 / log(centr + h)
+    h = hlgth * x5
+    l5, r5 = 1.0 / log(centr - h), 1.0 / log(centr + h)
+    h = hlgth * x7
+    l7, r7 = 1.0 / log(centr - h), 1.0 / log(centr + h)
+    h = hlgth * x9
+    l9, r9 = 1.0 / log(centr - h), 1.0 / log(centr + h)
+    s1, s2, s3, s4, s5 = l1 + r1, l2 + r2, l3 + r3, l4 + r4, l5 + r5
+    s6, s7, s8, s9, s10 = l6 + r6, l7 + r7, l8 + r8, l9 + r9, l10 + r10
+    resg = 0.0 + g1 * s2 + g2 * s4 + g3 * s6 + g4 * s8 + g5 * s10
+    resk = k11 * fc
     resabs = abs(resk)
-    for j in (1, 2, 3, 4, 5):
-        jtw = 2 * j
-        absc = hlgth * _XGK[jtw]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtw] = fval1
-        fv2[jtw] = fval2
-        fsum = fval1 + fval2
-        resg = resg + _WG[j] * fsum
-        resk = resk + _WGK[jtw] * fsum
-        resabs = resabs + _WGK[jtw] * (abs(fval1) + abs(fval2))
-    for j in (1, 2, 3, 4, 5):
-        jtwm1 = 2 * j - 1
-        absc = hlgth * _XGK[jtwm1]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtwm1] = fval1
-        fv2[jtwm1] = fval2
-        fsum = fval1 + fval2
-        resk = resk + _WGK[jtwm1] * fsum
-        resabs = resabs + _WGK[jtwm1] * (abs(fval1) + abs(fval2))
+    resk = resk + k2 * s2 + k4 * s4 + k6 * s6 + k8 * s8 + k10 * s10
+    resk = resk + k1 * s1 + k3 * s3 + k5 * s5 + k7 * s7 + k9 * s9
+    resabs = (
+        resabs
+        + k2 * (abs(l2) + abs(r2))
+        + k4 * (abs(l4) + abs(r4))
+        + k6 * (abs(l6) + abs(r6))
+        + k8 * (abs(l8) + abs(r8))
+        + k10 * (abs(l10) + abs(r10))
+        + k1 * (abs(l1) + abs(r1))
+        + k3 * (abs(l3) + abs(r3))
+        + k5 * (abs(l5) + abs(r5))
+        + k7 * (abs(l7) + abs(r7))
+        + k9 * (abs(l9) + abs(r9))
+    )
     reskh = resk * 0.5
-    resasc = _WGK[11] * abs(fc - reskh)
-    for j in range(1, 11):
-        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    resasc = (
+        k11 * abs(fc - reskh)
+        + k1 * (abs(l1 - reskh) + abs(r1 - reskh))
+        + k2 * (abs(l2 - reskh) + abs(r2 - reskh))
+        + k3 * (abs(l3 - reskh) + abs(r3 - reskh))
+        + k4 * (abs(l4 - reskh) + abs(r4 - reskh))
+        + k5 * (abs(l5 - reskh) + abs(r5 - reskh))
+        + k6 * (abs(l6 - reskh) + abs(r6 - reskh))
+        + k7 * (abs(l7 - reskh) + abs(r7 - reskh))
+        + k8 * (abs(l8 - reskh) + abs(r8 - reskh))
+        + k9 * (abs(l9 - reskh) + abs(r9 - reskh))
+        + k10 * (abs(l10 - reskh) + abs(r10 - reskh))
+    )
     result = resk * hlgth
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
@@ -233,9 +266,10 @@ def _dqelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, float, f
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-def qags(f, a: float, b: float) -> tuple[float, float]:
-    """(integral of f over [a, b], error estimate) by QAGS, as
-    `scipy.integrate.quad(f, a, b, limit=200)[:2]` for finite a and b."""
+def qags(rule, a: float, b: float) -> tuple[float, float]:
+    """(integral over [a, b], error estimate) by QAGS with the 21-point rule
+    `rule` of some integrand f, as `scipy.integrate.quad(f, a, b,
+    limit=200)[:2]` for finite a and b."""
     epsabs, epsrel, limit = _EPSABS, _EPSREL, _LIMIT
     epmach = _EPMACH
     alist = [0.0] * (limit + 1)
@@ -251,7 +285,7 @@ def qags(f, a: float, b: float) -> tuple[float, float]:
 
     # first approximation to the integral
     ierro = 0
-    result, abserr, defabs, resabs = _dqk21(f, a, b)
+    result, abserr, defabs, resabs = rule(a, b)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     last = 1
@@ -286,8 +320,8 @@ def qags(f, a: float, b: float) -> tuple[float, float]:
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = _dqk21(f, a1, b1)
-        area2, error2, _, defab2 = _dqk21(f, a2, b2)
+        area1, error1, _, defab1 = rule(a1, b1)
+        area2, error2, _, defab2 = rule(a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax

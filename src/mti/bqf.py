@@ -276,11 +276,12 @@ def _necklace_rows(xs, ys, node, x, y0, same, a, c, u, v, ny):
     x0 = xs[0, node] if len(xs) else x
     skip = (ny > 0) & ((len(xs) + 1) % same != 0)
     y0, ny = y0 + skip, ny - skip
-    y = np.arange(ny.sum()) - np.repeat(np.cumsum(ny) - ny - y0, ny)
+    run = np.repeat(np.arange(len(ny)), ny)
+    y = np.arange(len(run)) - (np.cumsum(ny) - ny - y0)[run]
     w = v - a + x0 * c
     lines = ((a + v, u), (-c, -v), (u - x0 * w, x0 * (u - x0 * v)))
     del x0, skip, y0, w  # per-run temporaries, dropped before the per-child expansion
-    return tuple((np.repeat(c0, ny) + y * np.repeat(c1, ny)).astype(np.int32) for c0, c1 in lines)
+    return tuple((c0[run] + y * c1[run]).astype(np.int32) for c0, c1 in lines)
 
 
 def _cycle_minima(t, m, l, k):

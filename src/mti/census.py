@@ -18,16 +18,12 @@ from functools import cache
 
 import numpy as np
 
-from ._quadpack import qags
+from ._quadpack import dqk21_inv_log, qags
 from .bqf import _class_rows
 from .intmat import is_prime
 from .sl2 import KINDS_ODD, KINDS_P2, dw_exponent_of_kind, legendre
 
 CSV_HEADER = "T,total,c1,c2,unipotent,rest,dw_sum,snf_id,snf_unip,snf_rest,li_T2"
-
-
-def _inv_log(u: float) -> float:
-    return 1.0 / math.log(u)
 
 
 @cache
@@ -40,7 +36,7 @@ def log_integral(x: float) -> float:
         raise ValueError("x must be >= 2")
     if x == 2:
         return 0.0
-    return qags(_inv_log, 2.0, float(x))[0]
+    return qags(dqk21_inv_log, 2.0, float(x))[0]
 
 
 @dataclass
@@ -105,7 +101,9 @@ def census(p: int, T: int) -> CensusReport:
     s = 2 in category 1, and the Legendre symbol of -c (or of b) splits the
     rest (see `_class_bins`).  One bincount over every row counts the rows
     by checkpoint segment, trace slot and symbol; each checkpoint T/2^k sums
-    the segments below it.
+    the segments below it, one product with a one-hot matrix built at import
+    (`_tally_matrix`) takes its bins to codes on s = t and on both signs,
+    and `_snapshots` reads every checkpoint off the product at once.
     """
     p, T = operator.index(p), operator.index(T)
     if p >= 2**63:
@@ -113,18 +111,12 @@ def census(p: int, T: int) -> CensusReport:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     t, m, k = _class_rows(T)
-    labels = KINDS_P2 if p == 2 else KINDS_ODD
-    nl = len(labels)
     # checkpoint bounds T/2^k below T, all >= 4, then T itself
     bounds = sorted({T >> j for j in range(1, T.bit_length()) if T >> j >= 4}) + [T]
-    bins, on_pos, on_neg = _class_bins(p, bounds, t, m, k)
-    # counts by bin below each bound, then by code on s = t and on s = -t
-    counts = np.bincount(bins, minlength=len(bounds) * _BINS).reshape(len(bounds), _BINS).cumsum(0)
-    codes = np.eye(3 * nl, dtype=np.int64)
-    pos, neg = counts @ codes[on_pos], counts @ codes[on_neg]
-    checkpoints = [
-        _snapshot(bound, pos[j].reshape(nl, 3), neg[j].reshape(nl, 3), labels, p) for j, bound in enumerate(bounds)
-    ]
+    # counts by bin below each bound, then by code on s = t and on both signs
+    counts = np.bincount(_class_bins(p, bounds, t, m, k), minlength=len(bounds) * _BINS)
+    counts = counts.reshape(len(bounds), _BINS).cumsum(0) @ (_TALLY_P2 if p == 2 else _TALLY_ODD)
+    checkpoints = _snapshots(p, bounds, counts)
     return CensusReport(**vars(checkpoints[-1]), checkpoints=checkpoints)
 
 
@@ -133,9 +125,32 @@ def census(p: int, T: int) -> CensusReport:
 _BINS = 4 * 5
 
 
-def _class_bins(p: int, bounds: list[int], t, m, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bin of every row, and the code label * 3 + SNF category of each
-    of a checkpoint segment's _BINS bins on s = t and on s = -t.
+def _tally_matrix(nl: int, fixed: tuple[int, int], table: list[list[int]]) -> np.ndarray:
+    """The one-hot int64 (_BINS, 2 * 3 * nl) matrix that takes a segment's
+    counts by bin to its counts by code on s = t, then on both signs: the
+    fixed codes of the first two slots, and on s = 2 (first row of table)
+    and s = -2 the codes by the symbol 0 (central), 1 or -1 of w, spread
+    over the sums -2 .. 2.  The class of trace -s swaps s = 2 and s = -2,
+    so its codes read the rows of table in reverse."""
+    table = np.array(table)[:, [2, 2, 0, 1, 1]]
+    fixed = np.repeat([fixed], 5, axis=0).T
+    on_pos = np.concatenate([fixed, table]).ravel()
+    on_neg = np.concatenate([fixed, table[::-1]]).ravel()
+    codes = np.eye(3 * nl, dtype=np.int64)
+    return np.hstack([codes[on_pos], codes[on_pos] + codes[on_neg]])
+
+
+# p = 2 has s = 2 = -2, and no negative symbol sum
+_TALLY_P2 = _tally_matrix(len(KINDS_P2), (2 * 3 + 2, 2 * 3 + 2), [[0 * 3 + 0, 1 * 3 + 1, 1 * 3 + 1]] * 2)
+_TALLY_ODD = _tally_matrix(
+    len(KINDS_ODD), (6 * 3 + 2, 7 * 3 + 2), [[0 * 3 + 0, 2 * 3 + 1, 3 * 3 + 1], [1 * 3 + 2, 4 * 3 + 2, 5 * 3 + 2]]
+)
+
+
+def _class_bins(p: int, bounds: list[int], t, m, k) -> np.ndarray:
+    """The bin of every row: its checkpoint segment, its trace's slot and
+    the sum of the symbols of its m and k, which `_tally_matrix` takes to
+    the row's code label * 3 + SNF category on s = t and on s = -t.
 
     The form (m, l, k) stands for the class A = [[(s-l)/2, b], [c, (s+l)/2]]
     with b = k and c = -m, and SNF(A - Id) = diag(A1, A2) with A1 | A2 and
@@ -160,29 +175,19 @@ def _class_bins(p: int, bounds: list[int], t, m, k) -> tuple[np.ndarray, np.ndar
     """
     T = bounds[-1]
     symbol = _legendre_table(p, T + 2)
-    s = np.arange(3, T)
-    below, above = symbol[s - 2], symbol[s + 2]
+    # the symbols of s - 2 and s + 2 for s = 3 .. T - 1
+    below, above = symbol[1 : T - 2], symbol[5 : T + 2]
     # the symbol of s^2 - 4 picks the fixed code; 0 marks s = +-2 mod p
     square = below * above
     slot = np.where(square == 0, 2 + (below != 0), square != 1)
     base = np.zeros(T, np.intp)
-    base[3:] = (np.searchsorted(bounds, s, "right") * 4 + slot) * 5 + 2
+    base[3:] = (np.searchsorted(bounds, np.arange(3, T), "right") * 4 + slot) * 5 + 2
     # the symbols of k in [1, T), and of m in (-T, 0) indexed from the end
     of_k, of_m = symbol[:T], (-1 if p % 4 == 3 else 1) * symbol[T:0:-1]
     bins = base[t]
     bins += of_m[m]
     bins += of_k[k]
-    # the codes on s = +-2 mod p by the symbol 0 (central), 1 or -1 of w, on
-    # s = 2 (first row) and s = -2, spread over the sums -2 .. 2
-    if p == 2:  # s = 2 = -2, and no sum is negative
-        fixed = (2 * 3 + 2, 2 * 3 + 2)
-        table = np.array([[0 * 3 + 0, 1 * 3 + 1, 1 * 3 + 1]] * 2)
-    else:
-        fixed = (6 * 3 + 2, 7 * 3 + 2)
-        table = np.array([[0 * 3 + 0, 2 * 3 + 1, 3 * 3 + 1], [1 * 3 + 2, 4 * 3 + 2, 5 * 3 + 2]])
-    table = table[:, [2, 2, 0, 1, 1]]
-    fixed = np.repeat([fixed], 5, axis=0).T
-    return bins, np.concatenate([fixed, table]).ravel(), np.concatenate([fixed, table[::-1]]).ravel()
+    return bins
 
 
 def _legendre_table(p: int, n: int) -> np.ndarray:
@@ -212,26 +217,28 @@ def _legendre_table(p: int, n: int) -> np.ndarray:
     return table if p > n else table[np.arange(n) % p]
 
 
-def _snapshot(T: int, pos: np.ndarray, neg: np.ndarray, labels, p: int) -> Checkpoint:
-    # pos, neg: counts by (label, SNF category) of the positive and the
-    # negative traces below T; the Z values stay Python ints, since p^2
-    # overflows int64 for p near 2^63
-    both = pos + neg
-    per_label = dict(zip(labels, both.sum(1).tolist()))
-    pos_label = dict(zip(labels, pos.sum(1).tolist()))
+def _snapshots(p: int, bounds: list[int], counts: np.ndarray) -> list[Checkpoint]:
+    """The checkpoint at each bound, from its row of counts by (label, SNF
+    category) on the positive traces, then on both signs, below it; the Z
+    values stay Python ints, since p^2 overflows int64 for p near 2^63."""
+    labels = KINDS_P2 if p == 2 else KINDS_ODD
+    counts = counts.reshape(len(bounds), 2, len(labels), 3)
     z = [p ** dw_exponent_of_kind(kind, p) for kind in labels]
-    return Checkpoint(
-        T=T,
-        p=p,
-        total=sum(per_label.values()),
-        per_label=per_label,
-        dw_sum=sum(map(operator.mul, z, per_label.values())),
-        snf_triple=tuple(both.sum(0).tolist()),
-        li_T2=log_integral(float(T) * T),
-        total_pos=sum(pos_label.values()),
-        dw_sum_pos=sum(map(operator.mul, z, pos_label.values())),
-        snf_triple_pos=tuple(pos.sum(0).tolist()),
-    )
+    return [
+        Checkpoint(
+            T=T,
+            p=p,
+            total=sum(label),
+            per_label=dict(zip(labels, label)),
+            dw_sum=sum(map(operator.mul, z, label)),
+            snf_triple=tuple(snf),
+            li_T2=log_integral(float(T) * T),
+            total_pos=sum(pos_label),
+            dw_sum_pos=sum(map(operator.mul, z, pos_label)),
+            snf_triple_pos=tuple(pos_snf),
+        )
+        for T, (pos_label, label), (pos_snf, snf) in zip(bounds, counts.sum(3).tolist(), counts.sum(2).tolist())
+    ]
 
 
 @dataclass

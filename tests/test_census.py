@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import operator
 import random
 import sys
 
@@ -11,12 +12,15 @@ from mti import bqf
 from mti.bqf import classes_with_trace
 from mti.census import (
     _BINS,
+    _TALLY_ODD,
+    _TALLY_P2,
     CSV_HEADER,
+    Checkpoint,
     CensusReport,
     _class_bins,
     _group_counts,
     _legendre_table,
-    _snapshot,
+    _snapshots,
     census,
     density_report,
     group_fractions,
@@ -25,7 +29,16 @@ from mti.census import (
     theorem_constants,
 )
 from mti.intmat import is_prime
-from mti.sl2 import KINDS_ODD, KINDS_P2, classify_mod_2, classify_mod_p, dw_invariant_sl2, legendre, sl2_snf_entries
+from mti.sl2 import (
+    KINDS_ODD,
+    KINDS_P2,
+    classify_mod_2,
+    classify_mod_p,
+    dw_exponent_of_kind,
+    dw_invariant_sl2,
+    legendre,
+    sl2_snf_entries,
+)
 
 
 def _li_simpson(x, steps=20000):
@@ -58,13 +71,18 @@ def test_log_integral_refuses_non_finite(x):
 def test_log_integral_is_quad_bit_for_bit():
     # scipy's QUADPACK is the oracle of the in-repo port: equal bits, no
     # tolerance, on every T^2 the census can ask for up to T = 1024, the
-    # checkpoint bounds of three larger censuses and seeded random x
+    # checkpoint bounds of three larger censuses and seeded random x up to
+    # (2^21 - 1)^2
     from scipy.integrate import quad
 
     xs = [float(T) * T for T in range(4, 1025)]
     xs += [float(T >> j) * (T >> j) for T in (2000, 4000, 10_000) for j in range(T.bit_length()) if T >> j >= 4]
     rng = random.Random(0)
     xs += [rng.uniform(2.0, 1e12) for _ in range(200)]
+    # and up to the largest T^2 below the trace bound 2^21
+    top = float(2**21 - 1) ** 2
+    rng = random.Random(1)
+    xs += [rng.uniform(1e12, top) for _ in range(100)] + [top]
     for x in xs:
         assert log_integral.__wrapped__(x) == quad(lambda u: 1.0 / math.log(u), 2.0, x, limit=200)[0], x
 
@@ -210,6 +228,44 @@ def _legendre_symbols(residues: np.ndarray, p: int) -> np.ndarray:
     return np.array([legendre(v, p) for v in distinct.tolist()], np.int8)[where]
 
 
+def _snapshot(T: int, pos: np.ndarray, neg: np.ndarray, labels, p: int) -> Checkpoint:
+    # the per-checkpoint builder census ran before `_snapshots`, kept as its
+    # oracle; pos, neg: counts by (label, SNF category) of the positive and
+    # the negative traces below T; the Z values stay Python ints, since p^2
+    # overflows int64 for p near 2^63
+    both = pos + neg
+    per_label = dict(zip(labels, both.sum(1).tolist()))
+    pos_label = dict(zip(labels, pos.sum(1).tolist()))
+    z = [p ** dw_exponent_of_kind(kind, p) for kind in labels]
+    return Checkpoint(
+        T=T,
+        p=p,
+        total=sum(per_label.values()),
+        per_label=per_label,
+        dw_sum=sum(map(operator.mul, z, per_label.values())),
+        snf_triple=tuple(both.sum(0).tolist()),
+        li_T2=log_integral(float(T) * T),
+        total_pos=sum(pos_label.values()),
+        dw_sum_pos=sum(map(operator.mul, z, pos_label.values())),
+        snf_triple_pos=tuple(pos.sum(0).tolist()),
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**63 - 25])
+def test_snapshots_match_per_checkpoint_oracle(p):
+    # seeded counts, some past 2^32, at the checkpoint bounds of T = 500;
+    # for 2^63 - 25 the Z value p^2 overflows int64
+    labels = KINDS_P2 if p == 2 else KINDS_ODD
+    bounds = [7, 15, 31, 62, 125, 250, 500]
+    rng = np.random.default_rng(p % 1000)
+    for high in (5, 2**40):
+        pos = rng.integers(0, high, (len(bounds), len(labels), 3))
+        neg = rng.integers(0, high, (len(bounds), len(labels), 3))
+        got = _snapshots(p, bounds, np.concatenate([pos, pos + neg], axis=1).reshape(len(bounds), -1))
+        want = [_snapshot(T, pos[j], neg[j], labels, p) for j, T in enumerate(bounds)]
+        assert repr(got) == repr(want)
+
+
 def _oracle_census(p: int, T: int) -> CensusReport:
     labels = KINDS_P2 if p == 2 else KINDS_ODD
     nl = len(labels)
@@ -261,10 +317,15 @@ def test_class_codes_match_per_class_oracle(p):
     t, m, l, k = bqf._class_columns(T)
     rep = census(p, T)
     bounds = [cp.T for cp in rep.checkpoints]
-    bins, on_pos, on_neg = _class_bins(p, bounds, t, m, k)
+    bins = _class_bins(p, bounds, t, m, k)
     assert (bins // _BINS).tolist() == np.searchsorted(bounds, t, "right").tolist()
-    pos, neg = on_pos[bins % _BINS], on_neg[bins % _BINS]
+    # the tally matrix is one-hot in the codes on s = t and on both signs
     labels = ("C1", "C2", "C3") if p == 2 else tuple(f"C{i}" for i in range(1, 9))
+    tally = _TALLY_P2 if p == 2 else _TALLY_ODD
+    on_pos, on_both = tally[:, : 3 * len(labels)], tally[:, 3 * len(labels) :]
+    assert sorted(np.unique(on_pos).tolist()) == [0, 1] and on_pos.sum(1).tolist() == [1] * _BINS
+    assert ((on_both - on_pos) >= 0).all() and (on_both - on_pos).sum(1).tolist() == [1] * _BINS
+    pos, neg = on_pos.argmax(1)[bins % _BINS], (on_both - on_pos).argmax(1)[bins % _BINS]
     category = {(True, True): 0, (False, True): 1, (False, False): 2}
     rows = zip(t.tolist(), m.tolist(), l.tolist(), k.tolist(), pos.tolist(), neg.tolist())
     for abs_t, mi, li, ki, *codes in rows:
@@ -486,11 +547,10 @@ def test_census_rejects_primes_past_int64():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_census_snf_triple_pos_direct_count(p):
     snf = [0, 0, 0]
-    for r in _classes_below(200):
-        if r.trace < 0:
-            continue
-        a1, a2 = sl2_snf_entries(r.matrix)
-        snf[0 if a1 % p == 0 else 1 if a2 % p == 0 else 2] += 1
+    for s in range(3, 200):
+        for r in classes_with_trace(s):
+            a1, a2 = sl2_snf_entries(r.matrix)
+            snf[0 if a1 % p == 0 else 1 if a2 % p == 0 else 2] += 1
     assert census(p, 200).snf_triple_pos == tuple(snf)
 
 
