@@ -7,10 +7,6 @@ from .bqf import (
     bqf_to_matrix,
     class_count_with_trace,
     classes_with_trace,
-    is_reduced,
-    matrix_to_bqf,
-    reduce_indefinite,
-    reduction_cycle,
 )
 from .census import (
     CensusReport,
@@ -23,7 +19,6 @@ from .csw import (
     ModularData,
     compare_with_rep_trace,
     congruence_level,
-    coset_reps,
     csw_invariant,
     rep_trace,
     su2_modular_data,
@@ -38,7 +33,6 @@ from .intmat import (
     mapping_torus_homology,
     rank_mod_p,
     smith_normal_form,
-    snf_via_minor_gcds,
 )
 from .modular import (
     ZETA3,
@@ -57,9 +51,6 @@ from .sl2 import (
     classify_mod_p,
     dw_invariant_genus_g,
     dw_invariant_sl2,
-    dw_invariant_sl2_p2,
-    fixed_point_count_bruteforce,
-    fixed_point_count_genus_g,
     genus1_homology,
     geodesic_pullback_splitting,
     sl2_snf_entries,

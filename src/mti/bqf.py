@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from operator import index
 
 import numpy as np
@@ -84,13 +84,6 @@ class ClassRep:
     primitive_content: int
 
 
-def matrix_to_bqf(A: Sl2Matrix) -> QuadForm:
-    """Form (b, a-d, -c) attached to a hyperbolic matrix."""
-    if abs(A.trace) <= 2:
-        raise ValueError("requires |trace| > 2")
-    return QuadForm(A.b, A.a - A.d, -A.c)
-
-
 def bqf_to_matrix(f: QuadForm, t: int) -> Sl2Matrix:
     """Trace-t matrix [[(t-l)/2, k], [-m, (t+l)/2]] attached to a form.
 
@@ -103,97 +96,6 @@ def bqf_to_matrix(f: QuadForm, t: int) -> Sl2Matrix:
     if (t - f.l) % 2 != 0:
         raise ValueError("parity violation: l must equal t mod 2")
     return Sl2Matrix((t - f.l) // 2, f.k, -f.m, (t + f.l) // 2)
-
-
-def _check_disc(D: int) -> int:
-    if D <= 0:
-        raise ValueError("discriminant must be positive")
-    r = isqrt(D)
-    if r * r == D:
-        raise ValueError("discriminant must not be a perfect square")
-    return r
-
-
-def is_reduced(f: QuadForm) -> bool:
-    """Gauss-reduced: 0 < l < sqrt(D) and sqrt(D) - l < 2|m| < sqrt(D) + l."""
-    D = f.discriminant
-    _check_disc(D)
-    l, x = f.l, 2 * abs(f.m)
-    if l <= 0 or l * l >= D:
-        return False
-    if D >= (x + l) * (x + l):  # sqrt(D) >= 2|m| + l
-        return False
-    return x <= l or (x - l) * (x - l) < D  # 2|m| - l < sqrt(D)
-
-
-def _rho(m: int, l: int, k: int, D: int, isq: int) -> tuple[int, int, int]:
-    # neighbor of a reduced form: leading coefficient k, companion l' the
-    # unique residue of -l mod 2|k| in (sqrt(D) - 2|k|, sqrt(D))
-    two_k = 2 * abs(k)
-    l2 = (-l) % two_k
-    l2 += ((isq - l2) // two_k) * two_k
-    return (k, l2, (l2 * l2 - D) // (4 * k))
-
-
-def reduction_cycle(f: QuadForm) -> list[QuadForm]:
-    """The rho-orbit of a reduced form: the full cycle of its class."""
-    if not is_reduced(f):
-        raise ValueError(f"{f} is not reduced")
-    D = f.discriminant
-    isq = isqrt(D)
-    start = f.as_tuple()
-    cycle = [start]
-    cur = _rho(*start, D, isq)
-    while cur != start:
-        cycle.append(cur)
-        cur = _rho(*cur, D, isq)
-    return [QuadForm(*c) for c in cycle]
-
-
-def _normalize(a: int, b: int, c: int, D: int, isq: int) -> tuple[int, int, int, int]:
-    # translate b into the normalization window; returns (a, b', c', shift)
-    two_a = 2 * abs(a)
-    if abs(a) > isq:
-        r = b % two_a
-        b2 = r - two_a if r > abs(a) else r
-    else:
-        b2 = isq - ((isq - b) % two_a)
-    shift = (b2 - b) // (2 * a)
-    return a, b2, (b2 * b2 - D) // (4 * a), shift
-
-
-def reduce_with_transform(f: QuadForm) -> tuple[QuadForm, Sl2Matrix]:
-    """Reduce an indefinite form; also return g with f(g*(x,y)) = reduced."""
-    D = f.discriminant
-    isq = _check_disc(D)
-    a, b, c = f.as_tuple()
-    # transform accumulated as column substitution (x,y) -> g.(x,y)
-    g = (1, 0, 0, 1)
-    while True:
-        a, b, c, shift = _normalize(a, b, c, D, isq)
-        # right-multiply by [[1, shift], [0, 1]] acting on the variables
-        g = (g[0], g[1] + g[0] * shift, g[2], g[3] + g[2] * shift)
-        if 0 < b and b * b < D and D < (2 * abs(a) + b) ** 2 and (
-            2 * abs(a) <= b or (2 * abs(a) - b) ** 2 < D
-        ):
-            break
-        a, b, c = c, -b, a
-        # right-multiply by [[0, -1], [1, 0]]
-        g = (g[1], -g[0], g[3], -g[2])
-    return QuadForm(a, b, c), Sl2Matrix(*g)
-
-
-def reduce_indefinite(f: QuadForm) -> QuadForm:
-    """A reduced form properly equivalent to f (Gauss reduction)."""
-    return reduce_with_transform(f)[0]
-
-
-def apply_transform(f: QuadForm, g: Sl2Matrix) -> QuadForm:
-    """Variable substitution (x, y) -> (g.a*x + g.b*y, g.c*x + g.d*y)."""
-    m = f(g.a, g.c)
-    k = f(g.b, g.d)
-    l = 2 * f.m * g.a * g.b + f.l * (g.a * g.d + g.b * g.c) + 2 * f.k * g.c * g.d
-    return QuadForm(m, l, k)
 
 
 def _word_pairs(a, b, c, d, per, xs, ys, T):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bqf import _class_columns, _class_rows, classes_with_trace
 from .census import census, census_text, density_report, theorem_constants
-from .csw import compare_with_rep_trace, csw_invariant
+from .csw import MAX_LEVEL, compare_with_rep_trace, csw_invariant
 from .intmat import IntMatrix, mapping_torus_homology, smith_normal_form
 from .modular import (
     COSET_REPRESENTATIVES,
@@ -90,7 +90,8 @@ def _cmd_snf(args) -> int:
 
 def _cmd_dw(args) -> int:
     m = _load_matrix(args.matrix)
-    if m.rows == 2:
+    # --no-check treats a 2x2 matrix as the 2g x 2g ones, with no determinant check
+    if m.rows == 2 and not args.no_check:
         val = dw_invariant_sl2(_as_sl2(m), args.prime)
     else:
         val = dw_invariant_genus_g(m, args.prime, check_symplectic=not args.no_check)
@@ -117,7 +118,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_homology(args) -> int:
     m = _load_matrix(args.matrix)
-    if m.rows == 2:
+    if m.rows == 2 and not args.no_check:
         group = genus1_homology(_as_sl2(m))
     else:
         group = mapping_torus_homology(m, check_symplectic=not args.no_check)
@@ -291,6 +292,8 @@ def _cmd_csw_sweep(args) -> int:
     # classes_with_trace refuses |t| >= 2^21: refuse such a --tmax before any sample runs
     if args.kmax < 1 or not 3 <= args.tmax < 2**21 or args.samples < 0:
         raise DomainError("need --kmax >= 1, 3 <= --tmax < 2^21 and --samples >= 0")
+    if args.kmax > MAX_LEVEL:
+        raise DomainError(f"--kmax must be at most {MAX_LEVEL}: the rep-trace oracle refuses larger levels")
     rng = random.Random(0)
     worst = 0.0
     phases = [0] * 8  # nonvanishing values by residual phase in eighths of a turn

@@ -38,38 +38,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intmat import IntMatrix, smith_normal_form
 from .sl2 import SL2_S, Sl2Matrix, legendre
 
 # below this bound, trial division of |Tr| +- 2 takes at most about 2^20 steps
 MAX_TRACE = 2**40
+# the largest level of the modular data: (k + 1)^2 complex entries per matrix,
+# and a product of them per S in a word; at k = 1000 `rep_trace` took up to
+# 2.0 s and 94 MB on a 2-core x86-64 machine, at k = 2000 13.6 s and 279 MB
+MAX_LEVEL = 1000
 
 
 def congruence_level(k: int) -> int:
     """The level through which the rank-(k+1) representation factors."""
     return 8 * (k + 2)
-
-
-def coset_reps(M: IntMatrix) -> list[tuple[int, int]]:
-    """Representatives of Z^2 / M Z^2 for a nonsingular integer 2x2 M.
-
-    From P M Q = diag(d1, d2): the vectors P^{-1} (i, j), 0 <= i < d1,
-    0 <= j < d2, hit every coset exactly once; there are |det M| of them.
-    """
-    if M.rows != 2 or M.cols != 2:
-        raise ValueError("expected a 2x2 matrix")
-    if M.det() == 0:
-        raise ValueError("matrix is singular")
-    snf = smith_normal_form(M)
-    d1, d2 = snf.diag
-    p = snf.left
-    pdet = p.det()  # +-1
-    pinv = [[p[1, 1] * pdet, -p[0, 1] * pdet], [-p[1, 0] * pdet, p[0, 0] * pdet]]
-    return [
-        (pinv[0][0] * i + pinv[0][1] * j, pinv[1][0] * i + pinv[1][1] * j)
-        for i in range(abs(d1))
-        for j in range(abs(d2))
-    ]
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -187,10 +168,13 @@ def su2_modular_data(k: int) -> ModularData:
     T[a] = exp(2 pi i ((a+1)^2 / (4(k+2)) - 1/8)).
 
     With this normalization (S T)^3 = S^2 = Id holds exactly, so words in S
-    and T evaluate to an honest representation (trivial on -Id).
+    and T evaluate to an honest representation (trivial on -Id).  Levels
+    above MAX_LEVEL are refused.
     """
     if k < 1:
         raise ValueError("level must be a positive integer")
+    if k > MAX_LEVEL:
+        raise ValueError(f"level must be at most {MAX_LEVEL} for the modular data")
     r = k + 2
     idx = np.arange(1, k + 2)
     s = np.sqrt(2.0 / r) * np.sin(np.pi * np.outer(idx, idx) / r)

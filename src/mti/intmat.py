@@ -7,11 +7,9 @@ performance-critical, so clarity and exactness win over speed.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
 
 
 class IntMatrix:
@@ -246,38 +244,6 @@ def smith_normal_form(M: IntMatrix) -> SnfResult:
 
     diag = [a[i][i] for i in range(n)]
     return SnfResult(diag, IntMatrix.from_rows(p), IntMatrix.from_rows(q))
-
-
-def _minor_det(M: IntMatrix, rows, cols) -> int:
-    sub = IntMatrix.from_rows([[M[i, j] for j in cols] for i in rows])
-    return sub.det()
-
-
-def snf_via_minor_gcds(M: IntMatrix, max_dim: int = 6) -> list[int]:
-    """Diagonal SNF entries from gcds of i x i minor determinants.
-
-    D(i) = gcd of all i x i minors, A(i) = D(i)/D(i-1) with D(0) := 1
-    (the quotient must be defined for i = 1).  Cost is combinatorial in
-    the number of minors, hence the dimension cap.
-    """
-    if max(M.rows, M.cols) > max_dim:
-        raise ValueError(f"matrix exceeds {max_dim}x{max_dim} minor-gcd limit")
-    n = min(M.rows, M.cols)
-    out = []
-    d_prev = 1
-    for i in range(1, n + 1):
-        g = 0
-        for rsel in itertools.combinations(range(M.rows), i):
-            for csel in itertools.combinations(range(M.cols), i):
-                g = gcd(g, _minor_det(M, rsel, csel))
-            if g == 1:
-                break
-        if g == 0:
-            out.extend([0] * (n - i + 1))
-            break
-        out.append(g // d_prev)
-        d_prev = g
-    return out
 
 
 def rank_mod_p(M: IntMatrix, p: int) -> int:

@@ -10,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .sl2 import SL2_S, SL2_T, Sl2Matrix, classify_mod_2, dw_invariant_sl2_p2
+from .sl2 import SL2_S, SL2_T, Sl2Matrix, classify_mod_2, dw_invariant_sl2
 
 MIN_IM = 0.05
 SERIES_TOL = 1e-30
@@ -132,7 +132,7 @@ def lemma_cool_report() -> list[LemmaCoolRow]:
     rows = []
     for name in ("T", "S", "T.S", "T.S.T", "-S.T^-1"):
         A = COSET_REPRESENTATIVES[name]
-        z = dw_invariant_sl2_p2(A).value
+        z = dw_invariant_sl2(A, 2).value
         fp = lemma_cool_value(A, "principal")
         fq = lemma_cool_value(A, "positive")
         rows.append(

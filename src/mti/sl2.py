@@ -1,6 +1,5 @@
-"""Finite-gauge partition functions of genus-one (and genus-g) mapping tori,
-mod-p conjugacy classification of SL(2,Z) elements, and brute-force
-fixed-point oracles.
+"""Finite-gauge partition functions of genus-one (and genus-g) mapping tori
+and mod-p conjugacy classification of SL(2,Z) elements.
 
 The partition function with gauge group Z/p of the mapping torus of A is
 written Z(A, p) throughout; it equals the number of fixed covectors of the
@@ -145,23 +144,6 @@ def dw_invariant_sl2(A: Sl2Matrix, p: int) -> DwValue:
     return DwValue.of(p, 0)
 
 
-def fixed_point_count_bruteforce(abar: tuple[int, int, int, int], p: int) -> int:
-    """Exhaustively count covectors phi with phi o Abar = phi over F_p.
-
-    abar is (a, b, c, d) of residues; maps phi(x, y) = u*x + v*y are
-    enumerated over all p^2 pairs (u, v).
-    """
-    a, b, c, d = (x % p for x in abar)
-    if (a * d - b * c) % p != 1 % p:
-        raise ValueError("determinant is not 1 mod p")
-    count = 0
-    for u in range(p):
-        for v in range(p):
-            if (u * a + v * c) % p == u and (u * b + v * d) % p == v:
-                count += 1
-    return count
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol by Euler's criterion (p an odd prime)."""
     a %= p
@@ -212,11 +194,6 @@ def classify_mod_2(A: Sl2Matrix) -> ClassLabel:
     return ClassLabel("C3", 2, t)
 
 
-def dw_invariant_sl2_p2(A: Sl2Matrix) -> DwValue:
-    """Z(A, 2) from the mod-2 class: 4 / 2 / 1 for C1 / C2 / C3."""
-    return DwValue.of(2, dw_exponent_of_kind(classify_mod_2(A).kind, 2))
-
-
 def geodesic_pullback_splitting(A: Sl2Matrix) -> int:
     """Number of closed geodesics over the one for [A] in the level-2 cover.
 
@@ -239,25 +216,6 @@ def dw_invariant_genus_g(fhat: IntMatrix, p: int, check_symplectic: bool = True)
         raise ValueError("matrix is not symplectic")
     exponent = 2 * g - rank_mod_p(fhat - IntMatrix.identity(2 * g), p)
     return DwValue.of(p, exponent)
-
-
-def fixed_point_count_genus_g(fhat_mod_p, g: int, p: int, bound: int = 10**6) -> int:
-    """Count covectors on (Z/p)^{2g} fixed by precomposition with the matrix.
-
-    Realizes the character of the induced permutation action without
-    building the p^{2g}-dimensional representation; exhaustive, so p^{2g}
-    is capped.
-    """
-    n = 2 * g
-    if p**n > bound:
-        raise ValueError(f"p^(2g) = {p**n} exceeds bound {bound}")
-    rows = [[x % p for x in row] for row in fhat_mod_p]
-    count = 0
-    for phi in itertools.product(range(p), repeat=n):
-        # condition: phi(M e_j) = phi(e_j) for all basis vectors
-        if all(sum(phi[i] * rows[i][j] for i in range(n)) % p == phi[j] for j in range(n)):
-            count += 1
-    return count
 
 
 @dataclass

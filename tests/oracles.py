@@ -1,0 +1,218 @@
+"""Slow reference implementations that the tests compare the library with,
+and the seeded matrix draws the tests share.
+
+Nothing in `mti` calls these.  Gauss reduction with equivalence witnesses
+and the rho-cycle of a reduced form (Buchmann-Vollmer, Binary Quadratic
+Forms, 2007) check the class listing; the gcds of minors check the Smith
+normal form; exhaustive fixed-point counts check Z(A, p).  The module is
+not a test file, so pytest does not collect it; the test files import it
+from their own directory.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import gcd, isqrt
+
+from mti.bqf import QuadForm
+from mti.intmat import IntMatrix
+from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
+
+
+def random_sl2(rng, length):
+    """A product of 1 to length factors drawn from T, T^-1 and S."""
+    m = Sl2Matrix(1, 0, 0, 1)
+    for _ in range(rng.randint(1, length)):
+        m = m * rng.choice([SL2_T, SL2_T.inverse(), SL2_S])
+    return m
+
+
+def all_sl2_with_trace(t, bound):
+    """Every matrix of trace t with entries in [-bound, bound] and bc != 0."""
+    for a in range(-bound, bound + 1):
+        d = t - a
+        if abs(d) > bound:
+            continue
+        n = a * d - 1  # = b*c
+        if n == 0:
+            continue  # bc = 0 with ad = 1 forces trace +-2, excluded here
+        for b in range(-bound, bound + 1):
+            if b != 0 and n % b == 0 and abs(n // b) <= bound:
+                yield Sl2Matrix(a, b, n // b, d)
+
+
+def sl2_fp_elements(p):
+    """Every element (a, b, c, d) of SL(2, F_p), as residues."""
+    for a, b, c in itertools.product(range(p), repeat=3):
+        if a != 0:
+            yield a, b, c, (1 + b * c) * pow(a, p - 2, p) % p
+        elif b * c % p == p - 1:
+            for d in range(p):
+                yield a, b, c, d
+
+
+def matrix_to_bqf(A: Sl2Matrix) -> QuadForm:
+    """Form (b, a-d, -c) attached to a hyperbolic matrix."""
+    if abs(A.trace) <= 2:
+        raise ValueError("requires |trace| > 2")
+    return QuadForm(A.b, A.a - A.d, -A.c)
+
+
+def _check_disc(D: int) -> int:
+    if D <= 0:
+        raise ValueError("discriminant must be positive")
+    r = isqrt(D)
+    if r * r == D:
+        raise ValueError("discriminant must not be a perfect square")
+    return r
+
+
+def is_reduced(f: QuadForm) -> bool:
+    """Gauss-reduced: 0 < l < sqrt(D) and sqrt(D) - l < 2|m| < sqrt(D) + l."""
+    D = f.discriminant
+    _check_disc(D)
+    l, x = f.l, 2 * abs(f.m)
+    if l <= 0 or l * l >= D:
+        return False
+    if D >= (x + l) * (x + l):  # sqrt(D) >= 2|m| + l
+        return False
+    return x <= l or (x - l) * (x - l) < D  # 2|m| - l < sqrt(D)
+
+
+def _rho(m: int, l: int, k: int, D: int, isq: int) -> tuple[int, int, int]:
+    # neighbor of a reduced form: leading coefficient k, companion l' the
+    # unique residue of -l mod 2|k| in (sqrt(D) - 2|k|, sqrt(D)); also
+    # elementwise on int64 arrays
+    two_k = 2 * abs(k)
+    l2 = (-l) % two_k
+    l2 += ((isq - l2) // two_k) * two_k
+    return (k, l2, (l2 * l2 - D) // (4 * k))
+
+
+def reduction_cycle(f: QuadForm) -> list[QuadForm]:
+    """The rho-orbit of a reduced form: the full cycle of its class."""
+    if not is_reduced(f):
+        raise ValueError(f"{f} is not reduced")
+    D = f.discriminant
+    isq = isqrt(D)
+    start = f.as_tuple()
+    cycle = [start]
+    cur = _rho(*start, D, isq)
+    while cur != start:
+        cycle.append(cur)
+        cur = _rho(*cur, D, isq)
+    return [QuadForm(*c) for c in cycle]
+
+
+def _normalize(a: int, b: int, c: int, D: int, isq: int) -> tuple[int, int, int, int]:
+    # translate b into the normalization window; returns (a, b', c', shift)
+    two_a = 2 * abs(a)
+    if abs(a) > isq:
+        r = b % two_a
+        b2 = r - two_a if r > abs(a) else r
+    else:
+        b2 = isq - ((isq - b) % two_a)
+    shift = (b2 - b) // (2 * a)
+    return a, b2, (b2 * b2 - D) // (4 * a), shift
+
+
+def reduce_with_transform(f: QuadForm) -> tuple[QuadForm, Sl2Matrix]:
+    """Reduce an indefinite form; also return g with f(g*(x,y)) = reduced."""
+    D = f.discriminant
+    isq = _check_disc(D)
+    a, b, c = f.as_tuple()
+    # transform accumulated as column substitution (x,y) -> g.(x,y)
+    g = (1, 0, 0, 1)
+    while True:
+        a, b, c, shift = _normalize(a, b, c, D, isq)
+        # right-multiply by [[1, shift], [0, 1]] acting on the variables
+        g = (g[0], g[1] + g[0] * shift, g[2], g[3] + g[2] * shift)
+        if 0 < b and b * b < D and D < (2 * abs(a) + b) ** 2 and (
+            2 * abs(a) <= b or (2 * abs(a) - b) ** 2 < D
+        ):
+            break
+        a, b, c = c, -b, a
+        # right-multiply by [[0, -1], [1, 0]]
+        g = (g[1], -g[0], g[3], -g[2])
+    return QuadForm(a, b, c), Sl2Matrix(*g)
+
+
+def reduce_indefinite(f: QuadForm) -> QuadForm:
+    """A reduced form properly equivalent to f (Gauss reduction)."""
+    return reduce_with_transform(f)[0]
+
+
+def apply_transform(f: QuadForm, g: Sl2Matrix) -> QuadForm:
+    """Variable substitution (x, y) -> (g.a*x + g.b*y, g.c*x + g.d*y)."""
+    m = f(g.a, g.c)
+    k = f(g.b, g.d)
+    l = 2 * f.m * g.a * g.b + f.l * (g.a * g.d + g.b * g.c) + 2 * f.k * g.c * g.d
+    return QuadForm(m, l, k)
+
+
+def _minor_det(M: IntMatrix, rows, cols) -> int:
+    sub = IntMatrix.from_rows([[M[i, j] for j in cols] for i in rows])
+    return sub.det()
+
+
+def snf_via_minor_gcds(M: IntMatrix, max_dim: int = 6) -> list[int]:
+    """Diagonal SNF entries from gcds of i x i minor determinants.
+
+    D(i) = gcd of all i x i minors, A(i) = D(i)/D(i-1) with D(0) := 1
+    (the quotient must be defined for i = 1).  Cost is combinatorial in
+    the number of minors, hence the dimension cap.
+    """
+    if max(M.rows, M.cols) > max_dim:
+        raise ValueError(f"matrix exceeds {max_dim}x{max_dim} minor-gcd limit")
+    n = min(M.rows, M.cols)
+    out = []
+    d_prev = 1
+    for i in range(1, n + 1):
+        g = 0
+        for rsel in itertools.combinations(range(M.rows), i):
+            for csel in itertools.combinations(range(M.cols), i):
+                g = gcd(g, _minor_det(M, rsel, csel))
+            if g == 1:
+                break
+        if g == 0:
+            out.extend([0] * (n - i + 1))
+            break
+        out.append(g // d_prev)
+        d_prev = g
+    return out
+
+
+def fixed_point_count_bruteforce(abar: tuple[int, int, int, int], p: int) -> int:
+    """Exhaustively count covectors phi with phi o Abar = phi over F_p.
+
+    abar is (a, b, c, d) of residues; maps phi(x, y) = u*x + v*y are
+    enumerated over all p^2 pairs (u, v).
+    """
+    a, b, c, d = (x % p for x in abar)
+    if (a * d - b * c) % p != 1 % p:
+        raise ValueError("determinant is not 1 mod p")
+    count = 0
+    for u in range(p):
+        for v in range(p):
+            if (u * a + v * c) % p == u and (u * b + v * d) % p == v:
+                count += 1
+    return count
+
+
+def fixed_point_count_genus_g(fhat_mod_p, g: int, p: int, bound: int = 10**6) -> int:
+    """Count covectors on (Z/p)^{2g} fixed by precomposition with the matrix.
+
+    Realizes the character of the induced permutation action without
+    building the p^{2g}-dimensional representation; exhaustive, so p^{2g}
+    is capped.
+    """
+    n = 2 * g
+    if p**n > bound:
+        raise ValueError(f"p^(2g) = {p**n} exceeds bound {bound}")
+    rows = [[x % p for x in row] for row in fhat_mod_p]
+    count = 0
+    for phi in itertools.product(range(p), repeat=n):
+        # condition: phi(M e_j) = phi(e_j) for all basis vectors
+        if all(sum(phi[i] * rows[i][j] for i in range(n)) % p == phi[j] for j in range(n)):
+            count += 1
+    return count

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from mti.bqf import classes_with_trace, matrix_to_bqf, reduce_indefinite, reduction_cycle
+from mti.bqf import classes_with_trace
 from mti.census import census, density_report, group_fractions, theorem_constants
 from mti.csw import compare_with_rep_trace, congruence_level, csw_invariant, rep_trace
 from mti.intmat import IntMatrix, is_symplectic, mapping_torus_homology, smith_normal_form
@@ -22,18 +22,24 @@ from mti.modular import (
     mobius,
 )
 from mti.sl2 import (
-    SL2_S,
-    SL2_T,
     Sl2Matrix,
     _classify_residues,
     dw_invariant_genus_g,
     dw_invariant_sl2,
-    fixed_point_count_bruteforce,
-    fixed_point_count_genus_g,
     sl2_snf_entries,
     slp_class_census,
 )
 from mti.weight1 import qexpansion_check
+from oracles import (
+    all_sl2_with_trace,
+    fixed_point_count_bruteforce,
+    fixed_point_count_genus_g,
+    matrix_to_bqf,
+    random_sl2,
+    reduce_indefinite,
+    reduction_cycle,
+    sl2_fp_elements,
+)
 
 GENUS2_A = IntMatrix.from_rows(
     [[-116, -1463, 39, -2926], [0, 1, 0, 1], [-3, -38, 1, -76], [0, -13, 0, -12]]
@@ -84,15 +90,6 @@ def test_criterion_01_paper_example_regression():
     _report(1, elapsed, "genus-2 and genus-1 published values reproduce exactly")
 
 
-def _sl2_fp_elements(p):
-    for a, b, c in itertools.product(range(p), repeat=3):
-        if a != 0:
-            yield a, b, c, (1 + b * c) * pow(a, p - 2, p) % p
-        elif b * c % p == p - 1:
-            for d in range(p):
-                yield a, b, c, d
-
-
 def _lift_to_sl2z(a, b, c, d, p):
     # lift residues with det = 1 mod p to an exact SL(2,Z) matrix
     aa, bb = a, b
@@ -127,7 +124,7 @@ def test_criterion_02_exhaustive_oracle_equivalence():
     start = time.time()
     checked = 0
     for p in (2, 3, 5, 7):
-        for a, b, c, d in _sl2_fp_elements(p):
+        for a, b, c, d in sl2_fp_elements(p):
             lift = _lift_to_sl2z(a, b, c, d, p)
             assert (
                 dw_invariant_sl2(lift, p).value
@@ -158,19 +155,6 @@ def test_criterion_03_class_table_census():
     _report(3, elapsed, "class counts and sizes match the size formulas for p=3,5,7,11")
 
 
-def _all_sl2_with_trace(t, bound):
-    for a in range(-bound, bound + 1):
-        d = t - a
-        if abs(d) > bound:
-            continue
-        n = a * d - 1
-        if n == 0:
-            continue
-        for b in range(-bound, bound + 1):
-            if b != 0 and n % b == 0 and abs(n // b) <= bound:
-                yield Sl2Matrix(a, b, n // b, d)
-
-
 def test_criterion_04_enumeration_completeness():
     start = time.time()
     matrices = 0
@@ -178,7 +162,7 @@ def test_criterion_04_enumeration_completeness():
         cycles = [
             {f.as_tuple() for f in reduction_cycle(rep.form)} for rep in classes_with_trace(t)
         ]
-        for m in _all_sl2_with_trace(t, 30):
+        for m in all_sl2_with_trace(t, 30):
             red = reduce_indefinite(matrix_to_bqf(m)).as_tuple()
             assert sum(1 for c in cycles if red in c) == 1
             matrices += 1
@@ -305,20 +289,13 @@ def test_criterion_08_weight_one_coefficients():
     _report(8, elapsed, "all d=2 reference coefficients below 100 match exactly")
 
 
-def _random_sl2(rng, length=7):
-    m = Sl2Matrix(1, 0, 0, 1)
-    for _ in range(rng.randint(1, length)):
-        m = m * rng.choice([SL2_T, SL2_T.inverse(), SL2_S])
-    return m
-
-
 def _random_hyperbolic(rng, tmax=50):
     # spread traces across the whole window: pick a class representative of
     # a uniform trace, then conjugate to vary the matrix entries
     t = rng.randint(3, tmax) * rng.choice([1, -1])
     reps = classes_with_trace(t)
     m = reps[rng.randrange(len(reps))].matrix
-    return m.conjugate_by(_random_sl2(rng, length=4))
+    return m.conjugate_by(random_sl2(rng, 4))
 
 
 def test_criterion_09_csw_property_suite():
@@ -343,7 +320,7 @@ def test_criterion_09_csw_property_suite():
     # conjugation invariance at 1e-9, 100 pairs
     for _ in range(100):
         a = _random_hyperbolic(rng)
-        g = _random_sl2(rng)
+        g = random_sl2(rng, 7)
         k = rng.randint(1, 8)
         assert abs(csw_invariant(a, k) - csw_invariant(a.conjugate_by(g), k)) < 1e-9
 

@@ -9,20 +9,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mti import bqf
-from mti.bqf import (
-    QuadForm,
+from mti.bqf import QuadForm, bqf_to_matrix, class_count_with_trace, classes_with_trace
+from mti.census import census
+from mti.sl2 import Sl2Matrix
+from oracles import (
+    _rho,
+    all_sl2_with_trace,
     apply_transform,
-    bqf_to_matrix,
-    class_count_with_trace,
-    classes_with_trace,
     is_reduced,
     matrix_to_bqf,
+    random_sl2,
     reduce_indefinite,
     reduce_with_transform,
     reduction_cycle,
 )
-from mti.census import census
-from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
 
 
 def test_matrix_to_bqf_examples():
@@ -150,17 +150,7 @@ def _decode(keys, S):
 
 # The one-trace scan and min-doubling the rho walk of `_trace_reps`
 # replaced, kept verbatim as its oracle and the lattice oracle's cycle step,
-# with the rho step they shared, which also works elementwise on int64 arrays.
-
-
-def _rho(m: int, l: int, k: int, D: int, isq: int) -> tuple[int, int, int]:
-    # neighbor of a reduced form: leading coefficient k, companion l' the
-    # unique residue of -l mod 2|k| in (sqrt(D) - 2|k|, sqrt(D)); also
-    # elementwise on int64 arrays
-    two_k = 2 * abs(k)
-    l2 = (-l) % two_k
-    l2 += ((isq - l2) // two_k) * two_k
-    return (k, l2, (l2 * l2 - D) // (4 * k))
+# with the oracles' rho step, which also works elementwise on int64 arrays.
 
 
 def _trace_keys(t: int) -> np.ndarray:
@@ -814,21 +804,6 @@ def test_single_trace_refuses_traces_past_the_key_range():
                 call(t)
 
 
-def _all_sl2_with_trace(t, bound):
-    out = []
-    for a in range(-bound, bound + 1):
-        d = t - a
-        if abs(d) > bound:
-            continue
-        n = a * d - 1  # = b*c
-        if n == 0:
-            continue  # bc = 0 with ad = 1 forces trace +-2, excluded here
-        for b in range(-bound, bound + 1):
-            if b != 0 and n % b == 0 and abs(n // b) <= bound:
-                out.append(Sl2Matrix(a, b, n // b, d))
-    return out
-
-
 def test_class_listing_refuses_bad_bounds_at_the_call():
     # one check owns the trace bound: T < 4, a float and T >= 2^21 are
     # refused when the listing or the rows are asked for, not at the first
@@ -852,27 +827,20 @@ def test_completeness_small_trace():
             {f.as_tuple() for f in reduction_cycle(rep.form)}
             for rep in classes_with_trace(t)
         ]
-        for m in _all_sl2_with_trace(t, 30):
+        for m in all_sl2_with_trace(t, 30):
             red = reduce_indefinite(matrix_to_bqf(m)).as_tuple()
             hits = sum(1 for c in cycles if red in c)
             assert hits == 1, f"{m} landed in {hits} cycles"
-
-
-def _random_sl2(rng, length=6):
-    m = Sl2Matrix(1, 0, 0, 1)
-    for _ in range(rng.randint(1, length)):
-        m = m * rng.choice([SL2_T, SL2_T.inverse(), SL2_S])
-    return m
 
 
 def test_equivariance_shared_cycle():
     rng = random.Random(2024)
     done = 0
     while done < 100:
-        a = _random_sl2(rng)
+        a = random_sl2(rng, 6)
         if abs(a.trace) <= 2:
             continue
-        g = _random_sl2(rng)
+        g = random_sl2(rng, 6)
         b = a.conjugate_by(g)
         ca = {f.as_tuple() for f in reduction_cycle(reduce_indefinite(matrix_to_bqf(a)))}
         cb = reduce_indefinite(matrix_to_bqf(b)).as_tuple()

@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from mti import bqf, cli
+from mti import bqf, cli, csw, weight1
 from mti.census import CSV_HEADER, census
 from mti.cli import run
 
@@ -63,6 +63,15 @@ def test_homology(capsys):
     code, out = _capture(capsys, ["homology", "--matrix", '[["4","3"],["5","4"]]'])
     assert code == 0
     assert out.strip() == "Z + Z/6"
+
+
+@pytest.mark.parametrize(
+    "cmd, extra, want", [("homology", [], "Z^2"), ("dw", ["--prime", "3"], "3")], ids=["homology", "dw"]
+)
+def test_no_check_admits_a_2x2_matrix_outside_sl2(cmd, extra, want, capsys):
+    # as for a 4x4 matrix: H1 = Z + coker(A - Id), Z = p^(2 - rank_p(A - Id))
+    code, out = _capture(capsys, [cmd, "--matrix", '[["2","0"],["0","1"]]', *extra, "--no-check"])
+    assert (code, out) == (0, want + "\n")
 
 
 def test_classes_trace(capsys):
@@ -320,10 +329,30 @@ def test_csw_sweep_refuses_tmax_past_the_trace_range(monkeypatch, capsys):
     assert run(["csw-sweep", "--tmax", str(2**21 - 1), "--samples", "0"]) == 0
 
 
+def test_csw_sweep_refuses_kmax_past_the_level_bound(monkeypatch, capsys):
+    # rep_trace refuses levels above csw.MAX_LEVEL, so such a --kmax is
+    # refused before the first sample
+    def no_sample(t):
+        raise AssertionError(f"sampled trace {t}")
+
+    monkeypatch.setattr(cli, "classes_with_trace", no_sample)
+    assert run(["csw-sweep", "--kmax", str(csw.MAX_LEVEL + 1), "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --kmax must be at most 1000: the rep-trace oracle refuses larger levels\n"
+    assert run(["csw-sweep", "--kmax", str(csw.MAX_LEVEL), "--samples", "0"]) == 0
+
+
 def test_modform(capsys):
     code, out = _capture(capsys, ["modform", "--d", "2", "--pmax", "100"])
     assert code == 0
     assert "mismatches: none" in out
+
+
+def test_modform_past_the_lmfdb_window(capsys):
+    code, out = _capture(capsys, ["modform", "--pmax", "1000"])
+    assert code == 0
+    assert out.splitlines()[-1] == "mismatches: none"
 
 
 def test_matrix_from_file(tmp_path, capsys):
@@ -362,6 +391,11 @@ _IDENTITY_4 = '[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","
         (["classes", "--tmax", "3"], "T must be at least 4"),
         (["csw", "--matrix", '[["1","1"],["0","1"]]', "--level", "1"], "requires |trace| > 2"),
         (["csw", "--matrix", '[["2","1"],["1","1"]]', "--level", "0"], "level must be a positive integer"),
+        (["modform", "--pmax", "1000001"], "pmax must be at most 1000000: the reference was checked only below it"),
+        (
+            ["csw", "--matrix", '[["2","1"],["1","1"]]', "--level", "1001", "--oracle"],
+            "level must be at most 1000 for the modular data",
+        ),
     ],
     ids=[
         "determinant",
@@ -374,10 +408,18 @@ _IDENTITY_4 = '[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","
         "classes-tmax",
         "csw-trace",
         "csw-level",
+        "modform-pmax",
+        "csw-oracle-level",
     ],
 )
-def test_library_value_errors_exit_1_with_their_message(argv, err, capsys):
-    # the library's ValueError reaches run() unwrapped and prints as is
+def test_library_value_errors_exit_1_with_their_message(argv, err, capsys, monkeypatch):
+    # the library's ValueError reaches run() unwrapped and prints as is; the
+    # work past a refused bound fails at once, so a missing refusal cannot run
+    def refused(*args):
+        raise AssertionError("ran past a refused bound")
+
+    monkeypatch.setattr(weight1, "ap_coefficient", refused)
+    monkeypatch.setattr(csw, "ModularData", refused)
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {err}\n"

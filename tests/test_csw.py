@@ -16,52 +16,14 @@ from mti.csw import (
     _form_gauss_sum,
     compare_with_rep_trace,
     congruence_level,
-    coset_reps,
     csw_invariant,
     evaluate_word,
     rep_trace,
     su2_modular_data,
     word_in_generators,
 )
-from mti.intmat import IntMatrix
 from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
-
-
-def test_coset_reps_diagonal():
-    reps = coset_reps(IntMatrix.from_rows([[1, 0], [0, 5]]))
-    assert len(reps) == 5
-    assert reps == [(0, j) for j in range(5)]
-
-
-def test_coset_reps_det_one():
-    a = Sl2Matrix(2, 1, 1, 1)
-    m = a.to_intmatrix() - IntMatrix.identity(2)
-    assert abs(m.det()) == abs(2 - a.trace) == 1
-    assert len(coset_reps(m)) == 1
-
-
-def _inequivalent(m: IntMatrix, u, v) -> bool:
-    # u - v not in M Z^2: solve M z = u - v over Q, check integrality
-    det = m.det()
-    dx, dy = u[0] - v[0], u[1] - v[1]
-    z1 = m[1, 1] * dx - m[0, 1] * dy
-    z2 = -m[1, 0] * dx + m[0, 0] * dy
-    return not (z1 % det == 0 and z2 % det == 0)
-
-
-def test_coset_reps_pairwise_inequivalent():
-    rng = random.Random(5)
-    for _ in range(20):
-        while True:
-            m = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(2)] for _ in range(2)])
-            if m.det() != 0:
-                break
-        reps = coset_reps(m)
-        assert len(reps) == abs(m.det())
-        for u, v in itertools.combinations(reps, 2):
-            assert _inequivalent(m, u, v)
-    with pytest.raises(ValueError):
-        coset_reps(IntMatrix.zero(2, 2))
+from oracles import random_sl2
 
 
 def _csw_histogram_oracle(a: Sl2Matrix, k: int) -> complex:
@@ -236,21 +198,14 @@ def test_csw_shifted_fundamental_domain():
     assert abs(total - csw_invariant(a, k)) < 1e-12
 
 
-def _random_sl2(rng, length=6):
-    m = Sl2Matrix(1, 0, 0, 1)
-    for _ in range(rng.randint(1, length)):
-        m = m * rng.choice([SL2_T, SL2_T.inverse(), SL2_S])
-    return m
-
-
 def test_csw_conjugation_invariance():
     rng = random.Random(17)
     done = 0
     while done < 30:
-        a = _random_sl2(rng)
+        a = random_sl2(rng, 6)
         if not 2 < abs(a.trace) <= 30:
             continue
-        g = _random_sl2(rng)
+        g = random_sl2(rng, 6)
         k = rng.randint(1, 6)
         assert abs(csw_invariant(a, k) - csw_invariant(a.conjugate_by(g), k)) < 1e-9
         done += 1
@@ -303,10 +258,10 @@ def test_rep_trace_conjugation_invariance():
     rng = random.Random(23)
     done = 0
     while done < 15:
-        a = _random_sl2(rng)
+        a = random_sl2(rng, 6)
         if not 2 < abs(a.trace) <= 40:
             continue
-        g = _random_sl2(rng)
+        g = random_sl2(rng, 6)
         k = rng.randint(1, 6)
         assert abs(rep_trace(a, k) - rep_trace(a.conjugate_by(g), k)) < 1e-9
         done += 1
@@ -331,7 +286,7 @@ def test_modulus_agreement_small_sweep():
     rng = random.Random(29)
     done = 0
     while done < 25:
-        a = _random_sl2(rng)
+        a = random_sl2(rng, 6)
         if not 2 < abs(a.trace) <= 30:
             continue
         k = rng.randint(1, 5)
@@ -370,7 +325,7 @@ def test_framing_phase_is_eighth_root():
     rng = random.Random(31)
     done = 0
     while done < 12:
-        a = _random_sl2(rng)
+        a = random_sl2(rng, 6)
         if not 2 < abs(a.trace) <= 20:
             continue
         k = rng.randint(1, 4)

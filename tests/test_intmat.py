@@ -13,8 +13,8 @@ from mti.intmat import (
     mapping_torus_homology,
     rank_mod_p,
     smith_normal_form,
-    snf_via_minor_gcds,
 )
+from oracles import snf_via_minor_gcds
 
 GENUS2_A = [[-116, -1463, 39, -2926], [0, 1, 0, 1], [-3, -38, 1, -76], [0, -13, 0, -12]]
 GENUS2_B = [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, -2, 0, 1]]

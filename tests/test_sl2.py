@@ -9,8 +9,6 @@ from mti.intmat import IntMatrix, is_prime, smith_normal_form
 from mti.sl2 import (
     KINDS_ODD,
     KINDS_P2,
-    SL2_S,
-    SL2_T,
     Sl2Matrix,
     _classify_residues,
     classify_mod_2,
@@ -18,15 +16,13 @@ from mti.sl2 import (
     dw_invariant_genus_g,
     dw_exponent_of_kind,
     dw_invariant_sl2,
-    dw_invariant_sl2_p2,
-    fixed_point_count_bruteforce,
-    fixed_point_count_genus_g,
     genus1_homology,
     geodesic_pullback_splitting,
     legendre,
     sl2_snf_entries,
     slp_class_census,
 )
+from oracles import fixed_point_count_bruteforce, fixed_point_count_genus_g, random_sl2, sl2_fp_elements
 
 
 def test_sl2_snf_entries_examples():
@@ -39,18 +35,10 @@ def test_sl2_snf_entries_examples():
     assert sl2_snf_entries(Sl2Matrix(1, 5, 0, 1)) == (5, 0)
 
 
-def _random_sl2(rng, length=8):
-    m = Sl2Matrix(1, 0, 0, 1)
-    for _ in range(rng.randint(1, length)):
-        g = rng.choice([SL2_T, SL2_T.inverse(), SL2_S])
-        m = m * g
-    return m
-
-
 def test_sl2_snf_matches_full_snf():
     rng = random.Random(7)
     for _ in range(100):
-        a = _random_sl2(rng)
+        a = random_sl2(rng, 8)
         a1, a2 = sl2_snf_entries(a)
         diag = smith_normal_form(a.to_intmatrix() - IntMatrix.identity(2)).diag
         expect = [a1, a2]
@@ -86,15 +74,6 @@ def test_fixed_point_bruteforce_examples():
         fixed_point_count_bruteforce((1, 1, 1, 1), 3)
 
 
-def _sl2_fp_elements(p):
-    for a, b, c in itertools.product(range(p), repeat=3):
-        if a != 0:
-            yield a, b, c, (1 + b * c) * pow(a, p - 2, p) % p
-        elif b * c % p == p - 1:
-            for d in range(p):
-                yield a, b, c, d
-
-
 def _lift(a, b, c, d, p):
     # lift a residue matrix to SL(2,Z): adjust one entry by a multiple of p
     for da, db, dc, dd in itertools.product(range(-p, p + 1), repeat=4):
@@ -106,7 +85,7 @@ def _lift(a, b, c, d, p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_formula_equals_bruteforce_exhaustive_small(p):
-    for a, b, c, d in _sl2_fp_elements(p):
+    for a, b, c, d in sl2_fp_elements(p):
         lift = _lift(a, b, c, d, p)
         assert dw_invariant_sl2(lift, p).value == fixed_point_count_bruteforce((a, b, c, d), p)
 
@@ -116,7 +95,7 @@ def test_dw_exponent_of_kind_equals_bruteforce_on_every_element(p):
     # Z(A, p) read from the class kind, against the fixed-point count of
     # every element of SL(2,F_p); every kind occurs
     kinds = set()
-    for a, b, c, d in _sl2_fp_elements(p):
+    for a, b, c, d in sl2_fp_elements(p):
         label = classify_mod_2(_lift(a, b, c, d, 2)) if p == 2 else _classify_residues(a, b, c, d, p)
         assert p ** dw_exponent_of_kind(label.kind, p) == fixed_point_count_bruteforce((a, b, c, d), p), label
         kinds.add(label.kind)
@@ -149,7 +128,7 @@ def test_classify_c7_by_exhaustive_conjugation():
     # every conjugate of diag(2, 3) in SL(2,F5) must classify as C7
     p = 5
     reps = set()
-    for a, b, c, d in _sl2_fp_elements(p):
+    for a, b, c, d in sl2_fp_elements(p):
         # g * diag(2,3) * g^-1 with g = [[a,b],[c,d]], det 1 mod p
         ga, gb, gc, gd = a, b, c, d
         inv = (gd % p, (-gb) % p, (-gc) % p, ga % p)
@@ -170,14 +149,14 @@ def test_classify_mod_2():
 
 
 def test_dw_p2():
-    assert dw_invariant_sl2_p2(Sl2Matrix(1, 1, 0, 1)).value == 2
-    assert dw_invariant_sl2_p2(Sl2Matrix(1, -1, 1, 0)).value == 1
-    assert dw_invariant_sl2_p2(Sl2Matrix(1, 0, 0, 1)).value == 4
+    assert dw_invariant_sl2(Sl2Matrix(1, 1, 0, 1), 2).value == 2
+    assert dw_invariant_sl2(Sl2Matrix(1, -1, 1, 0), 2).value == 1
+    assert dw_invariant_sl2(Sl2Matrix(1, 0, 0, 1), 2).value == 4
     # agrees with the brute-force count mod 2
     rng = random.Random(11)
     for _ in range(50):
-        a = _random_sl2(rng)
-        assert dw_invariant_sl2_p2(a).value == fixed_point_count_bruteforce(a.mod(2), 2)
+        a = random_sl2(rng, 8)
+        assert dw_invariant_sl2(a, 2).value == fixed_point_count_bruteforce(a.mod(2), 2)
 
 
 def test_geodesic_pullback_splitting():
@@ -210,13 +189,13 @@ def test_unipotent_invariant_well_defined():
 
 def test_classify_conjugation_invariance():
     rng = random.Random(3)
-    hyp = [m for m in (_random_sl2(rng) for _ in range(400)) if abs(m.trace) > 2][:40]
+    hyp = [m for m in (random_sl2(rng, 8) for _ in range(400)) if abs(m.trace) > 2][:40]
     for p in (3, 5, 7):
         for a in hyp[:20]:
             base = classify_mod_p(a, p).kind
             zbase = dw_invariant_sl2(a, p).value
             for _ in range(10):
-                g = _random_sl2(rng)
+                g = random_sl2(rng, 8)
                 conj = a.conjugate_by(g)
                 assert classify_mod_p(conj, p).kind == base
                 assert dw_invariant_sl2(conj, p).value == zbase
@@ -228,7 +207,7 @@ def test_dw_depends_only_on_residue():
     for p in (3, 5):
         gens = [Sl2Matrix(1, p, 0, 1), Sl2Matrix(1, 0, p, 1)]
         for _ in range(20):
-            a = _random_sl2(rng)
+            a = random_sl2(rng, 8)
             gamma = Sl2Matrix(1, 0, 0, 1)
             for _ in range(rng.randint(1, 4)):
                 gamma = gamma * rng.choice(gens)

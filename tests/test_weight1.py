@@ -3,13 +3,30 @@ import pytest
 from mti import weight1
 from mti.intmat import is_prime
 from mti.weight1 import (
-    LMFDB_D2_PRIME_COEFFS,
     ap_coefficient,
+    eta_product_coefficients,
     frobenius_trace,
     is_cube_mod_p,
     qexpansion_check,
     splitting_pattern,
 )
+
+#: nonzero prime coefficients of the d = 2 form below 100 (all other primes
+#: except the ramified 2, 3 have coefficient 0); from the LMFDB expansion
+#: q - q^7 - q^13 - q^19 + 2q^31 - q^37 + 2q^43 - q^61 - q^67 - q^73 - q^79 - q^97
+LMFDB_D2_PRIME_COEFFS = {
+    7: -1,
+    13: -1,
+    19: -1,
+    31: 2,
+    37: -1,
+    43: 2,
+    61: -1,
+    67: -1,
+    73: -1,
+    79: -1,
+    97: -1,
+}
 
 
 def test_cube_table_mod_7():
@@ -74,15 +91,37 @@ def test_qexpansion_matches_lmfdb():
         assert by_p[p].computed == coeff
 
 
+def test_eta_product_is_the_lmfdb_expansion_below_100():
+    coeffs = eta_product_coefficients(100)
+    assert {p: coeffs[p] for p in _primes_below(100) if coeffs[p]} == LMFDB_D2_PRIME_COEFFS
+    assert coeffs[:2] == [0, 1]
+
+
+def test_eta_product_equals_the_direct_product():
+    # q prod (1 - q^6m)(1 - q^18m), multiplied out one factor at a time
+    n = 3000
+    direct = [0] * n
+    direct[1] = 1
+    for step in (6, 18):
+        for m in range(step, n, step):
+            for i in range(n - 1, m - 1, -1):
+                direct[i] -= direct[i - m]
+    for size in (0, 1, 2, 7, 8, 25, n):
+        assert eta_product_coefficients(size) == direct[:size], size
+
+
 def test_qexpansion_small_window():
     report = qexpansion_check(2, 8)
     assert [r.p for r in report.rows] == [5, 7]
 
 
 def test_qexpansion_mismatch_injection(monkeypatch):
-    corrupted = dict(LMFDB_D2_PRIME_COEFFS)
-    corrupted[7] = 2  # wrong on purpose
-    monkeypatch.setattr(weight1, "LMFDB_D2_PRIME_COEFFS", corrupted)
+    def corrupted(n):
+        coeffs = eta_product_coefficients(n)
+        coeffs[7] = 2  # wrong on purpose
+        return coeffs
+
+    monkeypatch.setattr(weight1, "eta_product_coefficients", corrupted)
     report = qexpansion_check(2, 100)
     assert report.mismatches == [7]
 
