@@ -47,7 +47,6 @@ from .sl2 import (
     ClassLabel,
     DwValue,
     Sl2Matrix,
-    classify_mod_2,
     classify_mod_p,
     dw_invariant_genus_g,
     dw_invariant_sl2,
@@ -56,6 +55,6 @@ from .sl2 import (
     sl2_snf_entries,
     slp_class_census,
 )
-from .weight1 import ap_coefficient, frobenius_trace, is_cube_mod_p, qexpansion_check
+from .weight1 import frobenius_trace, is_cube_mod_p, qexpansion_check
 
 __version__ = "0.1.0"

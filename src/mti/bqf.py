@@ -41,8 +41,13 @@ import numpy as np
 from .sl2 import Sl2Matrix
 
 # the trace bound past which the listing's keys (t*T + m + T)*T + l
-# overflow int64; traces at or past it are refused
+# overflow int64; single traces at or past it are refused
 _MAX_T = 1 << 21
+# the largest bounds run, each refused past: on a 2-core x86-64 machine with
+# 8 GB, the census of five primes at T = 30000 took 12 s and 1.49 GB, and
+# the text listing at T = 20000 took 35 s and 1.50 GB; both grow like T^2
+_MAX_ROWS_T = 30_000
+_MAX_LISTING_T = 20_000
 # children per chunk of runs of the word-tree walk: bounds the working set
 # of one step of the walk
 _PIECE_NODES = 1 << 13
@@ -254,12 +259,12 @@ def _word_pieces(T: int):
             stack.append(_word_runs(*_run_children(*chunk[:-1], fit), T))
 
 
-def _checked_bound(T) -> int:
+def _checked_bound(T, largest: int) -> int:
     T = index(T)
     if T < 4:
         raise ValueError("T must be at least 4")
-    if T >= _MAX_T:
-        raise ValueError("T must be below 2^21")
+    if T > largest:
+        raise ValueError(f"T must be at most {largest}: larger bounds were not run")
     return T
 
 
@@ -272,9 +277,10 @@ def _class_rows(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     primes at one T walks the word tree once; any other bound drops them and
     walks once, so a process that alternates between bounds re-walks at each
     switch, and two bounds' rows are never held at once.  T < 4, a
-    non-integer T and T >= 2^21 are refused before the kept rows or the walk.
+    non-integer T and T > _MAX_ROWS_T are refused before the kept rows or
+    the walk.
     """
-    return _walked_rows(_checked_bound(T))
+    return _walked_rows(_checked_bound(T, _MAX_ROWS_T))
 
 
 @lru_cache(maxsize=1)
@@ -299,9 +305,9 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 
     Each call walks the word tree once, sorts the keys of its necklaces
     (`_necklace_keys`) and decodes them; nothing is kept.  T < 4 and
-    T >= 2^21 are refused before the walk.
+    T > _MAX_LISTING_T are refused before the walk.
     """
-    T = _checked_bound(T)
+    T = _checked_bound(T, _MAX_LISTING_T)
     keys = np.concatenate([_necklace_keys(*chunk, T) for chunk in _word_pieces(T)])
     keys.sort()
     t, rest = np.divmod(keys, T * T)

@@ -32,7 +32,6 @@ from .sl2 import (
     SL2_S,
     SL2_T,
     Sl2Matrix,
-    classify_mod_2,
     classify_mod_p,
     dw_invariant_genus_g,
     dw_invariant_sl2,
@@ -102,10 +101,7 @@ def _cmd_dw(args) -> int:
 
 def _cmd_classify(args) -> int:
     a = _as_sl2(_load_matrix(args.matrix))
-    if args.prime == 2:
-        label = classify_mod_2(a)
-    else:
-        label = classify_mod_p(a, args.prime)
+    label = classify_mod_p(a, args.prime)
     payload = {
         "p": label.p,
         "kind": label.kind,
@@ -228,7 +224,7 @@ def _cmd_lambda_check(args) -> int:
     rows = []
     ok = True
     for name, ref in expected.items():
-        val = lambda_function(mobius(COSET_REPRESENTATIVES[name], ZETA3)).value
+        val = lambda_function(mobius(COSET_REPRESENTATIVES[name], ZETA3))
         good = abs(val - ref) < 1e-5
         ok = ok and good
         rows.append((name, val, ref, good))
@@ -334,9 +330,9 @@ def _cmd_csw_sweep(args) -> int:
 
 
 def _cmd_modform(args) -> int:
-    report = qexpansion_check(args.d, args.pmax)
+    report = qexpansion_check(args.pmax)
     payload = {
-        "d": report.d,
+        "d": 2,
         "pmax": report.pmax,
         "mismatches": report.mismatches,
         "rows": [
@@ -431,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_csw_sweep)
 
-    p = sub.add_parser("modform", help="weight-one coefficient comparison table")
-    p.add_argument("--d", type=int, default=2)
+    p = sub.add_parser("modform", help="weight-one coefficient comparison table for d = 2")
     p.add_argument("--pmax", type=int, default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_modform)

@@ -293,17 +293,24 @@ def is_symplectic(M: IntMatrix, g: int) -> bool:
     return M.transpose() * j * M == j
 
 
+def _checked_genus(fhat: IntMatrix, check_symplectic: bool) -> int:
+    """The genus g of a 2g x 2g matrix fhat, refused unless symplectic when
+    check_symplectic is set."""
+    if fhat.rows != fhat.cols or fhat.rows % 2 != 0:
+        raise ValueError("expected a 2g x 2g matrix")
+    g = fhat.rows // 2
+    if check_symplectic and not is_symplectic(fhat, g):
+        raise ValueError("matrix is not symplectic")
+    return g
+
+
 def mapping_torus_homology(fhat: IntMatrix, check_symplectic: bool = True) -> AbelianGroup:
     """H1 of the mapping torus of a surface map acting as fhat on H1(S).
 
     Equals Z + coker(fhat - Id).  check_symplectic=False admits matrices
     outside Sp(2g,Z); the cokernel formula is applied as-is.
     """
-    if fhat.rows != fhat.cols or fhat.rows % 2 != 0:
-        raise ValueError("expected a 2g x 2g matrix")
-    g = fhat.rows // 2
-    if check_symplectic and not is_symplectic(fhat, g):
-        raise ValueError("matrix is not symplectic")
+    g = _checked_genus(fhat, check_symplectic)
     ck = cokernel(fhat - IntMatrix.identity(2 * g))
     return AbelianGroup(free_rank=ck.free_rank + 1, torsion=ck.torsion)
 

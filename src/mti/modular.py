@@ -10,18 +10,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .sl2 import SL2_S, SL2_T, Sl2Matrix, classify_mod_2, dw_invariant_sl2
+from .sl2 import SL2_S, SL2_T, Sl2Matrix, classify_mod_p, dw_invariant_sl2
 
 MIN_IM = 0.05
 SERIES_TOL = 1e-30
 
 #: the order-3 point exp(2*pi*i/3) = (-1 + i*sqrt(3))/2
 ZETA3 = complex(-0.5, math.sqrt(3) / 2)
-
-
-@dataclass(frozen=True)
-class LambdaValue:
-    value: complex
 
 
 def theta_constants(tau: complex) -> tuple[complex, complex, complex]:
@@ -56,10 +51,10 @@ def theta_constants(tau: complex) -> tuple[complex, complex, complex]:
     return th2, th3, th4
 
 
-def lambda_function(tau: complex) -> LambdaValue:
+def lambda_function(tau: complex) -> complex:
     """The level-2 hauptmodul as the theta quotient theta2^4 / theta3^4."""
     th2, th3, _ = theta_constants(tau)
-    return LambdaValue((th2 / th3) ** 4)
+    return (th2 / th3) ** 4
 
 
 def mobius(A: Sl2Matrix, tau: complex) -> complex:
@@ -81,10 +76,9 @@ COSET_REPRESENTATIVES: dict[str, Sl2Matrix] = {
 }
 
 
-def anharmonic_orbit(lv: LambdaValue) -> dict[str, complex]:
-    """The six cross-ratio values, keyed by the coset representative that
-    realizes each one on the base point."""
-    z = lv.value
+def anharmonic_orbit(z: complex) -> dict[str, complex]:
+    """The six cross-ratio values of the lambda value z, keyed by the coset
+    representative that realizes each one on the base point."""
     if z == 0 or z == 1:
         raise ValueError("degenerate lambda value")
     return {
@@ -104,10 +98,9 @@ def lemma_cool_value(A: Sl2Matrix, branch: str = "principal") -> float:
     arg in [0, 2 pi).  Excluded for A = Id mod 2, where the formula does
     not apply and the invariant is the constant 4.
     """
-    if classify_mod_2(A).kind == "C1":
+    if classify_mod_p(A, 2).kind == "C1":
         raise ValueError("identity class mod 2 is excluded; the value is 4")
-    lv = lambda_function(mobius(A, ZETA3)).value
-    log = cmath.log(lv)
+    log = cmath.log(lambda_function(mobius(A, ZETA3)))
     if branch == "positive" and log.imag < 0:
         log += 2j * cmath.pi
     elif branch not in ("principal", "positive"):
@@ -138,8 +131,8 @@ def lemma_cool_report() -> list[LemmaCoolRow]:
         rows.append(
             LemmaCoolRow(
                 name=name,
-                mod2_class=classify_mod_2(A).kind,
-                lambda_value=lambda_function(mobius(A, ZETA3)).value,
+                mod2_class=classify_mod_p(A, 2).kind,
+                lambda_value=lambda_function(mobius(A, ZETA3)),
                 formula_principal=fp,
                 formula_positive=fq,
                 z_value=z,

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .intmat import AbelianGroup, IntMatrix, is_prime, is_symplectic, rank_mod_p
+from .intmat import AbelianGroup, IntMatrix, _checked_genus, is_prime, rank_mod_p
 
 
 @dataclass(frozen=True)
@@ -164,34 +164,18 @@ def _unipotent_invariant(am, bm, cm, dm, p) -> int:
 
 
 def classify_mod_p(A: Sl2Matrix, p: int) -> ClassLabel:
-    """Conjugacy class of A mod p in SL(2,F_p), p an odd prime.
+    """Conjugacy class of A mod p in SL(2,F_p), for every prime p.
 
-    Central classes C1/C2; unipotent C3/C4 split by the quadratic-residue
-    class of the unipotent invariant; negative-unipotent C5/C6 split by
-    anchoring to the class of the representative [[-1,1],[0,-1]]; split
-    semisimple C7 and nonsplit C8 by the residue class of Tr^2 - 4.
+    Odd p: central classes C1/C2; unipotent C3/C4 split by the
+    quadratic-residue class of the unipotent invariant; negative-unipotent
+    C5/C6 split by anchoring to the class of the representative
+    [[-1,1],[0,-1]]; split semisimple C7 and nonsplit C8 by the residue
+    class of Tr^2 - 4.  p = 2: C1 = identity, C2 = order two, C3 = order
+    three.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    am, bm, cm, dm = A.mod(p)
-    return _classify_residues(am, bm, cm, dm, p)
-
-
-def classify_mod_2(A: Sl2Matrix) -> ClassLabel:
-    """Conjugacy class of A mod 2: C1 = identity, C2 = order two, C3 = order three."""
-    m = A.mod(2)
-    t = (m[0] + m[3]) % 2
-    if m == (1, 0, 0, 1):
-        return ClassLabel("C1", 2, t)
-    sq = (
-        (m[0] * m[0] + m[1] * m[2]) % 2,
-        (m[0] * m[1] + m[1] * m[3]) % 2,
-        (m[2] * m[0] + m[3] * m[2]) % 2,
-        (m[2] * m[1] + m[3] * m[3]) % 2,
-    )
-    if sq == (1, 0, 0, 1):
-        return ClassLabel("C2", 2, t)
-    return ClassLabel("C3", 2, t)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _classify_residues(*A.mod(p), p)
 
 
 def geodesic_pullback_splitting(A: Sl2Matrix) -> int:
@@ -201,7 +185,7 @@ def geodesic_pullback_splitting(A: Sl2Matrix) -> int:
     """
     if abs(A.trace) <= 2:
         raise ValueError("requires |trace| > 2")
-    kind = classify_mod_2(A).kind
+    kind = classify_mod_p(A, 2).kind
     return {"C1": 6, "C2": 3, "C3": 2}[kind]
 
 
@@ -209,11 +193,7 @@ def dw_invariant_genus_g(fhat: IntMatrix, p: int, check_symplectic: bool = True)
     """Z of the genus-g mapping torus: exponent 2g - rank_p(fhat - Id)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if fhat.rows != fhat.cols or fhat.rows % 2 != 0:
-        raise ValueError("expected a 2g x 2g matrix")
-    g = fhat.rows // 2
-    if check_symplectic and not is_symplectic(fhat, g):
-        raise ValueError("matrix is not symplectic")
+    g = _checked_genus(fhat, check_symplectic)
     exponent = 2 * g - rank_mod_p(fhat - IntMatrix.identity(2 * g), p)
     return DwValue.of(p, exponent)
 
@@ -268,6 +248,9 @@ def _classify_residues(a: int, b: int, c: int, d: int, p: int) -> ClassLabel:
             return ClassLabel("C1", p, t)
         if a == p - 1:
             return ClassLabel("C2", p, t)
+    if p == 2:
+        # SL(2,F_2) is S3: its other elements of even trace have order two, of odd trace three
+        return ClassLabel("C2" if t == 0 else "C3", p, t)
     if t == 2 % p:
         u = _unipotent_invariant(a, b, c, d, p)
         is_qr = legendre(u, p) == 1

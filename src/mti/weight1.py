@@ -52,14 +52,13 @@ def splitting_pattern(d: int, p: int) -> str:
     return SPLIT6 if is_cube_mod_p(d, p) else SPLIT2
 
 
+_TRACE_OF_PATTERN = {SPLIT6: 2, SPLIT2: -1, SPLIT3: 0}
+
+
 def frobenius_trace(d: int, p: int) -> int:
-    """Trace of Frobenius at p: 2 / -1 / 0 for split6 / split2 / split3."""
-    return {SPLIT6: 2, SPLIT2: -1, SPLIT3: 0}[splitting_pattern(d, p)]
-
-
-def ap_coefficient(d: int, p: int) -> int:
-    """The p-th Fourier coefficient; equals the Frobenius trace."""
-    return frobenius_trace(d, p)
+    """Trace of Frobenius at p, the p-th Fourier coefficient a_p: 2 / -1 / 0
+    for split6 / split2 / split3."""
+    return _TRACE_OF_PATTERN[splitting_pattern(d, p)]
 
 
 def _euler_terms(step: int, n: int) -> list[tuple[int, int]]:
@@ -95,7 +94,6 @@ class QExpansionRow:
 
 @dataclass
 class QExpansionReport:
-    d: int
     pmax: int
     rows: list[QExpansionRow]
     mismatches: list[int]
@@ -107,37 +105,31 @@ class QExpansionReport:
 _PATTERN_TO_MOD2_CLASS = {SPLIT6: "C1", SPLIT2: "C3", SPLIT3: "C2"}
 
 
-def qexpansion_check(d: int = 2, pmax: int = 100) -> QExpansionReport:
-    """Compare the computed coefficients at the primes 5 <= p < pmax with
-    the eta-product expansion.
+def qexpansion_check(pmax: int = 100) -> QExpansionReport:
+    """Compare the computed coefficients for d = 2, the one d with a
+    reference, at the primes 5 <= p < pmax with the eta-product expansion.
 
-    Only d = 2 has a reference; pmax above MAX_PMAX is refused.
+    pmax above MAX_PMAX is refused.
     """
-    if d != 2:
-        raise ValueError("stored reference coefficients exist only for d = 2")
     if pmax > MAX_PMAX:
         raise ValueError(f"pmax must be at most {MAX_PMAX}: the reference was checked only below it")
     reference = eta_product_coefficients(pmax)
     rows = []
     mismatches = []
-    p = 5
-    while p < pmax:
-        if is_prime(p) and p % 3 != 0 and d % p != 0:
-            computed = ap_coefficient(d, p)
-            ref = reference[p]
-            pattern = splitting_pattern(d, p)
-            cls = _PATTERN_TO_MOD2_CLASS[pattern]
-            rows.append(
-                QExpansionRow(
-                    p=p,
-                    computed=computed,
-                    reference=ref,
-                    pattern=pattern,
-                    mod2_class=cls,
-                    z_value=2 ** dw_exponent_of_kind(cls, 2),
-                )
+    for p in filter(is_prime, range(5, pmax, 2)):
+        pattern = splitting_pattern(2, p)
+        computed = _TRACE_OF_PATTERN[pattern]
+        cls = _PATTERN_TO_MOD2_CLASS[pattern]
+        rows.append(
+            QExpansionRow(
+                p=p,
+                computed=computed,
+                reference=reference[p],
+                pattern=pattern,
+                mod2_class=cls,
+                z_value=2 ** dw_exponent_of_kind(cls, 2),
             )
-            if computed != ref:
-                mismatches.append(p)
-        p += 2
-    return QExpansionReport(d=d, pmax=pmax, rows=rows, mismatches=mismatches)
+        )
+        if computed != reference[p]:
+            mismatches.append(p)
+    return QExpansionReport(pmax=pmax, rows=rows, mismatches=mismatches)

@@ -51,6 +51,17 @@ def sl2_fp_elements(p):
                 yield a, b, c, d
 
 
+def symplectic_transvection(v, lam, g):
+    """I + lam * v * (v^T J) for the block form J; exactly symplectic."""
+    n = 2 * g
+    jv = [0] * n  # J v with J = [[0, I], [-I, 0]]
+    for i in range(g):
+        jv[i] = v[g + i]
+        jv[g + i] = -v[i]
+    rows = [[(1 if i == j else 0) + lam * v[i] * jv[j] for j in range(n)] for i in range(n)]
+    return IntMatrix.from_rows(rows)
+
+
 def matrix_to_bqf(A: Sl2Matrix) -> QuadForm:
     """Form (b, a-d, -c) attached to a hyperbolic matrix."""
     if abs(A.trace) <= 2:

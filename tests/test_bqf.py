@@ -1,7 +1,7 @@
 import gc
 import random
 import weakref
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -805,16 +805,20 @@ def test_single_trace_refuses_traces_past_the_key_range():
 
 
 def test_class_listing_refuses_bad_bounds_at_the_call():
-    # one check owns the trace bound: T < 4, a float and T >= 2^21 are
-    # refused when the listing or the rows are asked for, not at the first
-    # class, and the kept rows are left as they were: no hit, no miss
+    # one check owns the bounds: T < 4, a float, T past the largest bound
+    # run for the listing or the rows, and T = 2^21 are refused when the
+    # listing or the rows are asked for, not at the first class, and the
+    # kept rows are left as they were: no hit, no miss
     bqf._class_rows(60)
     before = bqf._walked_rows.cache_info()
-    for T, error in ((3, ValueError), (60.0, TypeError), (2**21, ValueError)):
-        for call in (bqf._class_columns, bqf._class_rows):
+    for call, largest in ((bqf._class_columns, bqf._MAX_LISTING_T), (bqf._class_rows, bqf._MAX_ROWS_T)):
+        for T, error in ((3, ValueError), (60.0, TypeError), (2**21, ValueError)):
             with pytest.raises(error):
                 call(T)
             assert bqf._walked_rows.cache_info() == before, T
+        with pytest.raises(ValueError, match=f"T must be at most {largest}: "):
+            call(largest + 1)
+        assert bqf._walked_rows.cache_info() == before
     for call in (bqf._class_columns, bqf._class_rows):
         with pytest.raises(ValueError, match="T must be at least 4"):
             call(3)

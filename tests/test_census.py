@@ -32,7 +32,6 @@ from mti.intmat import is_prime
 from mti.sl2 import (
     KINDS_ODD,
     KINDS_P2,
-    classify_mod_2,
     classify_mod_p,
     dw_exponent_of_kind,
     dw_invariant_sl2,
@@ -147,7 +146,7 @@ def test_census_matches_direct_classification(p):
     rep = census(p, T)
     rows = []
     for r in _classes_below(T):
-        kind = classify_mod_2(r.matrix).kind if p == 2 else classify_mod_p(r.matrix, p).kind
+        kind = classify_mod_p(r.matrix, p).kind
         a1, a2 = sl2_snf_entries(r.matrix)
         if a1 % p == 0 and a2 % p == 0:
             cat = 0
@@ -331,7 +330,7 @@ def test_class_codes_match_per_class_oracle(p):
     for abs_t, mi, li, ki, *codes in rows:
         for s, code in zip((abs_t, -abs_t), codes):
             A = bqf.bqf_to_matrix(bqf.QuadForm(mi, li, ki), s)
-            kind = classify_mod_2(A).kind if p == 2 else classify_mod_p(A, p).kind
+            kind = classify_mod_p(A, p).kind
             a1, a2 = sl2_snf_entries(A)
             assert code == 3 * labels.index(kind) + category[a1 % p == 0, a2 % p == 0], (p, s, mi, li, ki)
     assert len(pos) == rep.total_pos
@@ -520,9 +519,9 @@ def test_census_normalizes_the_prime():
 
 
 def test_bounds_past_the_key_range_leave_the_store_intact(monkeypatch):
-    # at T = 2^21 the listing's keys (t*T + m + T)*T + l overflow int64:
-    # every entry point refuses it before a walk starts or the kept rows are
-    # reached
+    # T = 2^21, where the listing's keys (t*T + m + T)*T + l would overflow
+    # int64, is past every entry point's bound: each refuses it before a
+    # walk starts or the kept rows are reached
     def no_walk(*args):
         raise AssertionError("walked the word tree")
 
@@ -534,7 +533,7 @@ def test_bounds_past_the_key_range_leave_the_store_intact(monkeypatch):
         lambda: bqf._class_rows(2**21),
     )
     for call in calls:
-        with pytest.raises(ValueError, match="below 2\\^21"):
+        with pytest.raises(ValueError, match="T must be at most"):
             call()
         assert bqf._walked_rows.cache_info() == before
 
@@ -586,7 +585,7 @@ def test_snf_routing_first_ten_thousand_classes():
     for r in _classes_below(400):
         a1, a2 = sl2_snf_entries(r.matrix)
         for p in (2, 3, 5, 7):
-            kind = classify_mod_2(r.matrix).kind if p == 2 else classify_mod_p(r.matrix, p).kind
+            kind = classify_mod_p(r.matrix, p).kind
             if kind == "C1":
                 assert a1 % p == 0 and a2 % p == 0
             elif kind in (("C2",) if p == 2 else ("C3", "C4")):

@@ -195,7 +195,7 @@ def test_census_refuses_tmax_past_the_key_range(monkeypatch, capsys):
     assert run(["census", "--prime", "3", "--tmax", "2097152"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: T must be below 2^21\n"
+    assert captured.err == "error: T must be at most 30000: larger bounds were not run\n"
 
 
 def test_census_files(tmp_path, capsys):
@@ -344,7 +344,7 @@ def test_csw_sweep_refuses_kmax_past_the_level_bound(monkeypatch, capsys):
 
 
 def test_modform(capsys):
-    code, out = _capture(capsys, ["modform", "--d", "2", "--pmax", "100"])
+    code, out = _capture(capsys, ["modform", "--pmax", "100"])
     assert code == 0
     assert "mismatches: none" in out
 
@@ -383,12 +383,13 @@ _IDENTITY_4 = '[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","
             "determinant is not 1: Sl2Matrix(a=2, b=1, c=1, d=2)",
         ),
         (["dw", "--matrix", _IDENTITY_4, "--prime", "4"], "4 is not prime"),
-        (["classify", "--matrix", '[["2","1"],["1","1"]]', "--prime", "9"], "p must be an odd prime"),
+        (["classify", "--matrix", '[["2","1"],["1","1"]]', "--prime", "9"], "9 is not prime"),
         (["homology", "--matrix", _NOT_SYMPLECTIC], "matrix is not symplectic"),
-        (["modform", "--d", "3"], "stored reference coefficients exist only for d = 2"),
         (["classes", "--trace", "2"], "requires |t| > 2"),
         (["classes", "--trace", "1000000000000"], "|t| must be below 2^21"),
         (["classes", "--tmax", "3"], "T must be at least 4"),
+        (["census", "--prime", "3", "--tmax", "30001"], "T must be at most 30000: larger bounds were not run"),
+        (["classes", "--tmax", "20001"], "T must be at most 20000: larger bounds were not run"),
         (["csw", "--matrix", '[["1","1"],["0","1"]]', "--level", "1"], "requires |trace| > 2"),
         (["csw", "--matrix", '[["2","1"],["1","1"]]', "--level", "0"], "level must be a positive integer"),
         (["modform", "--pmax", "1000001"], "pmax must be at most 1000000: the reference was checked only below it"),
@@ -402,10 +403,11 @@ _IDENTITY_4 = '[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","
         "dw-prime",
         "classify-prime",
         "symplectic",
-        "modform-d",
         "classes-trace",
         "classes-trace-huge",
         "classes-tmax",
+        "census-tmax-rows",
+        "classes-tmax-listing",
         "csw-trace",
         "csw-level",
         "modform-pmax",
@@ -418,8 +420,9 @@ def test_library_value_errors_exit_1_with_their_message(argv, err, capsys, monke
     def refused(*args):
         raise AssertionError("ran past a refused bound")
 
-    monkeypatch.setattr(weight1, "ap_coefficient", refused)
+    monkeypatch.setattr(weight1, "eta_product_coefficients", refused)
     monkeypatch.setattr(csw, "ModularData", refused)
+    monkeypatch.setattr(bqf, "_word_pieces", refused)
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {err}\n"
@@ -435,6 +438,8 @@ def test_psi12_is_not_taken_for_a_prime(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["nonsense"]) == 2
     assert run(["dw", "--matrix", "[[1]]"]) == 2  # missing --prime
+    assert run(["modform", "--d", "3"]) == 2  # the form is the one of d = 2
+    assert capsys.readouterr().out == ""
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

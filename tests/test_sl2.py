@@ -2,8 +2,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mti.intmat import IntMatrix, is_prime, smith_normal_form
 from mti.sl2 import (
@@ -11,7 +9,6 @@ from mti.sl2 import (
     KINDS_P2,
     Sl2Matrix,
     _classify_residues,
-    classify_mod_2,
     classify_mod_p,
     dw_invariant_genus_g,
     dw_exponent_of_kind,
@@ -22,7 +19,13 @@ from mti.sl2 import (
     sl2_snf_entries,
     slp_class_census,
 )
-from oracles import fixed_point_count_bruteforce, fixed_point_count_genus_g, random_sl2, sl2_fp_elements
+from oracles import (
+    fixed_point_count_bruteforce,
+    fixed_point_count_genus_g,
+    random_sl2,
+    sl2_fp_elements,
+    symplectic_transvection,
+)
 
 
 def test_sl2_snf_entries_examples():
@@ -96,7 +99,7 @@ def test_dw_exponent_of_kind_equals_bruteforce_on_every_element(p):
     # every element of SL(2,F_p); every kind occurs
     kinds = set()
     for a, b, c, d in sl2_fp_elements(p):
-        label = classify_mod_2(_lift(a, b, c, d, 2)) if p == 2 else _classify_residues(a, b, c, d, p)
+        label = _classify_residues(a, b, c, d, p)
         assert p ** dw_exponent_of_kind(label.kind, p) == fixed_point_count_bruteforce((a, b, c, d), p), label
         kinds.add(label.kind)
     assert kinds == set(KINDS_P2 if p == 2 else KINDS_ODD) - ({"C7"} if p == 3 else set())
@@ -110,8 +113,8 @@ def test_classify_examples():
     assert classify_mod_p(Sl2Matrix(0, 1, -1, 0), 3).kind == "C8"
     assert classify_mod_p(Sl2Matrix(1, 0, 0, 1), 7).kind == "C1"
     assert classify_mod_p(Sl2Matrix(-1, 0, 0, -1), 7).kind == "C2"
-    with pytest.raises(ValueError):
-        classify_mod_p(Sl2Matrix(1, 0, 0, 1), 2)
+    with pytest.raises(ValueError, match="9 is not prime"):
+        classify_mod_p(Sl2Matrix(1, 0, 0, 1), 9)
 
 
 def test_classify_tests_its_prime_once():
@@ -141,11 +144,11 @@ def test_classify_c7_by_exhaustive_conjugation():
 
 
 def test_classify_mod_2():
-    assert classify_mod_2(Sl2Matrix(1, 1, 0, 1)).kind == "C2"
-    assert classify_mod_2(Sl2Matrix(1, -1, 1, 0)).kind == "C3"
-    assert classify_mod_2(Sl2Matrix(3, 2, 4, 3)).kind == "C1"
-    assert classify_mod_2(Sl2Matrix(0, 1, -1, 0)).kind == "C2"
-    assert classify_mod_2(Sl2Matrix(0, 1, -1, 1)).kind == "C3"
+    assert classify_mod_p(Sl2Matrix(1, 1, 0, 1), 2).kind == "C2"
+    assert classify_mod_p(Sl2Matrix(1, -1, 1, 0), 2).kind == "C3"
+    assert classify_mod_p(Sl2Matrix(3, 2, 4, 3), 2).kind == "C1"
+    assert classify_mod_p(Sl2Matrix(0, 1, -1, 0), 2).kind == "C2"
+    assert classify_mod_p(Sl2Matrix(0, 1, -1, 1), 2).kind == "C3"
 
 
 def test_dw_p2():
@@ -162,7 +165,7 @@ def test_dw_p2():
 def test_geodesic_pullback_splitting():
     assert geodesic_pullback_splitting(Sl2Matrix(3, 2, 4, 3)) == 6
     # [[1,2],[1,3]] reduces to [[1,0],[1,1]], an order-2 element mod 2
-    assert classify_mod_2(Sl2Matrix(1, 2, 1, 3)).kind == "C2"
+    assert classify_mod_p(Sl2Matrix(1, 2, 1, 3), 2).kind == "C2"
     assert geodesic_pullback_splitting(Sl2Matrix(1, 2, 1, 3)) == 3
     # [[2,1],[1,1]] reduces to [[0,1],[1,1]], which has order 3
     assert geodesic_pullback_splitting(Sl2Matrix(2, 1, 1, 1)) == 2
@@ -171,7 +174,7 @@ def test_geodesic_pullback_splitting():
     found = None
     for k in range(1, 6):
         cand = Sl2Matrix(1, -1, 1, 0) * Sl2Matrix(1, 2 * k, 0, 1)
-        if abs(cand.trace) > 2 and classify_mod_2(cand).kind == "C3":
+        if abs(cand.trace) > 2 and classify_mod_p(cand, 2).kind == "C3":
             found = cand
             break
     assert found is not None, "no hyperbolic order-3 instance in search range"
@@ -261,17 +264,6 @@ def test_fixed_point_count_genus_g():
     assert fixed_point_count_genus_g(GENUS2_B.to_rows(), 2, 2) == 8
     with pytest.raises(ValueError):
         fixed_point_count_genus_g(GENUS2_B.to_rows(), 2, 37)
-
-
-def symplectic_transvection(v, lam, g):
-    """I + lam * v * (v^T J) for the block form J; exactly symplectic."""
-    n = 2 * g
-    jv = [0] * n  # J v with J = [[0, I], [-I, 0]]
-    for i in range(g):
-        jv[i] = v[g + i]
-        jv[g + i] = -v[i]
-    rows = [[(1 if i == j else 0) + lam * v[i] * jv[j] for j in range(n)] for i in range(n)]
-    return IntMatrix.from_rows(rows)
 
 
 def random_symplectic(rng, g=2, steps=6):

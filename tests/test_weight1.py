@@ -1,9 +1,10 @@
+import inspect
+
 import pytest
 
 from mti import weight1
 from mti.intmat import is_prime
 from mti.weight1 import (
-    ap_coefficient,
     eta_product_coefficients,
     frobenius_trace,
     is_cube_mod_p,
@@ -49,9 +50,9 @@ def test_frobenius_trace_examples():
     assert frobenius_trace(2, 7) == -1
     assert frobenius_trace(2, 31) == 2
     assert frobenius_trace(2, 5) == 0
-    assert ap_coefficient(2, 13) == -1
-    assert ap_coefficient(2, 43) == 2
-    assert ap_coefficient(2, 97) == -1
+    assert frobenius_trace(2, 13) == -1
+    assert frobenius_trace(2, 43) == 2
+    assert frobenius_trace(2, 97) == -1
     with pytest.raises(ValueError):
         frobenius_trace(2, 2)
 
@@ -76,13 +77,13 @@ def test_pattern_bijection():
     for p in _primes_below(200):
         if p in (2, 3):
             continue
-        key = ap_coefficient(2, p) + 1
+        key = frobenius_trace(2, p) + 1
         seen.setdefault(key, set()).add(splitting_pattern(2, p))
     assert seen == {3: {"split6"}, 0: {"split2"}, 1: {"split3"}}
 
 
 def test_qexpansion_matches_lmfdb():
-    report = qexpansion_check(2, 100)
+    report = qexpansion_check(100)
     assert report.mismatches == []
     assert {r.p for r in report.rows} == set(_primes_below(100)) - {2, 3}
     # spot check the nonzero references
@@ -111,7 +112,7 @@ def test_eta_product_equals_the_direct_product():
 
 
 def test_qexpansion_small_window():
-    report = qexpansion_check(2, 8)
+    report = qexpansion_check(8)
     assert [r.p for r in report.rows] == [5, 7]
 
 
@@ -122,18 +123,22 @@ def test_qexpansion_mismatch_injection(monkeypatch):
         return coeffs
 
     monkeypatch.setattr(weight1, "eta_product_coefficients", corrupted)
-    report = qexpansion_check(2, 100)
+    report = qexpansion_check(100)
     assert report.mismatches == [7]
 
 
 def test_qexpansion_requires_d2_for_stored_reference():
-    with pytest.raises(ValueError):
+    # the stored reference is the d = 2 form, so d is not a parameter
+    assert list(inspect.signature(qexpansion_check).parameters) == ["pmax"]
+    with pytest.raises(TypeError):
         qexpansion_check(3, 100)
+    report = qexpansion_check(100)
+    assert [r.computed for r in report.rows] == [frobenius_trace(2, r.p) for r in report.rows]
 
 
 def test_order_matched_dictionary():
     # the element-order pairing satisfies a_p = Z - 2 for every row
-    report = qexpansion_check(2, 100)
+    report = qexpansion_check(100)
     for row in report.rows:
         assert row.computed == row.z_value - 2
 
