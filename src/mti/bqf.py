@@ -40,8 +40,9 @@ import numpy as np
 
 from .sl2 import Sl2Matrix
 
-# the trace bound past which the listing's keys (t*T + m + T)*T + l
-# overflow int64; single traces at or past it are refused
+# single traces at or past this bound are refused: _CYCLE_STEPS rho^2 steps
+# close every cycle below it, since a word of 16 blocks has trace at least
+# the Lucas number L_32 > 2^21 (`_cycle_minima`)
 _MAX_T = 1 << 21
 # the largest bounds run, each refused past: on a 2-core x86-64 machine with
 # 8 GB, the census of five primes at T = 30000 took 12 s and 1.49 GB, and
@@ -110,13 +111,13 @@ def _word_pairs(a, b, c, d, per, xs, ys, T):
 
     A node of n blocks R^x L^y carries its matrix [[a, b], [c, d]], its FKM
     period per and its blocks as int32 rows xs, ys, one column per node
-    (x, y < T, and T < _MAX_T for the keys to fit in int64).  Its children
-    append a block (x', y') no smaller than the reference block (rx, ry) =
-    block n - per: x' >= rx, and y' >= ry when x' = rx.  The child's matrix
-    is M [[1 + x'y', x'], [y', 1]] = [[a + y'u, u], [c + y'v, v]] with
-    u = ax' + b and v = cx' + d, so for each x' the y' of trace
-    a + v + y'u < T form one run.  The x' do not stop at rx when (rx, ry) is
-    already too large: (rx + 1, 1) may still fit.
+    (x, y < T).  Its children append a block (x', y') no smaller than the
+    reference block (rx, ry) = block n - per: x' >= rx, and y' >= ry when
+    x' = rx.  The child's matrix is M [[1 + x'y', x'], [y', 1]] =
+    [[a + y'u, u], [c + y'v, v]] with u = ax' + b and v = cx' + d, so for
+    each x' the y' of trace a + v + y'u < T form one run.  The x' do not
+    stop at rx when (rx, ry) is already too large: (rx + 1, 1) may still
+    fit.
     """
     n = len(xs)
     if n:

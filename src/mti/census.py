@@ -55,20 +55,10 @@ class Checkpoint:
     snf_triple_pos: tuple[int, int, int]
 
     def csv_row(self) -> str:
-        c1, unip, _ = _group_counts(self.per_label, self.p)
+        c1, unip, rest = self.snf_triple
         c2 = self.per_label.get("C2", 0) if self.p != 2 else 0
-        rest = self.total - c1 - c2 - unip
-        values = (self.T, self.total, c1, c2, unip, rest, self.dw_sum, *self.snf_triple)
+        values = (self.T, self.total, c1, c2, unip, rest - c2, self.dw_sum, *self.snf_triple)
         return ",".join(str(v) for v in values) + f",{self.li_T2!r}"
-
-
-def _group_counts(per_label: dict[str, int], p: int) -> tuple[int, int, int]:
-    """(identity, Z-equals-p, rest) counts from a label map for the prime p:
-    the kinds of Z(A, p) = p^2, p and 1."""
-    groups = [0, 0, 0]
-    for kind, count in per_label.items():
-        groups[2 - dw_exponent_of_kind(kind, p)] += count
-    return tuple(groups)
 
 
 @dataclass
@@ -94,16 +84,15 @@ def census(p: int, T: int) -> CensusReport:
     The classes come from `bqf`, which keeps the rows of the last bound
     asked for, as columns (|t|, m, k) of one reduced m < 0 form (m, l, k)
     per class, in no particular order, one row per |t| and class for both
-    trace signs.  Each class gets a code label * 3 + SNF category.  A trace
-    s != +-2 mod p fixes the code of all its classes; on s = +-2 mod p the
-    residues b = k and c = -m fix it: the class is central exactly when
-    b = c = 0, which on s = 2 puts it in category 0 and every other class of
-    s = 2 in category 1, and the Legendre symbol of -c (or of b) splits the
-    rest (see `_class_bins`).  One bincount over every row counts the rows
-    by checkpoint segment, trace slot and symbol; each checkpoint T/2^k sums
-    the segments below it, one product with a one-hot matrix built at import
-    (`_tally_matrix`) takes its bins to codes on s = t and on both signs,
-    and `_snapshots` reads every checkpoint off the product at once.
+    trace signs.  A trace s != +-2 mod p fixes the label of all its
+    classes; on s = +-2 mod p the residues b = k and c = -m fix it: the
+    class is central exactly when b = c = 0, and the Legendre symbol of -c
+    (or of b) splits the rest (see `_class_bins`).  One bincount over every
+    row counts the rows by checkpoint segment, trace slot and symbol; each
+    checkpoint T/2^k sums the segments below it, one product with a one-hot
+    matrix built at import (`_tally_matrix`) takes its bins to labels on
+    s = t and on both signs, and `_snapshots` reads every checkpoint off the
+    product at once.
     """
     p, T = operator.index(p), operator.index(T)
     if p >= 2**63:
@@ -113,71 +102,64 @@ def census(p: int, T: int) -> CensusReport:
     t, m, k = _class_rows(T)
     # checkpoint bounds T/2^k below T, all >= 4, then T itself
     bounds = sorted({T >> j for j in range(1, T.bit_length()) if T >> j >= 4}) + [T]
-    # counts by bin below each bound, then by code on s = t and on both signs
+    # counts by bin below each bound, then by label on s = t and on both signs
     counts = np.bincount(_class_bins(p, bounds, t, m, k), minlength=len(bounds) * _BINS)
     counts = counts.reshape(len(bounds), _BINS).cumsum(0) @ (_TALLY_P2 if p == 2 else _TALLY_ODD)
     checkpoints = _snapshots(p, bounds, counts)
     return CensusReport(**vars(checkpoints[-1]), checkpoints=checkpoints)
 
 
-# the bins of one checkpoint segment: four trace slots (the two fixed codes,
+# the bins of one checkpoint segment: four trace slots (the two fixed labels,
 # then s = 2 and s = -2 mod p) of five symbol sums -2 .. 2 each
 _BINS = 4 * 5
 
 
 def _tally_matrix(nl: int, fixed: tuple[int, int], table: list[list[int]]) -> np.ndarray:
-    """The one-hot int64 (_BINS, 2 * 3 * nl) matrix that takes a segment's
-    counts by bin to its counts by code on s = t, then on both signs: the
-    fixed codes of the first two slots, and on s = 2 (first row of table)
-    and s = -2 the codes by the symbol 0 (central), 1 or -1 of w, spread
-    over the sums -2 .. 2.  The class of trace -s swaps s = 2 and s = -2,
-    so its codes read the rows of table in reverse."""
+    """The one-hot int64 (_BINS, 2 * nl) matrix that takes a segment's
+    counts by bin to its counts by label index on s = t, then on both
+    signs: the fixed labels of the first two slots, and on s = 2 (first row
+    of table) and s = -2 the labels by the symbol 0 (central), 1 or -1 of
+    w, spread over the sums -2 .. 2.  The class of trace -s swaps s = 2 and
+    s = -2, so its labels read the rows of table in reverse."""
     table = np.array(table)[:, [2, 2, 0, 1, 1]]
     fixed = np.repeat([fixed], 5, axis=0).T
     on_pos = np.concatenate([fixed, table]).ravel()
     on_neg = np.concatenate([fixed, table[::-1]]).ravel()
-    codes = np.eye(3 * nl, dtype=np.int64)
-    return np.hstack([codes[on_pos], codes[on_pos] + codes[on_neg]])
+    labels = np.eye(nl, dtype=np.int64)
+    return np.hstack([labels[on_pos], labels[on_pos] + labels[on_neg]])
 
 
 # p = 2 has s = 2 = -2, and no negative symbol sum
-_TALLY_P2 = _tally_matrix(len(KINDS_P2), (2 * 3 + 2, 2 * 3 + 2), [[0 * 3 + 0, 1 * 3 + 1, 1 * 3 + 1]] * 2)
-_TALLY_ODD = _tally_matrix(
-    len(KINDS_ODD), (6 * 3 + 2, 7 * 3 + 2), [[0 * 3 + 0, 2 * 3 + 1, 3 * 3 + 1], [1 * 3 + 2, 4 * 3 + 2, 5 * 3 + 2]]
-)
+_TALLY_P2 = _tally_matrix(len(KINDS_P2), (2, 2), [[0, 1, 1]] * 2)
+_TALLY_ODD = _tally_matrix(len(KINDS_ODD), (6, 7), [[0, 2, 3], [1, 4, 5]])
 
 
 def _class_bins(p: int, bounds: list[int], t, m, k) -> np.ndarray:
     """The bin of every row: its checkpoint segment, its trace's slot and
     the sum of the symbols of its m and k, which `_tally_matrix` takes to
-    the row's code label * 3 + SNF category on s = t and on s = -t.
+    the row's label on s = t and on s = -t.
 
     The form (m, l, k) stands for the class A = [[(s-l)/2, b], [c, (s+l)/2]]
-    with b = k and c = -m, and SNF(A - Id) = diag(A1, A2) with A1 | A2 and
-    A1*A2 = |s - 2|.  A trace s other than +-2 mod p fixes the kind of all
-    its classes (C7/C8 by the symbol of s^2 - 4, C3 for p = 2), and p does
-    not divide A2, so they are all in SNF category 2.  On s = +-2 mod p the
-    residues b and c decide the rest:
-    - A = +-Id mod p exactly when b = c = 0 mod p;
-    - on s = 2 mod p, p divides A2, and A1 too exactly when A = Id mod p, so
-      the central class is in category 0 and the others in category 1;
-    - a class that is not central is C3/C4 (s = 2) or C5/C6 (s = -2) as the
-      Legendre symbol of w = -c (or b where c = 0) is 1 or -1, and C2 for
-      p = 2.
-    p divides l^2 - 4mk = s^2 - 4 there, so where neither b nor c is 0 mod p
-    they have the same symbol: the sign of (m/p) + (k/p) is the symbol of w,
-    and the sum is 0 just when the class is central (mod 2, take the
-    residues for symbols).  A row's bin is its segment, its trace's slot and
-    that sum, from one gather per |t| and one per coefficient, read from
-    tables of the coefficients themselves: every stored |m| and k is below
-    |t| < T.  The form's class of trace -s has the same b and c, so the bin
-    serves both signs.
+    with b = k and c = -m.  A trace s other than +-2 mod p fixes the kind of
+    all its classes (C7/C8 by the symbol of s^2 - 4, C3 for p = 2).  On
+    s = +-2 mod p the residues b and c decide the rest: A = +-Id mod p
+    exactly when b = c = 0 mod p, and a class that is not central is C3/C4
+    (s = 2) or C5/C6 (s = -2) as the Legendre symbol of w = -c (or b where
+    c = 0) is 1 or -1, and C2 for p = 2.  p divides l^2 - 4mk = s^2 - 4
+    there, so where neither b nor c is 0 mod p they have the same symbol:
+    the sign of (m/p) + (k/p) is the symbol of w, and the sum is 0 just
+    when the class is central (mod 2, take the residues for symbols).  A
+    row's bin is its segment, its trace's slot and that sum, from one
+    gather per |t| and one per coefficient, read from tables of the
+    coefficients themselves: every stored |m| and k is below |t| < T.  The
+    form's class of trace -s has the same b and c, so the bin serves both
+    signs.
     """
     T = bounds[-1]
     symbol = _legendre_table(p, T + 2)
     # the symbols of s - 2 and s + 2 for s = 3 .. T - 1
     below, above = symbol[1 : T - 2], symbol[5 : T + 2]
-    # the symbol of s^2 - 4 picks the fixed code; 0 marks s = +-2 mod p
+    # the symbol of s^2 - 4 picks the fixed label; 0 marks s = +-2 mod p
     square = below * above
     slot = np.where(square == 0, 2 + (below != 0), square != 1)
     base = np.zeros(T, np.intp)
@@ -218,26 +200,35 @@ def _legendre_table(p: int, n: int) -> np.ndarray:
 
 
 def _snapshots(p: int, bounds: list[int], counts: np.ndarray) -> list[Checkpoint]:
-    """The checkpoint at each bound, from its row of counts by (label, SNF
-    category) on the positive traces, then on both signs, below it; the Z
-    values stay Python ints, since p^2 overflows int64 for p near 2^63."""
+    """The checkpoint at each bound, from its row of counts by label on the
+    positive traces, then on both signs, below it.
+
+    Z(A, p) = p^e with e = 2 - rank_p(A - Id), and SNF(A - Id) = diag(A1, A2)
+    with A1 | A2, so p divides both entries, A2 only, or neither (SNF
+    category 0, 1 or 2) just when e = 2, 1 or 0: the category of a class is
+    2 - `dw_exponent_of_kind` of its label.  The SNF triple sums the label
+    counts by category, and the Z sum is (p^2, p, 1) times the triple, in
+    Python ints, since p^2 overflows int64 for p near 2^63.
+    """
     labels = KINDS_P2 if p == 2 else KINDS_ODD
-    counts = counts.reshape(len(bounds), 2, len(labels), 3)
-    z = [p ** dw_exponent_of_kind(kind, p) for kind in labels]
+    group = np.zeros((len(labels), 3), np.int64)
+    group[range(len(labels)), [2 - dw_exponent_of_kind(kind, p) for kind in labels]] = 1
+    counts = counts.reshape(len(bounds), 2, len(labels))
+    z = (p * p, p, 1)
     return [
         Checkpoint(
             T=T,
             p=p,
             total=sum(label),
             per_label=dict(zip(labels, label)),
-            dw_sum=sum(map(operator.mul, z, label)),
+            dw_sum=sum(map(operator.mul, z, snf)),
             snf_triple=tuple(snf),
             li_T2=log_integral(float(T) * T),
             total_pos=sum(pos_label),
-            dw_sum_pos=sum(map(operator.mul, z, pos_label)),
+            dw_sum_pos=sum(map(operator.mul, z, pos_snf)),
             snf_triple_pos=tuple(pos_snf),
         )
-        for T, (pos_label, label), (pos_snf, snf) in zip(bounds, counts.sum(3).tolist(), counts.sum(2).tolist())
+        for T, (pos_label, label), (pos_snf, snf) in zip(bounds, counts.tolist(), (counts @ group).tolist())
     ]
 
 
@@ -302,7 +293,7 @@ def density_report(report: CensusReport) -> DensityReport:
     for cp in report.checkpoints:
         if cp.total == 0:
             continue
-        c1, unip, rest = _group_counts(cp.per_label, cp.p)
+        c1, unip, rest = cp.snf_triple
         cps.append(
             (
                 cp.T,

@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bqf import _class_columns, _class_rows, classes_with_trace
+from .bqf import _MAX_T, _class_columns, _class_rows, classes_with_trace
 from .census import census, census_text, density_report, theorem_constants
 from .csw import MAX_LEVEL, compare_with_rep_trace, csw_invariant
 from .intmat import IntMatrix, mapping_torus_homology, smith_normal_form
@@ -146,7 +146,9 @@ def _cmd_classes(args) -> int:
     # the counts and the total come from the census's rows; the text
     # listing walks the word tree once for the canonical forms instead
     if args.count_only:
-        per_trace = np.bincount(_class_rows(args.tmax)[0], minlength=args.tmax)
+        t = _class_rows(args.tmax)[0]
+        # 2^20 rows per bincount, which copies its int32 input to intp
+        per_trace = sum(np.bincount(t[lo : lo + 2**20], minlength=args.tmax) for lo in range(0, len(t), 2**20))
         counts = list(enumerate(per_trace[3:].tolist(), 3))
         payload = {"tmax": args.tmax, "counts": [{"t": t, "classes_per_sign": c} for t, c in counts]}
         text = "\n".join(f"{t} {c}" for t, c in counts)
@@ -286,7 +288,7 @@ def _cmd_csw(args) -> int:
 
 def _cmd_csw_sweep(args) -> int:
     # classes_with_trace refuses |t| >= 2^21: refuse such a --tmax before any sample runs
-    if args.kmax < 1 or not 3 <= args.tmax < 2**21 or args.samples < 0:
+    if args.kmax < 1 or not 3 <= args.tmax < _MAX_T or args.samples < 0:
         raise DomainError("need --kmax >= 1, 3 <= --tmax < 2^21 and --samples >= 0")
     if args.kmax > MAX_LEVEL:
         raise DomainError(f"--kmax must be at most {MAX_LEVEL}: the rep-trace oracle refuses larger levels")

@@ -227,13 +227,15 @@ def rep_trace(A: Sl2Matrix, k: int) -> complex:
     data = su2_modular_data(k)
     r = k + 2
     idx = np.arange(1, k + 2)
+    # S^4 = Id: each power of S that the word uses, once
+    powers = {e: np.linalg.matrix_power(data.S, e) for e in {e % 4 for g, e in word if g == "S"}}
     m = np.eye(k + 1, dtype=complex)
     for g, e in word:
         if g == "T":
             # the phase has period 8(k + 2) in e: reduce before the floats
             m = m * np.exp(2j * np.pi * (e % (8 * r)) * (idx * idx / (4.0 * r) - 0.125))[None, :]
         else:
-            m = m @ np.linalg.matrix_power(data.S, e % 4)
+            m = m @ powers[e % 4]
     return complex(np.trace(m))
 
 

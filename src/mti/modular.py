@@ -91,28 +91,24 @@ def anharmonic_orbit(z: complex) -> dict[str, complex]:
     }
 
 
-def lemma_cool_value(A: Sl2Matrix, branch: str = "principal") -> float:
-    """|3/(2 pi i) * log lambda(A(zeta3))|^{-1} with a named log branch.
+def lemma_cool_value(A: Sl2Matrix) -> tuple[float, float]:
+    """|3/(2 pi i) * log lambda(A(zeta3))|^{-1} under the principal log
+    branch, arg in (-pi, pi], and the positive one, arg in [0, 2 pi).
 
-    branch="principal" uses arg in (-pi, pi]; branch="positive" uses
-    arg in [0, 2 pi).  Excluded for A = Id mod 2, where the formula does
-    not apply and the invariant is the constant 4.
+    Excluded for A = Id mod 2, where the formula does not apply and the
+    invariant is the constant 4.
     """
     if classify_mod_p(A, 2).kind == "C1":
         raise ValueError("identity class mod 2 is excluded; the value is 4")
     log = cmath.log(lambda_function(mobius(A, ZETA3)))
-    if branch == "positive" and log.imag < 0:
-        log += 2j * cmath.pi
-    elif branch not in ("principal", "positive"):
-        raise ValueError(f"unknown branch {branch!r}")
-    return 1.0 / abs(3 / (2 * cmath.pi * 1j) * log)
+    positive = log + 2j * cmath.pi if log.imag < 0 else log
+    return 1.0 / abs(3 / (2 * cmath.pi * 1j) * log), 1.0 / abs(3 / (2 * cmath.pi * 1j) * positive)
 
 
 @dataclass
 class LemmaCoolRow:
     name: str
     mod2_class: str
-    lambda_value: complex
     formula_principal: float
     formula_positive: float
     z_value: int
@@ -126,13 +122,11 @@ def lemma_cool_report() -> list[LemmaCoolRow]:
     for name in ("T", "S", "T.S", "T.S.T", "-S.T^-1"):
         A = COSET_REPRESENTATIVES[name]
         z = dw_invariant_sl2(A, 2).value
-        fp = lemma_cool_value(A, "principal")
-        fq = lemma_cool_value(A, "positive")
+        fp, fq = lemma_cool_value(A)
         rows.append(
             LemmaCoolRow(
                 name=name,
                 mod2_class=classify_mod_p(A, 2).kind,
-                lambda_value=lambda_function(mobius(A, ZETA3)),
                 formula_principal=fp,
                 formula_positive=fq,
                 z_value=z,

@@ -4,9 +4,10 @@ and the seeded matrix draws the tests share.
 Nothing in `mti` calls these.  Gauss reduction with equivalence witnesses
 and the rho-cycle of a reduced form (Buchmann-Vollmer, Binary Quadratic
 Forms, 2007) check the class listing; the gcds of minors check the Smith
-normal form; exhaustive fixed-point counts check Z(A, p).  The module is
-not a test file, so pytest does not collect it; the test files import it
-from their own directory.
+normal form; exhaustive fixed-point counts check Z(A, p); the level-k rep
+trace with one matrix power per S letter checks `csw.rep_trace`.  The
+module is not a test file, so pytest does not collect it; the test files
+import it from their own directory.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from __future__ import annotations
 import itertools
 from math import gcd, isqrt
 
+import numpy as np
+
 from mti.bqf import QuadForm
+from mti.csw import su2_modular_data, word_in_generators
 from mti.intmat import IntMatrix
 from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
 
@@ -227,3 +231,19 @@ def fixed_point_count_genus_g(fhat_mod_p, g: int, p: int, bound: int = 10**6) ->
         if all(sum(phi[i] * rows[i][j] for i in range(n)) % p == phi[j] for j in range(n)):
             count += 1
     return count
+
+
+def rep_trace_per_letter(A: Sl2Matrix, k: int) -> complex:
+    """The level-k rep trace of A as `csw.rep_trace` took it before each
+    power of S was computed once: np.linalg.matrix_power(S, e % 4) afresh
+    for every S letter of the word."""
+    data = su2_modular_data(k)
+    r = k + 2
+    idx = np.arange(1, k + 2)
+    m = np.eye(k + 1, dtype=complex)
+    for g, e in word_in_generators(A):
+        if g == "T":
+            m = m * np.exp(2j * np.pi * (e % (8 * r)) * (idx * idx / (4.0 * r) - 0.125))[None, :]
+        else:
+            m = m @ np.linalg.matrix_power(data.S, e % 4)
+    return complex(np.trace(m))

@@ -18,7 +18,6 @@ from mti.census import (
     Checkpoint,
     CensusReport,
     _class_bins,
-    _group_counts,
     _legendre_table,
     _snapshots,
     census,
@@ -189,9 +188,9 @@ def test_census_matches_direct_classification(p):
     )
 
 
-# the tally census ran before the one-bincount tally: per-class codes from a
-# residue pass and one Legendre call per distinct residue, then one prefix
-# bincount per checkpoint; kept as the oracle of `_class_bins`
+# the tally census ran before the one-bincount tally: per-class label indices
+# from a residue pass and one Legendre call per distinct residue, then one
+# prefix bincount per checkpoint; kept as the oracle of `_class_bins`
 
 
 def _class_codes(p: int, T: int, t, m, k) -> tuple[np.ndarray, np.ndarray]:
@@ -199,18 +198,19 @@ def _class_codes(p: int, T: int, t, m, k) -> tuple[np.ndarray, np.ndarray]:
     # s^2 - 4 from s itself, never from a residue, so it fits int64; p
     # divides it exactly when s = +-2 mod p
     disc = (traces * traces - 4) % p
-    # the code of each trace, and whether s = +-2 mod p, indexed by |t|
+    # the label of each trace, and whether s = +-2 mod p, indexed by |t|
     per_trace = np.zeros(T, np.int8)
     special = np.zeros(T, bool)
     special[3:] = disc == 0
-    # the codes on s = +-2 mod p by the symbol 0 (central), 1 or -1 of w, on
+    # the labels on s = +-2 mod p by the symbol 0 (central), 1 or -1 of w, on
     # s = 2 (first row) and s = -2
     if p == 2:
-        per_trace[3:] = 2 * 3 + 2
-        table = np.array([[0 * 3 + 0, 1 * 3 + 1]], np.int8)
+        per_trace[3:] = KINDS_P2.index("C3")
+        table = np.array([[KINDS_P2.index(kind) for kind in ("C1", "C2")]], np.int8)
     else:
-        per_trace[3:] = np.where(_legendre_symbols(disc, p) == 1, 6 * 3 + 2, 7 * 3 + 2)
-        table = np.array([[0 * 3 + 0, 2 * 3 + 1, 3 * 3 + 1], [1 * 3 + 2, 4 * 3 + 2, 5 * 3 + 2]], np.int8)
+        per_trace[3:] = np.where(_legendre_symbols(disc, p) == 1, KINDS_ODD.index("C7"), KINDS_ODD.index("C8"))
+        kinds = (("C1", "C3", "C4"), ("C2", "C5", "C6"))
+        table = np.array([[KINDS_ODD.index(kind) for kind in row] for row in kinds], np.int8)
     pos = per_trace[t]
     neg = pos.copy()
     rows = np.flatnonzero(special[t])
@@ -229,12 +229,17 @@ def _legendre_symbols(residues: np.ndarray, p: int) -> np.ndarray:
 
 def _snapshot(T: int, pos: np.ndarray, neg: np.ndarray, labels, p: int) -> Checkpoint:
     # the per-checkpoint builder census ran before `_snapshots`, kept as its
-    # oracle; pos, neg: counts by (label, SNF category) of the positive and
-    # the negative traces below T; the Z values stay Python ints, since p^2
-    # overflows int64 for p near 2^63
-    both = pos + neg
-    per_label = dict(zip(labels, both.sum(1).tolist()))
-    pos_label = dict(zip(labels, pos.sum(1).tolist()))
+    # oracle; pos, neg: counts by label of the positive and the negative
+    # traces below T, summed into the SNF categories 2 - e by the exponent e
+    # of each label's Z = p^e, one label at a time; the Z values stay Python
+    # ints, since p^2 overflows int64 for p near 2^63
+    per_label = dict(zip(labels, (pos + neg).tolist()))
+    pos_label = dict(zip(labels, pos.tolist()))
+    snf, snf_pos = [0, 0, 0], [0, 0, 0]
+    for kind in labels:
+        category = 2 - dw_exponent_of_kind(kind, p)
+        snf[category] += per_label[kind]
+        snf_pos[category] += pos_label[kind]
     z = [p ** dw_exponent_of_kind(kind, p) for kind in labels]
     return Checkpoint(
         T=T,
@@ -242,11 +247,11 @@ def _snapshot(T: int, pos: np.ndarray, neg: np.ndarray, labels, p: int) -> Check
         total=sum(per_label.values()),
         per_label=per_label,
         dw_sum=sum(map(operator.mul, z, per_label.values())),
-        snf_triple=tuple(both.sum(0).tolist()),
+        snf_triple=tuple(snf),
         li_T2=log_integral(float(T) * T),
         total_pos=sum(pos_label.values()),
         dw_sum_pos=sum(map(operator.mul, z, pos_label.values())),
-        snf_triple_pos=tuple(pos.sum(0).tolist()),
+        snf_triple_pos=tuple(snf_pos),
     )
 
 
@@ -258,8 +263,8 @@ def test_snapshots_match_per_checkpoint_oracle(p):
     bounds = [7, 15, 31, 62, 125, 250, 500]
     rng = np.random.default_rng(p % 1000)
     for high in (5, 2**40):
-        pos = rng.integers(0, high, (len(bounds), len(labels), 3))
-        neg = rng.integers(0, high, (len(bounds), len(labels), 3))
+        pos = rng.integers(0, high, (len(bounds), len(labels)))
+        neg = rng.integers(0, high, (len(bounds), len(labels)))
         got = _snapshots(p, bounds, np.concatenate([pos, pos + neg], axis=1).reshape(len(bounds), -1))
         want = [_snapshot(T, pos[j], neg[j], labels, p) for j, T in enumerate(bounds)]
         assert repr(got) == repr(want)
@@ -275,8 +280,8 @@ def _oracle_census(p: int, T: int) -> CensusReport:
     checkpoints = [
         _snapshot(
             bound,
-            np.bincount(pos[:end], minlength=3 * nl).reshape(nl, 3),
-            np.bincount(neg[:end], minlength=3 * nl).reshape(nl, 3),
+            np.bincount(pos[:end], minlength=nl),
+            np.bincount(neg[:end], minlength=nl),
             labels,
             p,
         )
@@ -309,19 +314,21 @@ def test_census_equals_tally_over_canonical_rows(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 2**63 - 25])
 def test_class_codes_match_per_class_oracle(p):
-    # each row's code, for both signs, against the one-class classifiers and
-    # the minor-gcd SNF, so that no two errors can cancel in a tally; and its
-    # checkpoint segment against its |t|
+    # each row's label, for both signs, against the one-class classifier, and
+    # the minor-gcd SNF category of each against 2 - the exponent of Z = p^e
+    # that the census reads off the label, so that no two errors can cancel
+    # in a tally; and its checkpoint segment against its |t|
     T = 200
     t, m, l, k = bqf._class_columns(T)
     rep = census(p, T)
     bounds = [cp.T for cp in rep.checkpoints]
     bins = _class_bins(p, bounds, t, m, k)
     assert (bins // _BINS).tolist() == np.searchsorted(bounds, t, "right").tolist()
-    # the tally matrix is one-hot in the codes on s = t and on both signs
+    # the tally matrix is one-hot in the labels on s = t and on both signs
     labels = ("C1", "C2", "C3") if p == 2 else tuple(f"C{i}" for i in range(1, 9))
     tally = _TALLY_P2 if p == 2 else _TALLY_ODD
-    on_pos, on_both = tally[:, : 3 * len(labels)], tally[:, 3 * len(labels) :]
+    assert tally.shape == (_BINS, 2 * len(labels))
+    on_pos, on_both = tally[:, : len(labels)], tally[:, len(labels) :]
     assert sorted(np.unique(on_pos).tolist()) == [0, 1] and on_pos.sum(1).tolist() == [1] * _BINS
     assert ((on_both - on_pos) >= 0).all() and (on_both - on_pos).sum(1).tolist() == [1] * _BINS
     pos, neg = on_pos.argmax(1)[bins % _BINS], (on_both - on_pos).argmax(1)[bins % _BINS]
@@ -332,7 +339,8 @@ def test_class_codes_match_per_class_oracle(p):
             A = bqf.bqf_to_matrix(bqf.QuadForm(mi, li, ki), s)
             kind = classify_mod_p(A, p).kind
             a1, a2 = sl2_snf_entries(A)
-            assert code == 3 * labels.index(kind) + category[a1 % p == 0, a2 % p == 0], (p, s, mi, li, ki)
+            assert code == labels.index(kind), (p, s, mi, li, ki)
+            assert category[a1 % p == 0, a2 % p == 0] == 2 - dw_exponent_of_kind(kind, p), (p, s, mi, li, ki)
     assert len(pos) == rep.total_pos
 
 
@@ -408,12 +416,6 @@ def test_census_p2():
     z = {"C1": 4, "C2": 2, "C3": 1}
     assert rep.dw_sum == sum(z[k] * v for k, v in rep.per_label.items())
     assert rep.snf_triple == (rep.per_label["C1"], rep.per_label["C2"], rep.per_label["C3"])
-
-
-def test_group_counts_uses_the_prime():
-    # an odd-p label map with no C4..C8 key still routes C3 to the Z = p group
-    assert _group_counts({"C1": 1, "C2": 0, "C3": 2}, 3) == (1, 2, 0)
-    assert _group_counts({"C1": 1, "C2": 0, "C3": 2}, 2) == (1, 0, 2)
 
 
 def test_census_csv_schema():
@@ -519,9 +521,9 @@ def test_census_normalizes_the_prime():
 
 
 def test_bounds_past_the_key_range_leave_the_store_intact(monkeypatch):
-    # T = 2^21, where the listing's keys (t*T + m + T)*T + l would overflow
-    # int64, is past every entry point's bound: each refuses it before a
-    # walk starts or the kept rows are reached
+    # T = 2^21, the bound of single traces, is past every entry point's
+    # bound: each refuses it before a walk starts or the kept rows are
+    # reached
     def no_walk(*args):
         raise AssertionError("walked the word tree")
 

@@ -275,6 +275,21 @@ def test_lambda_check(capsys):
     assert "True" in out and "FLAG" in out
 
 
+# SHA-256 of `lambda-check` stdout, text and --json, recorded while the log
+# formula evaluated lambda once per log branch and once more per coset
+LAMBDA_CHECK_SHA256 = {
+    (): "d1ffdb2381f1507f8cd99a1a04977e97d7285a24a92e90856d21389749a0f88a",
+    ("--json",): "14a829c7013f80508b8fedbe510dc7180e64bb80c54a16ea3d9a36890fed2a77",
+}
+
+
+@pytest.mark.parametrize("flags", list(LAMBDA_CHECK_SHA256), ids=["text", "json"])
+def test_lambda_check_bytes_pinned(flags, capsys):
+    code, out = _capture(capsys, ["lambda-check", *flags])
+    assert code == 0
+    assert _sha256(out) == LAMBDA_CHECK_SHA256[flags]
+
+
 def test_csw_oracle(capsys):
     code, out = _capture(capsys, ["csw", "--matrix", '[["2","1"],["1","1"]]', "--level", "1", "--oracle"])
     assert code == 0

@@ -23,7 +23,7 @@ from mti.csw import (
     word_in_generators,
 )
 from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
-from oracles import random_sl2
+from oracles import random_sl2, rep_trace_per_letter
 
 
 def _csw_histogram_oracle(a: Sl2Matrix, k: int) -> complex:
@@ -280,6 +280,34 @@ def test_rep_trace_reduces_large_exponents():
     big = rep_trace(Sl2Matrix(2**40 - 1, 1, -1, 0), 1)
     assert abs(abs(big) - 1) < 1e-9
     assert abs(big - rep_trace(Sl2Matrix(39, 1, -1, 0), 1)) < 1e-9
+
+
+def test_rep_trace_equals_per_letter_powers(monkeypatch):
+    # each power of S once gives the bits of one matrix power per S letter,
+    # with at most four matrix powers per call; the words run from no S
+    # letter through the 9 of [[1189, 360], [360, 109]] to the 41 of
+    # [[2, 1], [1, 1]]^40, whose first column is two Fibonacci numbers
+    rng = random.Random(31)
+    fib = Sl2Matrix(1, 0, 0, 1)
+    for _ in range(40):
+        fib = fib * Sl2Matrix(2, 1, 1, 1)
+    cases = [(Sl2Matrix(2, 1, 1, 1), 1), (Sl2Matrix(1189, 360, 360, 109), 60), (-Sl2Matrix(5, 2, 2, 1), 17)]
+    cases += [(fib, 30), (-fib, 7)] + [(random_sl2(rng, 40), rng.randint(1, 40)) for _ in range(30)]
+    power, calls = np.linalg.matrix_power, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return power(*args)
+
+    for a, k in cases:
+        want = rep_trace_per_letter(a, k)
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        got = rep_trace(a, k)
+        monkeypatch.setattr(np.linalg, "matrix_power", power)
+        assert got == want, (a, k)
+        assert len(calls) <= 4 and len(set(calls)) == len(calls), (a, k)
+    assert max(sum(g == "S" for g, _ in word_in_generators(a)) for a, _ in cases) >= 40
 
 
 def test_modulus_agreement_small_sweep():

@@ -144,17 +144,15 @@ def test_level2_invariance():
 def test_lemma_formula_values():
     # order-two classes: formula gives 2 under both branches, matching Z
     for name in ("T", "S", "T.S.T"):
-        a = COSET_REPRESENTATIVES[name]
-        assert abs(lemma_cool_value(a, "principal") - 2) < 1e-6
-        assert abs(lemma_cool_value(a, "positive") - 2) < 1e-6
+        principal, positive = lemma_cool_value(COSET_REPRESENTATIVES[name])
+        assert abs(principal - 2) < 1e-6
+        assert abs(positive - 2) < 1e-6
     # order-three class: formula gives 2 or 2/5, never the true value 1
-    ts = COSET_REPRESENTATIVES["T.S"]
-    assert abs(lemma_cool_value(ts, "principal") - 2) < 1e-6
-    assert abs(lemma_cool_value(ts, "positive") - 0.4) < 1e-6
+    principal, positive = lemma_cool_value(COSET_REPRESENTATIVES["T.S"])
+    assert abs(principal - 2) < 1e-6
+    assert abs(positive - 0.4) < 1e-6
     with pytest.raises(ValueError):
         lemma_cool_value(Sl2Matrix(1, 0, 0, 1))
-    with pytest.raises(ValueError):
-        lemma_cool_value(SL2_T, branch="wat")
 
 
 def test_lemma_report():
