@@ -8,9 +8,10 @@ limit = 200 subintervals.  The 21-point Gauss-Kronrod rule `dqk21` is the
 parameter: `qags(rule, a, b)` calls rule(a', b') -> (result, abserr, resabs,
 resasc) on [a, b] and on every subinterval it bisects.  The one rule here,
 `dqk21_inv_log`, is `dqk21` for the census's 1/log u, written out node by
-node.  Every floating-point operation keeps QUADPACK's operands and order
-(the Gauss nodes before the Kronrod-only ones, the final sum over the
-interval list in index order), so `qags(dqk21_inv_log, a, b)` equals
+node.  Every sum keeps QUADPACK's operands and order (the Gauss nodes
+before the Kronrod-only ones, the final sum over the interval list in index
+order); the rule leaves out only the abs() that are identities where qags
+calls it, 2 <= a < b with 1/log u > 0, so `qags(dqk21_inv_log, a, b)` equals
 `quad(lambda u: 1.0 / log(u), a, b, limit=200)[:2]` bit for bit.  The smooth
 1/log u runs a small part of the control flow; the tests drive the rest
 (extrapolation, reordering, the subdivision limit) against `quad` through a
@@ -71,13 +72,14 @@ def dqk21_inv_log(a: float, b: float) -> tuple[float, float, float, float]:
     """(result, abserr, resabs, resasc) of the 21-point rule for 1/log u on
     [a, b]: `dqk21` written out node by node, each value 1.0 / log(u), with
     QUADPACK's operands and order in every sum (the Gauss nodes before the
-    Kronrod-only ones)."""
+    Kronrod-only ones).  qags calls it with 2 <= a < b only, where the
+    values and hlgth are positive: QUADPACK's resabs, the same Kronrod sum
+    over |f| times |hlgth|, is result bit for bit."""
     _, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = _XGK
     _, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11 = _WGK
     _, g1, g2, g3, g4, g5 = _WG
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    dhlgth = abs(hlgth)
     fc = 1.0 / log(centr)
     # the values left (l) and right (r) of the centre at each abscissa
     h = hlgth * x2
@@ -104,22 +106,8 @@ def dqk21_inv_log(a: float, b: float) -> tuple[float, float, float, float]:
     s6, s7, s8, s9, s10 = l6 + r6, l7 + r7, l8 + r8, l9 + r9, l10 + r10
     resg = 0.0 + g1 * s2 + g2 * s4 + g3 * s6 + g4 * s8 + g5 * s10
     resk = k11 * fc
-    resabs = abs(resk)
     resk = resk + k2 * s2 + k4 * s4 + k6 * s6 + k8 * s8 + k10 * s10
     resk = resk + k1 * s1 + k3 * s3 + k5 * s5 + k7 * s7 + k9 * s9
-    resabs = (
-        resabs
-        + k2 * (abs(l2) + abs(r2))
-        + k4 * (abs(l4) + abs(r4))
-        + k6 * (abs(l6) + abs(r6))
-        + k8 * (abs(l8) + abs(r8))
-        + k10 * (abs(l10) + abs(r10))
-        + k1 * (abs(l1) + abs(r1))
-        + k3 * (abs(l3) + abs(r3))
-        + k5 * (abs(l5) + abs(r5))
-        + k7 * (abs(l7) + abs(r7))
-        + k9 * (abs(l9) + abs(r9))
-    )
     reskh = resk * 0.5
     resasc = (
         k11 * abs(fc - reskh)
@@ -135,14 +123,13 @@ def dqk21_inv_log(a: float, b: float) -> tuple[float, float, float, float]:
         + k10 * (abs(l10 - reskh) + abs(r10 - reskh))
     )
     result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
+    resasc = resasc * hlgth
     abserr = abs((resk - resg) * hlgth)
     if resasc != 0.0 and abserr != 0.0:
         abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        abserr = max((_EPMACH * 50.0) * resabs, abserr)
-    return result, abserr, resabs, resasc
+    if result > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * result, abserr)
+    return result, abserr, result, resasc
 
 
 def _dqpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int) -> tuple[int, float, int]:

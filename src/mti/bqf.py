@@ -45,7 +45,7 @@ from .sl2 import Sl2Matrix
 # the Lucas number L_32 > 2^21 (`_cycle_minima`)
 _MAX_T = 1 << 21
 # the largest bounds run, each refused past: on a 2-core x86-64 machine with
-# 8 GB, the census of five primes at T = 30000 took 12 s and 1.49 GB, and
+# 8 GB, the census of five primes at T = 30000 took 8.5 s and 1.10 GB, and
 # the text listing at T = 20000 took 35 s and 1.50 GB; both grow like T^2
 _MAX_ROWS_T = 30_000
 _MAX_LISTING_T = 20_000

@@ -87,12 +87,14 @@ def census(p: int, T: int) -> CensusReport:
     trace signs.  A trace s != +-2 mod p fixes the label of all its
     classes; on s = +-2 mod p the residues b = k and c = -m fix it: the
     class is central exactly when b = c = 0, and the Legendre symbol of -c
-    (or of b) splits the rest (see `_class_bins`).  One bincount over every
-    row counts the rows by checkpoint segment, trace slot and symbol; each
-    checkpoint T/2^k sums the segments below it, one product with a one-hot
-    matrix built at import (`_tally_matrix`) takes its bins to labels on
-    s = t and on both signs, and `_snapshots` reads every checkpoint off the
-    product at once.
+    (or of b) splits the rest (see `_bin_tables`).  The rows are counted by
+    checkpoint segment, trace slot and symbol in blocks of _BLOCK_ROWS: each
+    block's bins are gathered from three tables into two reused index
+    buffers and added into the count table by one bincount; each checkpoint
+    T/2^k sums the segments below it, one product with a one-hot matrix
+    built at import (`_tally_matrix`) takes its bins to labels on s = t and
+    on both signs, and `_snapshots` reads every checkpoint off the product
+    at once.
     """
     p, T = operator.index(p), operator.index(T)
     if p >= 2**63:
@@ -102,8 +104,19 @@ def census(p: int, T: int) -> CensusReport:
     t, m, k = _class_rows(T)
     # checkpoint bounds T/2^k below T, all >= 4, then T itself
     bounds = sorted({T >> j for j in range(1, T.bit_length()) if T >> j >= 4}) + [T]
-    # counts by bin below each bound, then by label on s = t and on both signs
-    counts = np.bincount(_class_bins(p, bounds, t, m, k), minlength=len(bounds) * _BINS)
+    base, of_m, of_k = _bin_tables(p, bounds)
+    # counts by bin below each bound, then by label on s = t and on both
+    # signs; mode="wrap" neither buffers `out`, as "raise" does, nor clips
+    # the negative m, which index of_m from the end as in Python
+    counts = np.zeros(len(bounds) * _BINS, np.int64)
+    bins, part = np.empty((2, min(len(t), _BLOCK_ROWS)), np.intp)
+    for lo in range(0, len(t), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        block, other = bins[: len(t) - lo], part[: len(t) - lo]
+        np.take(base, t[rows], out=block, mode="wrap")
+        block += np.take(of_m, m[rows], out=other, mode="wrap")
+        block += np.take(of_k, k[rows], out=other, mode="wrap")
+        counts += np.bincount(block, minlength=counts.size)
     counts = counts.reshape(len(bounds), _BINS).cumsum(0) @ (_TALLY_P2 if p == 2 else _TALLY_ODD)
     checkpoints = _snapshots(p, bounds, counts)
     return CensusReport(**vars(checkpoints[-1]), checkpoints=checkpoints)
@@ -112,6 +125,10 @@ def census(p: int, T: int) -> CensusReport:
 # the bins of one checkpoint segment: four trace slots (the two fixed labels,
 # then s = 2 and s = -2 mod p) of five symbol sums -2 .. 2 each
 _BINS = 4 * 5
+# rows per block of the tally, which bounds its index buffers and transients
+# (64 KB each); census-multi's 22,003 rows ran slower in blocks of 2^11,
+# 2^12, 2^14 and 2^15 (BENCH_census.json, row_block_tally)
+_BLOCK_ROWS = 1 << 13
 
 
 def _tally_matrix(nl: int, fixed: tuple[int, int], table: list[list[int]]) -> np.ndarray:
@@ -134,8 +151,9 @@ _TALLY_P2 = _tally_matrix(len(KINDS_P2), (2, 2), [[0, 1, 1]] * 2)
 _TALLY_ODD = _tally_matrix(len(KINDS_ODD), (6, 7), [[0, 2, 3], [1, 4, 5]])
 
 
-def _class_bins(p: int, bounds: list[int], t, m, k) -> np.ndarray:
-    """The bin of every row: its checkpoint segment, its trace's slot and
+def _bin_tables(p: int, bounds: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The intp tables base, of_m and of_k whose sum base[|t|] + of_m[m] +
+    of_k[k] is a row's bin: its checkpoint segment, its trace's slot and
     the sum of the symbols of its m and k, which `_tally_matrix` takes to
     the row's label on s = t and on s = -t.
 
@@ -148,15 +166,13 @@ def _class_bins(p: int, bounds: list[int], t, m, k) -> np.ndarray:
     c = 0) is 1 or -1, and C2 for p = 2.  p divides l^2 - 4mk = s^2 - 4
     there, so where neither b nor c is 0 mod p they have the same symbol:
     the sign of (m/p) + (k/p) is the symbol of w, and the sum is 0 just
-    when the class is central (mod 2, take the residues for symbols).  A
-    row's bin is its segment, its trace's slot and that sum, from one
-    gather per |t| and one per coefficient, read from tables of the
-    coefficients themselves: every stored |m| and k is below |t| < T.  The
-    form's class of trace -s has the same b and c, so the bin serves both
-    signs.
+    when the class is central (mod 2, take the residues for symbols).  The
+    tables are indexed by the coefficients themselves: every stored |m| and
+    k is below |t| < T.  The form's class of trace -s has the same b and c,
+    so the bin serves both signs.
     """
     T = bounds[-1]
-    symbol = _legendre_table(p, T + 2)
+    symbol = _legendre_table(p, T + 2).astype(np.intp)
     # the symbols of s - 2 and s + 2 for s = 3 .. T - 1
     below, above = symbol[1 : T - 2], symbol[5 : T + 2]
     # the symbol of s^2 - 4 picks the fixed label; 0 marks s = +-2 mod p
@@ -165,11 +181,7 @@ def _class_bins(p: int, bounds: list[int], t, m, k) -> np.ndarray:
     base = np.zeros(T, np.intp)
     base[3:] = (np.searchsorted(bounds, np.arange(3, T), "right") * 4 + slot) * 5 + 2
     # the symbols of k in [1, T), and of m in (-T, 0) indexed from the end
-    of_k, of_m = symbol[:T], (-1 if p % 4 == 3 else 1) * symbol[T:0:-1]
-    bins = base[t]
-    bins += of_m[m]
-    bins += of_k[k]
-    return bins
+    return base, (-1 if p % 4 == 3 else 1) * symbol[T:0:-1], symbol[:T]
 
 
 def _legendre_table(p: int, n: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mti.census import (
     CSV_HEADER,
     Checkpoint,
     CensusReport,
-    _class_bins,
+    _bin_tables,
     _legendre_table,
     _snapshots,
     census,
@@ -190,7 +191,8 @@ def test_census_matches_direct_classification(p):
 
 # the tally census ran before the one-bincount tally: per-class label indices
 # from a residue pass and one Legendre call per distinct residue, then one
-# prefix bincount per checkpoint; kept as the oracle of `_class_bins`
+# prefix bincount per checkpoint; kept as the oracle of `_bin_tables` and the
+# block tally
 
 
 def _class_codes(p: int, T: int, t, m, k) -> tuple[np.ndarray, np.ndarray]:
@@ -303,13 +305,37 @@ def test_census_matches_oracle_tally(T):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 2**61 - 1])
-def test_census_equals_tally_over_canonical_rows(p):
+def test_census_equals_tally_over_canonical_rows(p, monkeypatch):
     # the store's rows are some reduced form of each class, the listing's the
-    # canonical one: both tally to the same report and CSV bytes
+    # canonical one: both tally to the same report and CSV bytes, in blocks
+    # of the default size and of 4096, 7 and 1 rows (1 not at T = 2010,
+    # where it takes about 3.6 s a prime); past T = 4 neither 7 nor 4096
+    # divides a row count here
+    module = sys.modules["mti.census"]
+    blocks = (module._BLOCK_ROWS, 4096, 7, 1)
     for T in (4, 5, 37, 500, 2010):
-        rep, want = census(p, T), _oracle_census(p, T)
-        assert repr(rep) == repr(want), T
-        assert rep.to_csv().encode() == want.to_csv().encode(), T
+        want = _oracle_census(p, T)
+        for block in blocks[: 3 if T == 2010 else 4]:
+            monkeypatch.setattr(module, "_BLOCK_ROWS", block)
+            rep = census(p, T)
+            assert repr(rep) == repr(want), (T, block)
+            assert rep.to_csv().encode() == want.to_csv().encode(), (T, block)
+
+
+def test_tally_transients_stay_within_its_blocks(monkeypatch):
+    # the tally gathers block by block through reused index buffers: it once
+    # cast the whole int32 store to intp, a 2.6 MB tracemalloc peak at
+    # T = 2010 against 2.2 MB of row-sized intp, and reads 0.15 MB in blocks
+    # of 4096 rows
+    rows = len(bqf._class_rows(2010)[0])
+    monkeypatch.setattr(sys.modules["mti.census"], "_BLOCK_ROWS", 4096)
+    tracemalloc.start()
+    try:
+        census(5, 2010)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * 8 / 4, (peak, rows)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 2**63 - 25])
@@ -322,7 +348,8 @@ def test_class_codes_match_per_class_oracle(p):
     t, m, l, k = bqf._class_columns(T)
     rep = census(p, T)
     bounds = [cp.T for cp in rep.checkpoints]
-    bins = _class_bins(p, bounds, t, m, k)
+    base, of_m, of_k = _bin_tables(p, bounds)
+    bins = base[t] + of_m[m] + of_k[k]
     assert (bins // _BINS).tolist() == np.searchsorted(bounds, t, "right").tolist()
     # the tally matrix is one-hot in the labels on s = t and on both signs
     labels = ("C1", "C2", "C3") if p == 2 else tuple(f"C{i}" for i in range(1, 9))
