@@ -45,13 +45,15 @@ from .sl2 import Sl2Matrix
 # the Lucas number L_32 > 2^21 (`_cycle_minima`)
 _MAX_T = 1 << 21
 # the largest bounds run, each refused past: on a 2-core x86-64 machine with
-# 8 GB, the census of five primes at T = 30000 took 8.5 s and 1.10 GB, and
-# the text listing at T = 20000 took 35 s and 1.50 GB; both grow like T^2
+# 8 GB, the census of five primes at T = 30000 took 4.6 s and 587 MB, and
+# the text listing at T = 20000 took 35 s and 1.50 GB; both grow like T^2.
+# The rows are int16 (`_necklace_rows`), which holds every |t|, |m| and k
+# below these bounds; a test fails once either reaches 2^15 - 1
 _MAX_ROWS_T = 30_000
 _MAX_LISTING_T = 20_000
 # children per chunk of runs of the word-tree walk: bounds the working set
 # of one step of the walk
-_PIECE_NODES = 1 << 13
+_PIECE_NODES = 1 << 16
 # rho^2 steps that close every cycle of a trace below _MAX_T (`_cycle_minima`)
 _CYCLE_STEPS = 15
 
@@ -110,7 +112,7 @@ def _word_pairs(a, b, c, d, per, xs, ys, T):
     y0 for ny steps.
 
     A node of n blocks R^x L^y carries its matrix [[a, b], [c, d]], its FKM
-    period per and its blocks as int32 rows xs, ys, one column per node
+    period per and its blocks as int16 rows xs, ys, one column per node
     (x, y < T).  Its children append a block (x', y') no smaller than the
     reference block (rx, ry) = block n - per: x' >= rx, and y' >= ry when
     x' = rx.  The child's matrix is M [[1 + x'y', x'], [y', 1]] =
@@ -162,15 +164,15 @@ def _run_children(xs, ys, node, x, y0, same, a, c, u, v, ny):
     y = np.arange(len(pair)) - (np.cumsum(ny) - ny - y0)[pair]
     parent, up, vp = node[pair], u[pair], v[pair]
     per = np.where(y == y0[pair], same[pair], n + 1)
-    xs_child = np.empty((n + 1, len(pair)), np.int32)
-    ys_child = np.empty((n + 1, len(pair)), np.int32)
+    xs_child = np.empty((n + 1, len(pair)), np.int16)
+    ys_child = np.empty((n + 1, len(pair)), np.int16)
     xs_child[:n], xs_child[n] = xs[:, parent], x[pair]
     ys_child[:n], ys_child[n] = ys[:, parent], y
     return a[pair] + y * up, up, c[pair] + y * vp, vp, per, xs_child, ys_child
 
 
 def _necklace_rows(xs, ys, node, x, y0, same, a, c, u, v, ny):
-    """int32 columns (t, m, k) of rotation 0 of each necklace among the
+    """int16 columns (t, m, k) of rotation 0 of each necklace among the
     children of one chunk of runs, t being its trace; no child's blocks are
     built.
 
@@ -189,7 +191,7 @@ def _necklace_rows(xs, ys, node, x, y0, same, a, c, u, v, ny):
     w = v - a + x0 * c
     lines = ((a + v, u), (-c, -v), (u - x0 * w, x0 * (u - x0 * v)))
     del x0, skip, y0, w  # per-run temporaries, dropped before the per-child expansion
-    return tuple((c0[run] + y * c1[run]).astype(np.int32) for c0, c1 in lines)
+    return tuple((c0[run] + y * c1[run]).astype(np.int16) for c0, c1 in lines)
 
 
 def _cycle_minima(t, m, l, k):
@@ -246,7 +248,7 @@ def _word_pieces(T: int):
     y'(2u + v) < T - 2a - u - c - v, which can have children, becomes nodes.
     """
     one = np.ones(1, np.int64)
-    no_blocks = np.empty((0, 1), np.int32)
+    no_blocks = np.empty((0, 1), np.int16)
     stack = [_word_runs(one, 0 * one, 0 * one, one, one, no_blocks, no_blocks, T)]
     while stack:
         chunk = next(stack[-1], None)
@@ -270,7 +272,7 @@ def _checked_bound(T, largest: int) -> int:
 
 
 def _class_rows(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only int32 columns (|t|, m, k) of one reduced m < 0 form
+    """Read-only int16 columns (|t|, m, k) of one reduced m < 0 form
     (m, l, k) of every class of trace 3 <= |t| < T, in no particular order:
     the census's rows.
 

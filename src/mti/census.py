@@ -129,6 +129,10 @@ _BINS = 4 * 5
 # (64 KB each); census-multi's 22,003 rows ran slower in blocks of 2^11,
 # 2^12, 2^14 and 2^15 (BENCH_census.json, row_block_tally)
 _BLOCK_ROWS = 1 << 13
+# 5 times the trace slot of s, indexed by 3 (s-2 / p) + (s+2 / p) in -4 .. 4
+# (from the end below 0): the symbol of s^2 - 4 picks slot 0 (1) or 1 (-1);
+# s = 2 mod p, where (s-2 / p) = 0, is slot 2, and s = -2 mod p slot 3
+_SLOT_BINS = 5 * np.array([2, 2, 1, 3, 0, 0, 3, 1, 2], np.intp)
 
 
 def _tally_matrix(nl: int, fixed: tuple[int, int], table: list[list[int]]) -> np.ndarray:
@@ -173,13 +177,10 @@ def _bin_tables(p: int, bounds: list[int]) -> tuple[np.ndarray, np.ndarray, np.n
     """
     T = bounds[-1]
     symbol = _legendre_table(p, T + 2).astype(np.intp)
-    # the symbols of s - 2 and s + 2 for s = 3 .. T - 1
-    below, above = symbol[1 : T - 2], symbol[5 : T + 2]
-    # the symbol of s^2 - 4 picks the fixed label; 0 marks s = +-2 mod p
-    square = below * above
-    slot = np.where(square == 0, 2 + (below != 0), square != 1)
-    base = np.zeros(T, np.intp)
-    base[3:] = (np.searchsorted(bounds, np.arange(3, T), "right") * 4 + slot) * 5 + 2
+    # segment j covers bounds[j - 1] <= s < bounds[j]; no row has |t| < 3
+    base = np.repeat(np.arange(2, 20 * len(bounds), 20), np.diff([0, *bounds]))
+    # the slots of s = 3 .. T - 1, by the symbols of s - 2 and s + 2
+    base[3:] += _SLOT_BINS[3 * symbol[1 : T - 2] + symbol[5 : T + 2]]
     # the symbols of k in [1, T), and of m in (-T, 0) indexed from the end
     return base, (-1 if p % 4 == 3 else 1) * symbol[T:0:-1], symbol[:T]
 
@@ -187,28 +188,32 @@ def _bin_tables(p: int, bounds: list[int]) -> tuple[np.ndarray, np.ndarray, np.n
 def _legendre_table(p: int, n: int) -> np.ndarray:
     """Legendre symbols mod p of 0 .. n - 1 as int8, mod 2 the residues.
 
-    Every 0 < v < min(p, n) is a unit mod p and the symbol is completely
-    multiplicative, so one scalar call per prime q < min(p, n) gives them:
-    v is a non-residue exactly when an odd number of the prime powers q^e
-    dividing it have (q/p) = -1.  For p <= n the symbols of 0 .. p - 1 are
-    repeated mod p.
+    For p <= n the squares mod p are marked and their symbols repeated mod
+    p.  For p > n every 0 < v < n is a unit mod p and the symbol is
+    completely multiplicative, so one scalar call per prime q < n gives
+    them: v is a non-residue exactly when an odd number of the prime powers
+    q^e dividing it have (q/p) = -1.
     """
-    r = min(p, n)
-    prime = np.ones(r, bool)
+    if p <= n:
+        table = np.full(p, -1, np.int8)
+        table[np.arange(p) ** 2 % p] = 1
+        table[0] = 0
+        return table[np.arange(n) % p]
+    prime = np.ones(n, bool)
     prime[:2] = False
-    for q in range(2, math.isqrt(r - 1) + 1):
+    for q in range(2, math.isqrt(n - 1) + 1):
         if prime[q]:
             prime[q * q :: q] = False
-    odd = np.zeros(r, np.int8)
+    odd = np.zeros(n, np.int8)
     for q in np.flatnonzero(prime).tolist():
         if legendre(q, p) == -1:
             power = q
-            while power < r:
+            while power < n:
                 odd[::power] ^= 1
                 power *= q
     table = 1 - 2 * odd
     table[0] = 0
-    return table if p > n else table[np.arange(n) % p]
+    return table
 
 
 def _snapshots(p: int, bounds: list[int], counts: np.ndarray) -> list[Checkpoint]:

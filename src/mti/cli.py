@@ -147,7 +147,7 @@ def _cmd_classes(args) -> int:
     # listing walks the word tree once for the canonical forms instead
     if args.count_only:
         t = _class_rows(args.tmax)[0]
-        # 2^20 rows per bincount, which copies its int32 input to intp
+        # 2^20 rows per bincount, which copies its int16 input to intp
         per_trace = sum(np.bincount(t[lo : lo + 2**20], minlength=args.tmax) for lo in range(0, len(t), 2**20))
         counts = list(enumerate(per_trace[3:].tolist(), 3))
         payload = {"tmax": args.tmax, "counts": [{"t": t, "classes_per_sign": c} for t, c in counts]}

@@ -490,7 +490,7 @@ def test_trace_path_equals_store_rows_past_old_sieve_cap():
     assert _rows(_canonical_of_rows(5665, t[above], m[above], k[above])) == rows
 
 
-@pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-blocks"])
+@pytest.mark.parametrize("size", [bqf._PIECE_NODES, 64], ids=["default", "small-blocks"])
 def test_class_columns_independent_of_block_splits(size, monkeypatch):
     # rows walked after other bounds, or in pieces of other sizes, are the
     # same rows as those of one fresh walk, and the listing the same columns
@@ -571,7 +571,7 @@ def _assert_store_equals_lattice_oracle(T):
     assert all(col.dtype == np.int64 for col in cols), T
     assert all(np.array_equal(col, want) for col, want in zip(cols, oracle, strict=True)), T
     rows = bqf._class_rows(T)
-    assert all(col.dtype == np.int32 and not col.flags.writeable for col in rows), T
+    assert all(col.dtype == np.int16 and not col.flags.writeable for col in rows), T
     canonical = _canonical_of_rows(T, *rows)
     assert all(np.array_equal(col, want) for col, want in zip(canonical, oracle, strict=True)), T
 
@@ -584,7 +584,7 @@ def test_word_store_equals_lattice_oracle():
         _assert_store_equals_lattice_oracle(T)
 
 
-@pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
+@pytest.mark.parametrize("size", [bqf._PIECE_NODES, 64], ids=["default", "small-pieces"])
 def test_word_store_grown_in_steps_equals_lattice_oracle(size, monkeypatch):
     # bounds asked for up and down in steps, walked in pieces of either
     # size, get the oracle's classes
@@ -629,7 +629,7 @@ def test_listing_builds_only_the_nodes_of_the_walk(T, monkeypatch):
     assert built == walk
 
 
-@pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
+@pytest.mark.parametrize("size", [bqf._PIECE_NODES, 64], ids=["default", "small-pieces"])
 def test_run_keys_equal_node_keys(size, monkeypatch):
     # chunk by chunk, the listing's keys are those of the same chunk's
     # children built as nodes, in the same order
@@ -640,7 +640,7 @@ def test_run_keys_equal_node_keys(size, monkeypatch):
             assert np.array_equal(bqf._necklace_keys(*chunk, T), want), T
 
 
-@pytest.mark.parametrize("size", [1 << 13, 64], ids=["default", "small-pieces"])
+@pytest.mark.parametrize("size", [bqf._PIECE_NODES, 64], ids=["default", "small-pieces"])
 def test_run_rows_equal_node_walk(size, monkeypatch):
     # the rows read off the runs are the node walk's rows, as multisets, at
     # every bound and in chunks of either size
@@ -794,7 +794,7 @@ def test_counts_symmetric_in_sign():
         assert len(classes_with_trace(t)) == len(classes_with_trace(-t))
 
 
-def test_single_trace_refuses_traces_past_the_key_range():
+def test_single_trace_refuses_traces_past_max_t():
     # |t| >= 2^21 is refused before the scan, which would otherwise try to
     # allocate t/2 int64 per m (10^12 asked for terabytes) or, nearer the
     # bound, run silently for minutes
@@ -802,6 +802,12 @@ def test_single_trace_refuses_traces_past_the_key_range():
         for call in (classes_with_trace, class_count_with_trace):
             with pytest.raises(ValueError, match=r"\|t\| must be below 2\^21"):
                 call(t)
+
+
+def test_row_bounds_stay_below_int16():
+    # the rows are int16 and every |t|, |m| and k in them is below T: a
+    # bound raised to int16's largest value fails here before a row wraps
+    assert max(bqf._MAX_ROWS_T, bqf._MAX_LISTING_T) < np.iinfo(np.int16).max
 
 
 def test_class_listing_refuses_bad_bounds_at_the_call():

@@ -373,11 +373,10 @@ def test_class_codes_match_per_class_oracle(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 1009, 10007, 2**61 - 1, 2**63 - 25])
 def test_legendre_table_past_the_bound_matches_scalar_legendre(p):
-    # the table multiplies the symbols of the primes below min(p, n), and
-    # for p <= n repeats them mod p (mod 2, the residues); n = 1 .. 3 hold
-    # no or one prime, 2^11 and 3001 reach prime powers (2^11, 3^7, 7^4,
-    # 13^3, 53^2) and composites of many non-residues, and p = 1009 has
-    # them below p
+    # for p > n the table multiplies the symbols of the primes below n, and
+    # for p <= n repeats the squares mod p (mod 2, the residues); n = 1 .. 3
+    # hold no or one prime, and n = 2^11 and 3001 below p reach prime powers
+    # (2^11, 3^7, 7^4, 13^3, 53^2) and composites of many non-residues
     for n in (1, 2, 3, 4, 100, 2**11, 3001):
         table = _legendre_table(p, n)
         assert table.dtype == np.int8
@@ -516,7 +515,7 @@ def test_census_independent_of_store_history(p):
 
 def test_non_integer_bound_leaves_the_store_intact():
     # a float bound is refused before it reaches the kept rows (no hit, no
-    # miss), so a later census still reads int32 columns; any integer type
+    # miss), so a later census still reads int16 columns; any integer type
     # gives the same report
     bqf._walked_rows.cache_clear()
     fresh = repr(census(3, 100))
@@ -532,7 +531,7 @@ def test_non_integer_bound_leaves_the_store_intact():
             call()
         assert bqf._walked_rows.cache_info() == before
         assert repr(census(3, 100)) == fresh
-        assert all(col.dtype == np.int32 for col in bqf._class_rows(100))
+        assert all(col.dtype == np.int16 and not col.flags.writeable for col in bqf._class_rows(100))
     assert repr(census(3, np.int64(100))) == fresh
     assert type(census(3, np.int64(100)).T) is int
 
@@ -547,7 +546,7 @@ def test_census_normalizes_the_prime():
     assert bqf._walked_rows.cache_info() == before
 
 
-def test_bounds_past_the_key_range_leave_the_store_intact(monkeypatch):
+def test_bounds_past_max_rows_t_and_max_listing_t_leave_the_store_intact(monkeypatch):
     # T = 2^21, the bound of single traces, is past every entry point's
     # bound: each refuses it before a walk starts or the kept rows are
     # reached

@@ -187,7 +187,7 @@ def test_census_tmax_range_is_the_library_range(capsys):
     assert out == census(3, 8).to_csv()
 
 
-def test_census_refuses_tmax_past_the_key_range(monkeypatch, capsys):
+def test_census_refuses_tmax_past_max_rows_t(monkeypatch, capsys):
     def no_walk(*args):
         raise AssertionError("walked the word tree")
 
