@@ -26,6 +26,11 @@ columns, which `mti classes --tmax` prints as they are.  A single trace is
 listed on its own: its m > 0 reduced forms are scanned, and the cycle
 minima of their negatives are its classes.
 
+The walk computes in int32 (`_WALK`), its rows and block rows being int16:
+a node has a + d < T and b >= 1, so c <= bc < T^2/4, and every value it
+compares, clips or divides stays above -(T^2/4 + 4T), within int32 for T up
+to about 92,000.
+
 All square-root comparisons are exact (squares are compared, never floats).
 """
 
@@ -48,9 +53,20 @@ _MAX_T = 1 << 21
 # 8 GB, the census of five primes at T = 30000 took 4.6 s and 587 MB, and
 # the text listing at T = 20000 took 35 s and 1.50 GB; both grow like T^2.
 # The rows are int16 (`_necklace_rows`), which holds every |t|, |m| and k
-# below these bounds; a test fails once either reaches 2^15 - 1
+# below these bounds, and the walk computes in _WALK, which holds T^2/4 + 4T
+# (below); a test fails once either bound reaches 2^15 - 1 or passes that
 _MAX_ROWS_T = 30_000
 _MAX_LISTING_T = 20_000
+# the walk's arithmetic dtype: node matrices, x' and y', periods, run
+# offsets and per-run lines (rows and block rows are int16).  A node is a
+# positive word with a + d < T and b >= 1, so c <= bc = ad - 1 < T^2/4, and
+# each of its entries and each in-range u, v is below T; the numerators of
+# the walk's floor divisions stay above -(T^2/4 + 4T), within int32 for T up
+# to about 92,000.  Only the ring-only products of `_necklace_rows` (w and
+# the k line) may wrap, which the int16 cast makes exact, every row fitting
+# in it.  Index columns (node, pair, run) stay intp: int32 ones cost a cast
+# at every gather
+_WALK = np.int32
 # children per chunk of runs of the word-tree walk: bounds the working set
 # of one step of the walk
 _PIECE_NODES = 1 << 16
@@ -76,9 +92,6 @@ class QuadForm:
 
     def __call__(self, x: int, y: int) -> int:
         return self.m * x * x + self.l * x * y + self.k * y * y
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.m, self.l, self.k)
 
 
 @dataclass(frozen=True)
@@ -124,13 +137,13 @@ def _word_pairs(a, b, c, d, per, xs, ys, T):
     n = len(xs)
     if n:
         col = np.arange(len(a))
-        rx, ry = xs[n - per, col], ys[n - per, col]
+        rx, ry = xs[n - per, col].astype(_WALK), ys[n - per, col].astype(_WALK)
     else:  # the empty word, whose reference is the smallest block (1, 1)
-        rx = ry = np.ones(1, np.int64)
+        rx = ry = np.ones(1, _WALK)
     # the x' whose y' = 1 child, of trace a + d + b + x'(a + c), is below T
     nx = np.maximum((T - 1 - a - d - b) // (a + c) - rx + 1, 0)
     node = np.repeat(np.arange(len(a)), nx)
-    x = np.arange(len(node)) - (np.cumsum(nx) - nx)[node] + rx[node]
+    x = np.arange(len(node), dtype=_WALK) - (np.cumsum(nx, dtype=_WALK) - nx)[node] + rx[node]
     first = x == rx[node]
     y0 = np.where(first, ry[node], 1)
     # only the child equal to the reference block keeps the node's period
@@ -161,7 +174,7 @@ def _run_children(xs, ys, node, x, y0, same, a, c, u, v, ny):
     same at y0 and n + 1 past it, blocks (x', y') appended."""
     n = len(xs)
     pair = np.repeat(np.arange(len(ny)), ny)
-    y = np.arange(len(pair)) - (np.cumsum(ny) - ny - y0)[pair]
+    y = np.arange(len(pair), dtype=_WALK) - (np.cumsum(ny, dtype=_WALK) - ny - y0)[pair]
     parent, up, vp = node[pair], u[pair], v[pair]
     per = np.where(y == y0[pair], same[pair], n + 1)
     xs_child = np.empty((n + 1, len(pair)), np.int16)
@@ -187,7 +200,7 @@ def _necklace_rows(xs, ys, node, x, y0, same, a, c, u, v, ny):
     skip = (ny > 0) & ((len(xs) + 1) % same != 0)
     y0, ny = y0 + skip, ny - skip
     run = np.repeat(np.arange(len(ny)), ny)
-    y = np.arange(len(run)) - (np.cumsum(ny) - ny - y0)[run]
+    y = np.arange(len(run), dtype=_WALK) - (np.cumsum(ny, dtype=_WALK) - ny - y0)[run]
     w = v - a + x0 * c
     lines = ((a + v, u), (-c, -v), (u - x0 * w, x0 * (u - x0 * v)))
     del x0, skip, y0, w  # per-run temporaries, dropped before the per-child expansion
@@ -247,7 +260,7 @@ def _word_pieces(T: int):
     M RL has trace 2a + b + c + d, so of each run only the prefix with
     y'(2u + v) < T - 2a - u - c - v, which can have children, becomes nodes.
     """
-    one = np.ones(1, np.int64)
+    one = np.ones(1, _WALK)
     no_blocks = np.empty((0, 1), np.int16)
     stack = [_word_runs(one, 0 * one, 0 * one, one, one, no_blocks, no_blocks, T)]
     while stack:

@@ -158,10 +158,6 @@ class ModularData:
     S: np.ndarray
     T: np.ndarray  # diagonal, stored as a 1-d array of unit complexes
 
-    @property
-    def dimension(self) -> int:
-        return self.k + 1
-
 
 def su2_modular_data(k: int) -> ModularData:
     """Standard level-k data: S[a,b] = sqrt(2/(k+2)) sin(pi (a+1)(b+1)/(k+2)),

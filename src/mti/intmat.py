@@ -90,30 +90,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        m = [self.row(i) for i in range(n)]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def to_json(self) -> str:
         """Interchange format: array of arrays of decimal strings, row-major."""
         return json.dumps([[str(x) for x in self.row(i)] for i in range(self.rows)])

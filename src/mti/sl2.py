@@ -57,9 +57,6 @@ class Sl2Matrix:
     def mod(self, p: int) -> tuple[int, int, int, int]:
         return (self.a % p, self.b % p, self.c % p, self.d % p)
 
-    def to_intmatrix(self) -> IntMatrix:
-        return IntMatrix(2, 2, [self.a, self.b, self.c, self.d])
-
     def to_rows(self):
         return [[self.a, self.b], [self.c, self.d]]
 

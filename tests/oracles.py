@@ -13,6 +13,7 @@ import it from their own directory.
 from __future__ import annotations
 
 import itertools
+from dataclasses import astuple
 from math import gcd, isqrt
 
 import numpy as np
@@ -66,6 +67,24 @@ def symplectic_transvection(v, lam, g):
     return IntMatrix.from_rows(rows)
 
 
+def sp4_fp_elements(p):
+    """Every element of Sp(4, F_p) as an (N, 4, 4) array of residues, N =
+    p^4 (p^2 - 1)(p^4 - 1): the closure of the identity under the
+    transvections of the nonzero 0/1 vectors, breadth first."""
+    gens = [symplectic_transvection(v, 1, 2).to_rows() for v in itertools.product((0, 1), repeat=4) if any(v)]
+    gens = np.array(gens, np.int64) % p
+    weights = p ** np.arange(16, dtype=np.int64)
+    frontier = np.eye(4, dtype=np.int64)[None]
+    found, seen = [frontier], frontier.reshape(1, 16) @ weights
+    while len(frontier):
+        products = (frontier[:, None] @ gens[None]).reshape(-1, 4, 4) % p
+        keys, first = np.unique(products.reshape(-1, 16) @ weights, return_index=True)
+        new = ~np.isin(keys, seen)
+        frontier, seen = products[first[new]], np.concatenate([seen, keys[new]])
+        found.append(frontier)
+    return np.concatenate(found)
+
+
 def matrix_to_bqf(A: Sl2Matrix) -> QuadForm:
     """Form (b, a-d, -c) attached to a hyperbolic matrix."""
     if abs(A.trace) <= 2:
@@ -110,7 +129,7 @@ def reduction_cycle(f: QuadForm) -> list[QuadForm]:
         raise ValueError(f"{f} is not reduced")
     D = f.discriminant
     isq = isqrt(D)
-    start = f.as_tuple()
+    start = astuple(f)
     cycle = [start]
     cur = _rho(*start, D, isq)
     while cur != start:
@@ -135,7 +154,7 @@ def reduce_with_transform(f: QuadForm) -> tuple[QuadForm, Sl2Matrix]:
     """Reduce an indefinite form; also return g with f(g*(x,y)) = reduced."""
     D = f.discriminant
     isq = _check_disc(D)
-    a, b, c = f.as_tuple()
+    a, b, c = astuple(f)
     # transform accumulated as column substitution (x,y) -> g.(x,y)
     g = (1, 0, 0, 1)
     while True:
@@ -165,9 +184,33 @@ def apply_transform(f: QuadForm, g: Sl2Matrix) -> QuadForm:
     return QuadForm(m, l, k)
 
 
+def det(M: IntMatrix) -> int:
+    """Determinant of a square matrix by fraction-free (Bareiss) elimination."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = M.rows
+    m = [M.row(i) for i in range(n)]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def _minor_det(M: IntMatrix, rows, cols) -> int:
-    sub = IntMatrix.from_rows([[M[i, j] for j in cols] for i in rows])
-    return sub.det()
+    return det(IntMatrix.from_rows([[M[i, j] for j in cols] for i in rows]))
 
 
 def snf_via_minor_gcds(M: IntMatrix, max_dim: int = 6) -> list[int]:

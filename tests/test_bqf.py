@@ -1,6 +1,8 @@
 import gc
+import itertools
 import random
 import weakref
+from dataclasses import astuple
 from math import isqrt
 
 import numpy as np
@@ -40,8 +42,8 @@ def test_bqf_to_matrix_examples():
     m = bqf_to_matrix(QuadForm(3, 9, -3), 11)
     assert m == Sl2Matrix(1, -3, -3, 10)
     # round trip lands in the same reduction cycle
-    cyc = {f.as_tuple() for f in reduction_cycle(reduce_indefinite(QuadForm(3, 9, -3)))}
-    assert reduce_indefinite(matrix_to_bqf(m)).as_tuple() in cyc
+    cyc = {astuple(f) for f in reduction_cycle(reduce_indefinite(QuadForm(3, 9, -3)))}
+    assert astuple(reduce_indefinite(matrix_to_bqf(m))) in cyc
     with pytest.raises(ValueError):
         bqf_to_matrix(QuadForm(1, 1, -1), 4)
 
@@ -61,7 +63,7 @@ def test_reduce_examples():
 
 def test_reduction_cycle_disc5():
     cyc = reduction_cycle(QuadForm(1, 1, -1))
-    assert {f.as_tuple() for f in cyc} == {(1, 1, -1), (-1, 1, 1)}
+    assert {astuple(f) for f in cyc} == {(1, 1, -1), (-1, 1, 1)}
     assert len(cyc) == 2
     # there are exactly two reduced forms of disc 5, forming one cycle
     assert sorted(_reduced_forms_bruteforce(5)) == [(-1, 1, 1), (1, 1, -1)]
@@ -79,7 +81,7 @@ def _reduced_forms_bruteforce(D):
             if m and (l * l - D) % (4 * m) == 0:
                 f = QuadForm(m, l, (l * l - D) // (4 * m))
                 if is_reduced(f):
-                    out.add(f.as_tuple())
+                    out.add(astuple(f))
     return out
 
 
@@ -355,8 +357,10 @@ def _node_necklace_keys(a, b, c, d, per, xs, ys, T):
     form (-c, d - a, b) conjugated by R^(x_0), and rotation i is rotation
     i - 1 conjugated by L^(y_(i-1)) and then by R^(x_i); on forms these are
     (m, l, k) -> (m - y(l - yk), l - 2yk, k) and
-    (m, l, k) -> (m, l - 2xm, k - x(l - xm)).
+    (m, l, k) -> (m, l - 2xm, k - x(l - xm)).  It computes in int64 whatever
+    dtype the walk hands it, so its keys do not wrap with the walk's.
     """
+    a, b, c, d, per, xs, ys = (col.astype(np.int64) for col in (a, b, c, d, per, xs, ys))
     n = len(xs)
     t = a + d
     e = np.flatnonzero(n % per == 0)
@@ -702,8 +706,8 @@ def test_periodic_word_is_one_imprimitive_class():
     # form content 3, is stored exactly once
     rows = [r[1:] for r in _rows(bqf._class_columns(8)) if r[0] == 7]
     assert len(set(rows)) == len(rows) == class_count_with_trace(7)
-    q = reduce_indefinite(matrix_to_bqf(Sl2Matrix(5, 3, 3, 2))).as_tuple()
-    hits = [r for r in rows if q in {f.as_tuple() for f in reduction_cycle(QuadForm(*r))}]
+    q = astuple(reduce_indefinite(matrix_to_bqf(Sl2Matrix(5, 3, 3, 2))))
+    hits = [r for r in rows if q in {astuple(f) for f in reduction_cycle(QuadForm(*r))}]
     assert len(hits) == 1 and QuadForm(*hits[0]).content == 3
 
 
@@ -712,7 +716,7 @@ def test_canonical_reps_are_cycle_minima():
     # whose windows reach width isqrt(D) - 1 = 118
     for t in range(3, 121):
         minima = {
-            min(f.as_tuple() for f in reduction_cycle(QuadForm(*g)))
+            min(astuple(f) for f in reduction_cycle(QuadForm(*g)))
             for g in _both_signs(_positive_reduced_forms(t * t - 4))
         }
         assert bqf._trace_reps(t) == _canonical_cycle_reps(t) == sorted(minima), t
@@ -753,7 +757,7 @@ def test_cycle_properties_small_traces():
             signs = [1 if f.m > 0 else -1 for f in cyc]
             assert all(signs[i] != signs[(i + 1) % len(cyc)] for i in range(len(cyc)))
             assert all(is_reduced(f) for f in cyc)
-            tuples = {f.as_tuple() for f in cyc}
+            tuples = {astuple(f) for f in cyc}
             assert not (tuples & members_seen), "cycles must be disjoint"
             members_seen |= tuples
         # every reduced form of the discriminant is accounted for
@@ -772,8 +776,8 @@ def test_class_rep_round_trip():
         for rep in classes_with_trace(t):
             assert rep.matrix.trace == t
             assert rep.form.discriminant == t * t - 4
-            cyc = {f.as_tuple() for f in reduction_cycle(rep.form)}
-            assert reduce_indefinite(matrix_to_bqf(rep.matrix)).as_tuple() in cyc
+            cyc = {astuple(f) for f in reduction_cycle(rep.form)}
+            assert astuple(reduce_indefinite(matrix_to_bqf(rep.matrix))) in cyc
             assert rep.primitive_content == rep.form.content
 
 
@@ -783,7 +787,7 @@ def test_trace11_contains_imprimitive_class():
     hits = [
         r
         for r in reps
-        if q.as_tuple() in {f.as_tuple() for f in reduction_cycle(r.form)}
+        if astuple(q) in {astuple(f) for f in reduction_cycle(r.form)}
     ]
     assert len(hits) == 1
     assert hits[0].primitive_content == 3
@@ -806,8 +810,41 @@ def test_single_trace_refuses_traces_past_max_t():
 
 def test_row_bounds_stay_below_int16():
     # the rows are int16 and every |t|, |m| and k in them is below T: a
-    # bound raised to int16's largest value fails here before a row wraps
-    assert max(bqf._MAX_ROWS_T, bqf._MAX_LISTING_T) < np.iinfo(np.int16).max
+    # bound raised to int16's largest value fails here before a row wraps;
+    # the walk's floor-division numerators stay above -(T^2/4 + 4T), which
+    # must fit its dtype (`bqf._WALK`) at either bound
+    for T in (bqf._MAX_ROWS_T, bqf._MAX_LISTING_T):
+        assert T < np.iinfo(np.int16).max
+        assert T * T // 4 + 4 * T < np.iinfo(bqf._WALK).max
+
+
+def _wide(cols):
+    return tuple(col.astype(np.int64) for col in cols)
+
+
+def test_walk_dtype_replays_equal_in_int64():
+    # the first chunks of the largest walk run, and the children and runs
+    # they lead to, equal their replay on int64 copies; the chunks carry the
+    # walk's dtype, int16 block rows and an index column, and every node
+    # entry and in-range u, v is below T, the premise of the dtype's bound
+    T = bqf._MAX_ROWS_T
+    for chunk in itertools.islice(bqf._word_pieces(T), 16):
+        xs, ys, node, *cols = chunk
+        assert xs.dtype == ys.dtype == np.int16 and node.dtype == np.intp
+        assert all(col.dtype == bqf._WALK for col in cols)
+        wide = (xs, ys, node, *_wide(cols))
+        assert np.max(_wide(cols[4:8])) < T
+        rows = bqf._necklace_rows(*chunk)
+        assert all(r.dtype == np.int16 for r in rows)
+        assert all(map(np.array_equal, rows, bqf._necklace_rows(*wide)))
+        piece = bqf._run_children(*chunk)
+        assert all(col.dtype == bqf._WALK for col in piece[:5])
+        wide_piece = bqf._run_children(*wide)
+        assert all(map(np.array_equal, piece, wide_piece))
+        assert np.max(_wide(piece[:4])) < T
+        pairs = bqf._word_pairs(*piece, T)
+        assert all(col.dtype == bqf._WALK for col in pairs[1:])
+        assert all(map(np.array_equal, pairs, bqf._word_pairs(*_wide(piece[:5]), *piece[5:], T)))
 
 
 def test_class_listing_refuses_bad_bounds_at_the_call():
@@ -834,11 +871,11 @@ def test_class_listing_refuses_bad_bounds_at_the_call():
 def test_completeness_small_trace():
     for t in range(3, 21):
         cycles = [
-            {f.as_tuple() for f in reduction_cycle(rep.form)}
+            {astuple(f) for f in reduction_cycle(rep.form)}
             for rep in classes_with_trace(t)
         ]
         for m in all_sl2_with_trace(t, 30):
-            red = reduce_indefinite(matrix_to_bqf(m)).as_tuple()
+            red = astuple(reduce_indefinite(matrix_to_bqf(m)))
             hits = sum(1 for c in cycles if red in c)
             assert hits == 1, f"{m} landed in {hits} cycles"
 
@@ -852,8 +889,8 @@ def test_equivariance_shared_cycle():
             continue
         g = random_sl2(rng, 6)
         b = a.conjugate_by(g)
-        ca = {f.as_tuple() for f in reduction_cycle(reduce_indefinite(matrix_to_bqf(a)))}
-        cb = reduce_indefinite(matrix_to_bqf(b)).as_tuple()
+        ca = {astuple(f) for f in reduction_cycle(reduce_indefinite(matrix_to_bqf(a)))}
+        cb = astuple(reduce_indefinite(matrix_to_bqf(b)))
         assert cb in ca
         done += 1
 

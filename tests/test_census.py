@@ -435,6 +435,31 @@ def test_census_checkpoints():
         assert cp.total == expect
 
 
+def _inversion_gaps(p, T):
+    # (C3 - C4, C5 - C6) at every checkpoint of census(p, T)
+    return [
+        (cp.per_label["C3"] - cp.per_label["C4"], cp.per_label["C5"] - cp.per_label["C6"])
+        for cp in census(p, T).checkpoints
+    ]
+
+
+@pytest.mark.parametrize("T, gap5, gap13", [(500, 42, 18), (2010, 95, 140)])
+def test_census_inversion_swaps_c3_c4_and_c5_c6_for_p_3_mod_4(T, gap5, gap13):
+    # A -> A^-1 keeps the trace and maps each trace's classes onto
+    # themselves, sending the unipotent symbol w to -w; for p = 3 mod 4,
+    # -1 is not a square mod p, so it swaps C3 <-> C4 and C5 <-> C6 and
+    # their counts agree at every checkpoint.  A and A^-1 have reversed
+    # words, far apart in the walk, so a dropped or doubled chunk or a
+    # wrapped dtype breaks it.  2^61 - 1 is left out: for T < p it has no
+    # C3 to C6 class, so the identity would hold vacuously.
+    for p in (3, 7, 11, 19, 23, 43):
+        assert set(_inversion_gaps(p, T)) == {(0, 0)}, p
+        assert census(p, T).per_label["C3"] > 0, p
+    # for p = 1 mod 4 nothing forces it, and it fails
+    assert _inversion_gaps(5, T)[-1] == (gap5, gap5)
+    assert _inversion_gaps(13, T)[-1] == (gap13, gap13)
+
+
 def test_census_p2():
     rep = census(2, 30)
     assert set(rep.per_label) == {"C1", "C2", "C3"}

@@ -296,6 +296,25 @@ def test_csw_oracle(capsys):
     assert "gauss sum" in out and "rep trace" in out
 
 
+@pytest.mark.parametrize(
+    "matrix, level, text",
+    [
+        ('[["2","1"],["1","1"]]', 3, "-0.6180339887+0.0000000000j"),
+        ('[["3","1"],["2","1"]]', 2, "0.7071067812+0.7071067812j"),
+        ('[["3","1"],["2","1"]]', 3, "0.0000000000+0.0000000000j"),
+    ],
+)
+def test_csw_gauss_sum_alone(matrix, level, text, capsys):
+    # without --oracle, csw prints the Gauss sum alone, to ten places
+    code, out = _capture(capsys, ["csw", "--matrix", matrix, "--level", str(level)])
+    assert (code, out) == (0, text + "\n")
+    code, out = _capture(capsys, ["csw", "--matrix", matrix, "--level", str(level), "--json"])
+    doc = json.loads(out)
+    assert code == 0 and sorted(doc) == ["gauss_sum", "level", "schema"]
+    assert (doc["schema"], doc["level"]) == (1, level)
+    assert complex(*doc["gauss_sum"]) == pytest.approx(complex(text), abs=1e-10)
+
+
 def test_csw_rejects_trace_beyond_factoring_bound(capsys):
     matrix = f'[["{2**40}","1"],["-1","0"]]'
     assert run(["csw", "--matrix", matrix, "--level", "1"]) == 1
@@ -438,6 +457,28 @@ def test_library_value_errors_exit_1_with_their_message(argv, err, capsys, monke
     monkeypatch.setattr(weight1, "eta_product_coefficients", refused)
     monkeypatch.setattr(csw, "ModularData", refused)
     monkeypatch.setattr(bqf, "_word_pieces", refused)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["classes"], "need --trace or --tmax"),
+        (["classes", "--json"], "need --trace or --tmax"),
+        (
+            ["snf", "--matrix", '[["1","2","3"],["4","5","6"]]', "--subtract-identity"],
+            "--subtract-identity needs a square matrix",
+        ),
+        (["snf", "--matrix", '[["1","x"]]'], "bad matrix JSON: invalid literal for int() with base 10: 'x'"),
+        (["snf", "--matrix", '[["1","2"],'], "bad matrix JSON: Expecting value: line 1 column 12 (char 11)"),
+        (["classify", "--matrix", _IDENTITY_4, "--prime", "3"], "expected a 2x2 matrix"),
+    ],
+    ids=["classes-no-bound", "classes-no-bound-json", "snf-not-square", "matrix-entry", "matrix-json", "not-2x2"],
+)
+def test_cli_domain_errors_exit_1_with_their_message(argv, err, capsys):
+    # the refusals cli.py makes itself, before any library call
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {err}\n"

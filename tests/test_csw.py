@@ -215,7 +215,7 @@ def test_modular_data_relations():
     for k in range(1, 13):
         data = su2_modular_data(k)
         s = data.S
-        assert data.dimension == k + 1
+        assert s.shape == (k + 1, k + 1) and data.T.shape == (k + 1,)
         assert np.abs(s - s.T).max() < 1e-12  # symmetric
         assert np.abs(s @ s.conj().T - np.eye(k + 1)).max() < 1e-10  # unitary
         s2 = s @ s

@@ -1,6 +1,8 @@
 import itertools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from mti.intmat import IntMatrix, is_prime, smith_normal_form
@@ -24,6 +26,7 @@ from oracles import (
     fixed_point_count_genus_g,
     random_sl2,
     sl2_fp_elements,
+    sp4_fp_elements,
     symplectic_transvection,
 )
 
@@ -43,7 +46,7 @@ def test_sl2_snf_matches_full_snf():
     for _ in range(100):
         a = random_sl2(rng, 8)
         a1, a2 = sl2_snf_entries(a)
-        diag = smith_normal_form(a.to_intmatrix() - IntMatrix.identity(2)).diag
+        diag = smith_normal_form(IntMatrix.from_rows(a.to_rows()) - IntMatrix.identity(2)).diag
         expect = [a1, a2]
         # full SNF lists zeros last; the closed form puts A1 first
         if a1 == 0:
@@ -264,6 +267,30 @@ def test_fixed_point_count_genus_g():
     assert fixed_point_count_genus_g(GENUS2_B.to_rows(), 2, 2) == 8
     with pytest.raises(ValueError):
         fixed_point_count_genus_g(GENUS2_B.to_rows(), 2, 37)
+
+
+@pytest.mark.parametrize(
+    "p, histogram, checked",
+    [
+        (2, {1: 304, 2: 300, 4: 100, 8: 15, 16: 1}, 720),
+        (3, {1: 33129, 3: 16560, 9: 2070, 27: 80, 81: 1}, 300),
+    ],
+)
+def test_genus2_mean_z_over_sp4_fp_is_two(p, histogram, checked):
+    # by Burnside the mean of Z = |ker(f - Id) mod p| over Sp(4, F_p) is its
+    # number of orbits on F_p^4: 2, the zero vector and the nonzero ones, on
+    # which Sp(4, F_p) is transitive; every element of Sp(4, F_2), and a
+    # seeded sample of Sp(4, F_3), is checked against the fixed-point count
+    elements = sp4_fp_elements(p)
+    size = p**4 * (p * p - 1) * (p**4 - 1)
+    j = np.block([[np.zeros((2, 2), int), np.eye(2, dtype=int)], [-np.eye(2, dtype=int), np.zeros((2, 2), int)]])
+    assert len(elements) == size
+    assert ((elements.transpose(0, 2, 1) @ j @ elements - j) % p == 0).all()
+    rows = elements.tolist()
+    z = [dw_invariant_genus_g(IntMatrix.from_rows(m), p, check_symplectic=False).value for m in rows]
+    assert sum(z) == 2 * size and Counter(z) == histogram
+    for i in random.Random(p).sample(range(size), checked):
+        assert z[i] == fixed_point_count_genus_g(rows[i], 2, p)
 
 
 def random_symplectic(rng, g=2, steps=6):

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -15,19 +16,30 @@ PAPER_STATEMENTS = {
 }
 
 
-def _names(tree, skip=None):
-    # every name read anywhere in the tree, as a variable or an attribute,
-    # outside the top-level definition named skip
-    out = set()
-    for top in tree.body:
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip:
-            continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-    return out
+def _reads(node):
+    # how often each name is read in the subtree of node, as a variable or
+    # an attribute
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def _library():
+    # the parsed modules of src/mti but its __init__, which imports its
+    # exports only for importers, and the names read in all of them
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in (ROOT / "src" / "mti").glob("*.py")
+        if path.name != "__init__.py"
+    ]
+    return trees, sum(map(_reads, trees), Counter())
+
+
+def _read_elsewhere(definition, reads):
+    # whether the library reads the definition's name outside its own body
+    return reads[definition.name] > _reads(definition)[definition.name]
 
 
 def test_every_library_definition_is_run_by_the_cli_the_census_or_the_benchmark():
@@ -35,8 +47,7 @@ def test_every_library_definition_is_run_by_the_cli_the_census_or_the_benchmark(
     # function or class of src/mti that no other definition there reads
     # and perfbench's worker does not import is dead code, unless it
     # states the paper
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "src" / "mti").glob("*.py")}
-    del trees["__init__.py"]
+    trees, reads = _library()
     worker = ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))
     benchmarked = {
         alias.name
@@ -44,14 +55,33 @@ def test_every_library_definition_is_run_by_the_cli_the_census_or_the_benchmark(
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mti"
         for alias in node.names
     }
-    unused = []
-    for tree in trees.values():
-        for top in tree.body:
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                readers = (_names(other, skip=top.name) for other in trees.values())
-                if not any(top.name in names for names in readers) and top.name not in benchmarked:
-                    unused.append(top.name)
+    unused = [
+        top.name
+        for tree in trees
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        if top.name not in benchmarked and not _read_elsewhere(top, reads)
+    ]
     assert sorted(set(unused) - PAPER_STATEMENTS) == []
+
+
+def test_every_library_method_is_run_by_the_library_or_the_benchmark():
+    # a method or property of a src/mti class that nothing in src/mti
+    # outside its own body reads, and that perfbench's worker does not
+    # read, is run by tests only: it belongs in tests/oracles.py; the
+    # dunders are read by the language, not by name
+    trees, reads = _library()
+    worker = _reads(ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8")))
+    unused = [
+        f"{top.name}.{meth.name}"
+        for tree in trees
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for meth in top.body
+        if isinstance(meth, ast.FunctionDef) and not (meth.name.startswith("__") and meth.name.endswith("__"))
+        if meth.name not in worker and not _read_elsewhere(meth, reads)
+    ]
+    assert unused == []
 
 
 def _unread_imports(tree):
