@@ -114,8 +114,6 @@ def bqf_to_matrix(f: QuadForm, t: int) -> Sl2Matrix:
     """
     if f.discriminant != t * t - 4:
         raise ValueError(f"discriminant {f.discriminant} != t^2-4 = {t * t - 4}")
-    if (t - f.l) % 2 != 0:
-        raise ValueError("parity violation: l must equal t mod 2")
     return Sl2Matrix((t - f.l) // 2, f.k, -f.m, (t + f.l) // 2)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from ._quadpack import dqk21_inv_log, qags
 from .bqf import _class_rows
 from .intmat import is_prime
-from .sl2 import KINDS_ODD, KINDS_P2, dw_exponent_of_kind, legendre
+from .sl2 import KINDS_ODD, KINDS_P2, class_table, dw_exponent_of_kind, legendre
 
 CSV_HEADER = "T,total,c1,c2,unipotent,rest,dw_sum,snf_id,snf_unip,snf_rest,li_T2"
 
@@ -186,34 +186,9 @@ def _bin_tables(p: int, bounds: list[int]) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _legendre_table(p: int, n: int) -> np.ndarray:
-    """Legendre symbols mod p of 0 .. n - 1 as int8, mod 2 the residues.
-
-    For p <= n the squares mod p are marked and their symbols repeated mod
-    p.  For p > n every 0 < v < n is a unit mod p and the symbol is
-    completely multiplicative, so one scalar call per prime q < n gives
-    them: v is a non-residue exactly when an odd number of the prime powers
-    q^e dividing it have (q/p) = -1.
-    """
-    if p <= n:
-        table = np.full(p, -1, np.int8)
-        table[np.arange(p) ** 2 % p] = 1
-        table[0] = 0
-        return table[np.arange(n) % p]
-    prime = np.ones(n, bool)
-    prime[:2] = False
-    for q in range(2, math.isqrt(n - 1) + 1):
-        if prime[q]:
-            prime[q * q :: q] = False
-    odd = np.zeros(n, np.int8)
-    for q in np.flatnonzero(prime).tolist():
-        if legendre(q, p) == -1:
-            power = q
-            while power < n:
-                odd[::power] ^= 1
-                power *= q
-    table = 1 - 2 * odd
-    table[0] = 0
-    return table
+    """Legendre symbols mod p of 0 .. n - 1 as int8, mod 2 the residues:
+    `legendre` of each residue below min(p, n), repeated mod p."""
+    return np.array([legendre(v, p) for v in range(min(p, n))], np.int8)[np.arange(n) % p]
 
 
 def _snapshots(p: int, bounds: list[int], counts: np.ndarray) -> list[Checkpoint]:
@@ -260,8 +235,6 @@ class DensityRow:
 
 @dataclass
 class DensityReport:
-    p: int
-    T: int
     rows: list[DensityRow]
     # per checkpoint: (T', relative deviations of the identity / unipotent /
     # rest group frequencies from the predicted densities)
@@ -269,29 +242,17 @@ class DensityReport:
 
 
 def predicted_class_fractions(p: int) -> dict[str, float]:
-    """|C|/|G| summed over the classes of each kind (Table-of-classes sizes)."""
-    if p == 2:
-        return {"C1": 1 / 6, "C2": 3 / 6, "C3": 2 / 6}
-    order = p**3 - p
-    half = (p * p - 1) / 2
-    return {
-        "C1": 1 / order,
-        "C2": 1 / order,
-        "C3": half / order,
-        "C4": half / order,
-        "C5": half / order,
-        "C6": half / order,
-        "C7": p * (p + 1) * (p - 3) / 2 / order,
-        "C8": p * (p - 1) * (p - 1) / 2 / order,
-    }
+    """|C|/|G| summed over the classes of each kind (`sl2.class_table`)."""
+    return {kind: count * size / (p**3 - p) for kind, (count, size) in class_table(p).items()}
 
 
 def group_fractions(p: int) -> tuple[float, float, float]:
-    """Predicted (identity, Z=p group, rest) frequencies."""
-    if p == 2:
-        return (1 / 6, 3 / 6, 2 / 6)
-    order = p**3 - p
-    return (1 / order, (p * p - 1) / order, (p**3 - p**2 - p) / order)
+    """Predicted (identity, Z=p group, rest) frequencies: the class sizes
+    summed by SNF category 2 - e (see `_snapshots`) over |G|."""
+    sizes = [0, 0, 0]
+    for kind, (count, size) in class_table(p).items():
+        sizes[2 - dw_exponent_of_kind(kind, p)] += count * size
+    return tuple(n / (p**3 - p) for n in sizes)
 
 
 def density_report(report: CensusReport) -> DensityReport:
@@ -308,8 +269,6 @@ def density_report(report: CensusReport) -> DensityReport:
     g1, g2, g3 = group_fractions(report.p)
     cps = []
     for cp in report.checkpoints:
-        if cp.total == 0:
-            continue
         c1, unip, rest = cp.snf_triple
         cps.append(
             (
@@ -319,7 +278,7 @@ def density_report(report: CensusReport) -> DensityReport:
                 abs(rest / cp.total - g3) / g3,
             )
         )
-    return DensityReport(report.p, report.T, rows, cps)
+    return DensityReport(rows, cps)
 
 
 @dataclass
@@ -327,8 +286,6 @@ class ConstantsReport:
     """Sum-normalized constants against li(T^2), in both normalizations,
     next to the printed and the class-size-derived predictions."""
 
-    p: int
-    T: int
     dw_all: float
     dw_pos: float
     snf_all: tuple[float, float, float]
@@ -340,18 +297,21 @@ class ConstantsReport:
 
 
 def theorem_constants(report: CensusReport) -> ConstantsReport:
+    """The census sums over li(T^2), and the paper's printed constants next
+    to the ones derived from `sl2.class_table`: the mean of Z = p^e over
+    SL(2, F_p), sum Z |C| / |G|, which is 2 for every p, and the SNF
+    category fractions."""
     p = report.p
     li = report.li_T2
     order = p**3 - p
+    z_sum = sum(p ** dw_exponent_of_kind(kind, p) * count * size for kind, (count, size) in class_table(p).items())
     return ConstantsReport(
-        p=p,
-        T=report.T,
         dw_all=report.dw_sum / li,
         dw_pos=report.dw_sum_pos / li,
         snf_all=tuple(v / li for v in report.snf_triple),
         snf_pos=tuple(v / li for v in report.snf_triple_pos),
         dw_printed=(2 * p**3 - 2 * p + 1) / order,
-        dw_derived=(2 * p**3 - 2 * p) / order,
+        dw_derived=z_sum / order,
         snf_printed=(1 / order, (p * p - 1) / order, (p**3 - p**2 - p - 1) / order),
         snf_derived=group_fractions(p),
     )

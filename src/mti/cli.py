@@ -168,8 +168,6 @@ def _cmd_classes(args) -> int:
 
 
 def _census_payload(report) -> dict:
-    consts = asdict(theorem_constants(report))
-    del consts["p"], consts["T"]
     return {
         "p": report.p,
         "T": report.T,
@@ -180,7 +178,7 @@ def _census_payload(report) -> dict:
         "snf_triple": report.snf_triple,
         "li_T2": report.li_T2,
         "density": [asdict(r) for r in density_report(report).rows],
-        "constants": consts,
+        "constants": asdict(theorem_constants(report)),
     }
 
 
@@ -373,33 +371,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snf", help="Smith normal form (optionally of M - Id)")
     add_matrix(p)
     p.add_argument("--subtract-identity", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_snf)
 
     p = sub.add_parser("dw", help="Z/p partition function of the mapping torus")
     add_matrix(p)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--no-check", action="store_true", help="skip the symplectic validation")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_dw)
 
     p = sub.add_parser("classify", help="conjugacy class mod p")
     add_matrix(p)
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("homology", help="H1 of the mapping torus")
     add_matrix(p)
     p.add_argument("--no-check", action="store_true", help="skip the symplectic validation")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("classes", help="hyperbolic classes by trace")
     p.add_argument("--trace", type=int)
     p.add_argument("--tmax", type=int)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("census", help="classify all classes with |Tr| < T mod p, for each prime p")
@@ -408,32 +401,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", help="write census_p{p}_T{T}.csv per prime into this directory")
     p.add_argument("--csv", help="CSV output path, or - for stdout (one prime only)")
     p.add_argument("--json-out", dest="json_out", help="JSON output path (one prime only)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("lambda-check", help="lambda values and log-formula table")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lambda_check)
 
     p = sub.add_parser("csw", help="level-k Gauss-sum invariant")
     add_matrix(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--oracle", action="store_true", help="also evaluate the rep-trace oracle")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_csw)
 
     p = sub.add_parser("csw-sweep", help="Gauss sum vs rep-trace oracle on seeded random classes")
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--tmax", type=int, default=50)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_csw_sweep)
 
     p = sub.add_parser("modform", help="weight-one coefficient comparison table for d = 2")
     p.add_argument("--pmax", type=int, default=100)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_modform)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

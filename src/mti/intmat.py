@@ -84,9 +84,6 @@ class IntMatrix:
             raise ValueError("shape mismatch")
         return IntMatrix(self.rows, self.cols, [x - y for x, y in zip(self.entries, other.entries)])
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-x for x in self.entries])
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 

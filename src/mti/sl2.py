@@ -28,11 +28,6 @@ class Sl2Matrix:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant is not 1: {self}")
 
-    @classmethod
-    def from_rows(cls, rows) -> "Sl2Matrix":
-        (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
-
     @property
     def trace(self) -> int:
         return self.a + self.d
@@ -102,6 +97,25 @@ def dw_exponent_of_kind(kind: str, p: int) -> int:
     if kind == "C1":
         return 2
     return 1 if kind in (("C2",) if p == 2 else ("C3", "C4")) else 0
+
+
+def class_table(p: int) -> dict[str, tuple[int, int]]:
+    """The number of classes and the common class size of each kind of
+    SL(2, F_p), in the order of KINDS_ODD or KINDS_P2. For odd p: the two
+    central classes of size 1, the four classes C3 .. C6 of +-unipotent
+    elements of size (p^2 - 1)/2, (p - 3)/2 split classes of size p(p + 1)
+    and (p - 1)/2 nonsplit ones of size p(p - 1). For p = 2: the identity,
+    3 elements of order two and 2 of order three."""
+    if p == 2:
+        return {"C1": (1, 1), "C2": (1, 3), "C3": (1, 2)}
+    half = (p * p - 1) // 2
+    return {
+        "C1": (1, 1),
+        "C2": (1, 1),
+        **dict.fromkeys(("C3", "C4", "C5", "C6"), (1, half)),
+        "C7": ((p - 3) // 2, p * (p + 1)),
+        "C8": ((p - 1) // 2, p * (p - 1)),
+    }
 
 
 def sl2_snf_entries(A: Sl2Matrix) -> tuple[int, int]:

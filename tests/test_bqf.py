@@ -44,7 +44,7 @@ def test_bqf_to_matrix_examples():
     # round trip lands in the same reduction cycle
     cyc = {astuple(f) for f in reduction_cycle(reduce_indefinite(QuadForm(3, 9, -3)))}
     assert astuple(reduce_indefinite(matrix_to_bqf(m))) in cyc
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"discriminant 5 != t\^2-4 = 12"):
         bqf_to_matrix(QuadForm(1, 1, -1), 4)
 
 

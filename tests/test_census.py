@@ -373,10 +373,9 @@ def test_class_codes_match_per_class_oracle(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 1009, 10007, 2**61 - 1, 2**63 - 25])
 def test_legendre_table_past_the_bound_matches_scalar_legendre(p):
-    # for p > n the table multiplies the symbols of the primes below n, and
-    # for p <= n repeats the squares mod p (mod 2, the residues); n = 1 .. 3
-    # hold no or one prime, and n = 2^11 and 3001 below p reach prime powers
-    # (2^11, 3^7, 7^4, 13^3, 53^2) and composites of many non-residues
+    # for p > n the table holds the symbol of every v < n, and for p <= n
+    # repeats the first p mod p (mod 2, the residues): short tables, and
+    # long ones below and past p
     for n in (1, 2, 3, 4, 100, 2**11, 3001):
         table = _legendre_table(p, n)
         assert table.dtype == np.int8

@@ -507,5 +507,16 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     commands = [[line for line in block.splitlines() if line.startswith("mti ")] for block in blocks]
     assert all(commands)
     monkeypatch.chdir(tmp_path)
-    failed = [line for block in commands for line in block if run(shlex.split(line, comments=True)[1:]) != 0]
+    # beside snf, dw, classify and homology the comment is the printed
+    # result, up to any parenthetical note
+    failed, printed = [], {}
+    for line in (line for block in commands for line in block):
+        argv = shlex.split(line, comments=True)[1:]
+        if run(argv) != 0:
+            failed.append(line)
+        out = capsys.readouterr().out
+        if argv[0] in ("snf", "dw", "classify", "homology"):
+            printed[line] = out
     assert failed == []
+    assert len(printed) == 5
+    assert printed == {line: line.split("# ", 1)[1].split(" (")[0] + "\n" for line in printed}

@@ -65,7 +65,7 @@ def test_theta2_off_principal_strip():
 
 
 def test_theta_rejects_small_imaginary_part():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"Im\(tau\) = 0.01 below 0.05"):
         theta_constants(0.5 + 0.01j)
 
 
@@ -90,7 +90,7 @@ def test_mobius():
 def test_anharmonic_orbit_at_half():
     orbit = anharmonic_orbit(0.5 + 0j)
     assert [orbit[k] for k in ANHARMONIC_LABELS] == [0.5, -1, 0.5, -1, 2, 2]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate lambda value"):
         anharmonic_orbit(1.0 + 0j)
 
 

@@ -11,6 +11,7 @@ from mti.sl2 import (
     KINDS_P2,
     Sl2Matrix,
     _classify_residues,
+    class_table,
     classify_mod_p,
     dw_invariant_genus_g,
     dw_exponent_of_kind,
@@ -231,6 +232,26 @@ def test_slp_class_census_p3():
     assert rows["C7"].class_count == 0
     assert (rows["C8"].class_count, rows["C8"].class_size) == (1, 6)
     assert sum(r.class_count * r.class_size for r in rows.values()) == 24
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 1_000_003, 2**61 - 1, 2**63 - 25])
+def test_class_table_fills_the_group_and_averages_z_to_two(p):
+    # in Python ints: the classes cover |SL(2, F_p)| = p^3 - p, and by
+    # Burnside the mean of Z = p^e over the group is its number of orbits
+    # on F_p^2, the zero vector and the nonzero ones; for odd p <= 13 the
+    # table agrees with the census of every element, and for p = 2 with
+    # the kinds of the six elements
+    table = class_table(p)
+    assert tuple(table) == (KINDS_P2 if p == 2 else KINDS_ODD)
+    assert sum(n * size for n, size in table.values()) == p**3 - p
+    assert sum(p ** dw_exponent_of_kind(kind, p) * n * size for kind, (n, size) in table.items()) == 2 * (p**3 - p)
+    if p == 2:
+        kinds = Counter(_classify_residues(*m, 2).kind for m in sl2_fp_elements(2))
+        assert kinds == {kind: n * size for kind, (n, size) in table.items()}
+    elif p <= 13:
+        for row in slp_class_census(p):
+            n, size = table[row.kind]
+            assert row.class_count == n and (n == 0 or row.class_size == size), row
 
 
 def test_slp_class_census_p5_p7():

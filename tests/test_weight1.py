@@ -40,9 +40,9 @@ def test_cube_table_mod_7():
 def test_cube_examples():
     assert is_cube_mod_p(2, 31)
     assert is_cube_mod_p(2, 5)  # p = 2 mod 3: cubing is a bijection
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p = 3 is ramified for d = 2"):
         is_cube_mod_p(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p = 5 is ramified for d = 10"):
         is_cube_mod_p(10, 5)
 
 
