@@ -82,6 +82,42 @@ def test_classes_trace(capsys):
     assert len(doc["classes"]) == 1
 
 
+def test_classes_trace_lists_the_signed_matrices(capsys):
+    # trace 11 holds the content-3 class (-3, 9, 3); trace -11 lists the
+    # same forms with the matrices [[(t - l)/2, k], [-m, (t + l)/2]] at t = -11
+    classes = (
+        '[{"matrix": [["%s", "1"], ["9", "%s"]], "form": ["-9", "9", "1"], "content": "1"}, '
+        '{"matrix": [["%s", "3"], ["3", "%s"]], "form": ["-3", "9", "3"], "content": "3"}, '
+        '{"matrix": [["%s", "9"], ["1", "%s"]], "form": ["-1", "9", "9"], "content": "1"}]\n'
+    )
+    assert _capture(capsys, ["classes", "--trace", "11"]) == (0, classes % (("1", "10") * 3))
+    assert _capture(capsys, ["classes", "--trace", "-11"]) == (0, classes % (("-10", "-1") * 3))
+
+
+# SHA-256 of stdout, recorded while each class was listed from one object
+CLASSES_TRACE_SHA256 = {
+    "3": "8262c8c2f3e5ee27fe1aee603eed05f94f52bd4d1d4664a9f42e82bd51ff84ac",
+    "3 --json": "3e9f83d352a4bc31e8a1c63cae049812a41b17db44989841270a80655612de8c",
+    "4": "9d4a7a016d345764d9c0f8c93fa81ca23920484de8947a9fd749a253bd2339c6",
+    "4 --json": "8fc63fa753f7e99c0cd284dfc37def5c5eb3166dc0e92b75ee9ac34b3146bb91",
+    "-4": "69061b15d6caadd86ca7773d4d8b8c099b3e0b9fc299f138010ccd60594290d9",
+    "-4 --json": "464ccbd11917f4e82d11b8f95ac688c618893d1ceb58fa03a38a4a7120178bfd",
+    "11": "0285665b6e77ea760547e1f2b596cfe53af0b7416c05a86c652d4d76a265b202",
+    "11 --json": "47671bb36d3f65521924ae617fb395d34db3be0e1c7d7c751e7e8f9a94d8c1d0",
+    "-11": "d829822c230a6277f122e82627a332d3606a988b7ece07b8e1911d5d0b22df06",
+    "-11 --json": "909faf6ec53547029a6ab25eee26b9cd6d960148d79313dc695f7dd2c30ee8e8",
+    "2010": "bc51b0403ac5f813e0cea94607cf11d4fac007de4ec3de626b125586c55b8114",
+    "2010 --json": "02e17197b47c2692718ec8f6352b202abb215dbf72ec61550301ff21bc016c37",
+}
+
+
+@pytest.mark.parametrize("args", list(CLASSES_TRACE_SHA256))
+def test_classes_trace_bytes_pinned(args, capsys):
+    code, out = _capture(capsys, ["classes", "--trace", *args.split()])
+    assert code == 0
+    assert _sha256(out) == CLASSES_TRACE_SHA256[args]
+
+
 def test_classes_count_only(capsys):
     code, out = _capture(capsys, ["classes", "--tmax", "6", "--count-only"])
     assert code == 0
