@@ -1,13 +1,7 @@
 """Mapping-torus invariants over finite gauge groups, SL(2,Z) conjugacy
 class enumeration by trace, and the density experiments built on them."""
 
-from .bqf import (
-    ClassRep,
-    QuadForm,
-    bqf_to_matrix,
-    class_count_with_trace,
-    classes_with_trace,
-)
+from .bqf import class_count_with_trace, classes_with_trace
 from .census import (
     CensusReport,
     census,

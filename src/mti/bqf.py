@@ -36,9 +36,7 @@ All square-root comparisons are exact (squares are compared, never floats).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from operator import index
 
 import numpy as np
@@ -72,49 +70,6 @@ _WALK = np.int32
 _PIECE_NODES = 1 << 16
 # rho^2 steps that close every cycle of a trace below _MAX_T (`_cycle_minima`)
 _CYCLE_STEPS = 15
-
-
-@dataclass(frozen=True)
-class QuadForm:
-    """Integer binary quadratic form m*x^2 + l*x*y + k*y^2."""
-
-    m: int
-    l: int
-    k: int
-
-    @property
-    def discriminant(self) -> int:
-        return self.l * self.l - 4 * self.m * self.k
-
-    @property
-    def content(self) -> int:
-        return gcd(gcd(self.m, self.l), self.k)
-
-    def __call__(self, x: int, y: int) -> int:
-        return self.m * x * x + self.l * x * y + self.k * y * y
-
-
-@dataclass(frozen=True)
-class ClassRep:
-    """One hyperbolic conjugacy class: matrix representative plus the
-    canonical reduced form (lexicographically smallest in its cycle)."""
-
-    matrix: Sl2Matrix
-    trace: int
-    form: QuadForm
-    primitive_content: int
-
-
-def bqf_to_matrix(f: QuadForm, t: int) -> Sl2Matrix:
-    """Trace-t matrix [[(t-l)/2, k], [-m, (t+l)/2]] attached to a form.
-
-    Requires disc(f) = t^2 - 4, which forces l = t mod 2.  The image is a
-    class representative: its own form is f composed with the rotation
-    (x,y) -> (y,-x), hence in the same reduction cycle.
-    """
-    if f.discriminant != t * t - 4:
-        raise ValueError(f"discriminant {f.discriminant} != t^2-4 = {t * t - 4}")
-    return Sl2Matrix((t - f.l) // 2, f.k, -f.m, (t + f.l) // 2)
 
 
 def _word_pairs(a, b, c, d, per, xs, ys, T):
@@ -332,25 +287,6 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return t, m, l, k
 
 
-def _trace_reps(t: int) -> list[tuple[int, int, int]]:
-    """The canonical form (m, l, k) of each rho-cycle of trace 3 <= t < 2^21,
-    sorted.
-
-    The m > 0 reduced forms are the lattice points a <= m < d = t - a with
-    l = d - a and k = -(ad - 1)/m, found by testing m | a(t - a) - 1 for
-    each m over all a <= min(m, t - 1 - m).  Reducedness does not depend on
-    the sign of m, so their negatives are the m < 0 reduced forms, and each
-    cycle's canonical form is their common cycle minimum (`_cycle_minima`).
-    """
-    a = np.arange(1, t // 2 + 1, dtype=np.int64)
-    v = a * (t - a) - 1
-    hits = [np.flatnonzero(v[: min(m, t - 1 - m)] % m == 0) for m in range(1, t - 1)]
-    m = np.repeat(np.arange(1, t - 1, dtype=np.int64), [len(h) for h in hits])
-    i = np.concatenate(hits)
-    m, l = np.divmod(np.unique(_cycle_minima(t, -m, t - 2 - 2 * i, v[i] // m)), t)
-    return list(zip(m.tolist(), l.tolist(), ((l * l - t * t + 4) // (4 * m)).tolist()))
-
-
 def _checked_trace(t) -> int:
     t = abs(index(t))
     if t <= 2:
@@ -360,17 +296,38 @@ def _checked_trace(t) -> int:
     return t
 
 
-def classes_with_trace(t: int) -> list[ClassRep]:
-    """All conjugacy classes of hyperbolic SL(2,Z) matrices of trace t.
+def classes_with_trace(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted int64 columns (m, l, k) of the canonical forms of the
+    conjugacy classes of hyperbolic SL(2,Z) matrices of trace t, one per
+    rho-cycle of discriminant t^2 - 4, imprimitive forms included: the
+    listing's rows of trace |t| (`_class_columns`).  t and -t have the same
+    forms; `_form_matrix` gives each its matrix of either sign.
 
-    One ClassRep per reduction cycle of discriminant t^2 - 4, imprimitive
-    forms included; deterministic order (sorted canonical forms).
+    The m > 0 reduced forms are the lattice points a <= m < d = |t| - a
+    with l = d - a and k = -(ad - 1)/m, found by testing m | a(|t| - a) - 1
+    for each m over all a <= min(m, |t| - 1 - m).  Reducedness does not
+    depend on the sign of m, so their negatives are the m < 0 reduced forms,
+    and each cycle's canonical form is their common cycle minimum
+    (`_cycle_minima`).  |t| <= 2 and |t| >= 2^21 are refused.
     """
-    forms = [QuadForm(*rep) for rep in _trace_reps(_checked_trace(t))]
-    return [ClassRep(bqf_to_matrix(f, t), t, f, f.content) for f in forms]
+    t = _checked_trace(t)
+    a = np.arange(1, t // 2 + 1, dtype=np.int64)
+    v = a * (t - a) - 1
+    hits = [np.flatnonzero(v[: min(m, t - 1 - m)] % m == 0) for m in range(1, t - 1)]
+    m = np.repeat(np.arange(1, t - 1, dtype=np.int64), [len(h) for h in hits])
+    i = np.concatenate(hits)
+    m, l = np.divmod(np.unique(_cycle_minima(t, -m, t - 2 - 2 * i, v[i] // m)), t)
+    return m, l, (l * l - t * t + 4) // (4 * m)
+
+
+def _form_matrix(t: int, m: int, l: int, k: int) -> Sl2Matrix:
+    """The trace-t matrix [[(t - l)/2, k], [-m, (t + l)/2]] of a form (m, l, k)
+    of discriminant t^2 - 4, either sign of t: a representative of the
+    form's class, its own form (k, -l, m) being the form rotated by
+    (x, y) -> (y, -x), hence in the same reduction cycle."""
+    return Sl2Matrix((t - l) // 2, k, -m, (t + l) // 2)
 
 
 def class_count_with_trace(t: int) -> int:
     """Number of hyperbolic classes of trace t (= rho-cycles of disc t^2-4)."""
-    return len(_trace_reps(_checked_trace(t)))
-
+    return len(classes_with_trace(t)[0])

@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bqf import _MAX_T, _class_columns, _class_rows, classes_with_trace
+from .bqf import _MAX_T, _class_columns, _class_rows, _form_matrix, classes_with_trace
 from .census import census, census_text, density_report, theorem_constants
 from .csw import MAX_LEVEL, compare_with_rep_trace, csw_invariant
 from .intmat import IntMatrix, mapping_torus_homology, smith_normal_form
@@ -129,18 +129,13 @@ def _cmd_classes(args) -> int:
     if args.trace is not None:
         if args.tmax is not None or args.count_only:
             raise DomainError("--trace lists one trace: give no --tmax or --count-only")
-        reps = classes_with_trace(args.trace)
-        payload = {
-            "trace": args.trace,
-            "classes": [
-                {
-                    "matrix": [[str(r.matrix.a), str(r.matrix.b)], [str(r.matrix.c), str(r.matrix.d)]],
-                    "form": [str(r.form.m), str(r.form.l), str(r.form.k)],
-                    "content": str(r.primitive_content),
-                }
-                for r in reps
-            ],
-        }
+        forms = classes_with_trace(args.trace)
+        classes = []
+        for m, l, k, content in zip(*(col.tolist() for col in (*forms, np.gcd.reduce(forms)))):
+            a = _form_matrix(args.trace, m, l, k)
+            matrix = [[str(a.a), str(a.b)], [str(a.c), str(a.d)]]
+            classes.append({"matrix": matrix, "form": [str(m), str(l), str(k)], "content": str(content)})
+        payload = {"trace": args.trace, "classes": classes}
         _emit(args, payload, json.dumps(payload["classes"]))
         return 0
     # the counts and the total come from the census's rows; the text
@@ -297,8 +292,9 @@ def _cmd_csw_sweep(args) -> int:
     for _ in range(args.samples):
         # a random class of trace 3 <= |t| <= tmax, conjugated by a short word in S, T
         t = rng.randint(3, args.tmax) * rng.choice([1, -1])
-        reps = classes_with_trace(t)
-        a = reps[rng.randrange(len(reps))].matrix
+        forms = classes_with_trace(t)
+        i = rng.randrange(len(forms[0]))
+        a = _form_matrix(t, *(int(col[i]) for col in forms))
         g = Sl2Matrix(1, 0, 0, 1)
         for _ in range(rng.randint(0, 4)):
             g = g * rng.choice([SL2_T, SL2_T.inverse(), SL2_S])

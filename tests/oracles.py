@@ -1,27 +1,46 @@
 """Slow reference implementations that the tests compare the library with,
 and the seeded matrix draws the tests share.
 
-Nothing in `mti` calls these.  Gauss reduction with equivalence witnesses
-and the rho-cycle of a reduced form (Buchmann-Vollmer, Binary Quadratic
-Forms, 2007) check the class listing; the gcds of minors check the Smith
-normal form; exhaustive fixed-point counts check Z(A, p); the level-k rep
-trace with one matrix power per S letter checks `csw.rep_trace`.  The
-module is not a test file, so pytest does not collect it; the test files
-import it from their own directory.
+Nothing in `mti` calls these.  Binary quadratic forms as objects, Gauss
+reduction with equivalence witnesses and the rho-cycle of a reduced form
+(Buchmann-Vollmer, Binary Quadratic Forms, 2007) check the class listing;
+the gcds of minors check the Smith normal form; exhaustive fixed-point
+counts check Z(A, p); the level-k rep trace with one matrix power per S
+letter checks `csw.rep_trace`.  The module is not a test file, so pytest
+does not collect it; the test files import it from their own directory.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from math import gcd, isqrt
 
 import numpy as np
 
-from mti.bqf import QuadForm
 from mti.csw import su2_modular_data, word_in_generators
 from mti.intmat import IntMatrix
 from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
+
+
+@dataclass(frozen=True)
+class QuadForm:
+    """Integer binary quadratic form m*x^2 + l*x*y + k*y^2."""
+
+    m: int
+    l: int
+    k: int
+
+    @property
+    def discriminant(self) -> int:
+        return self.l * self.l - 4 * self.m * self.k
+
+    @property
+    def content(self) -> int:
+        return gcd(gcd(self.m, self.l), self.k)
+
+    def __call__(self, x: int, y: int) -> int:
+        return self.m * x * x + self.l * x * y + self.k * y * y
 
 
 def random_sl2(rng, length):

@@ -10,7 +10,7 @@ from dataclasses import astuple
 
 import pytest
 
-from mti.bqf import classes_with_trace
+from mti.bqf import _form_matrix, classes_with_trace
 from mti.census import census, density_report, group_fractions, theorem_constants
 from mti.csw import compare_with_rep_trace, congruence_level, csw_invariant, rep_trace
 from mti.intmat import IntMatrix, is_symplectic, mapping_torus_homology, smith_normal_form
@@ -31,6 +31,7 @@ from mti.sl2 import (
 )
 from mti.weight1 import qexpansion_check
 from oracles import (
+    QuadForm,
     all_sl2_with_trace,
     fixed_point_count_bruteforce,
     fixed_point_count_genus_g,
@@ -161,7 +162,8 @@ def test_criterion_04_enumeration_completeness():
     matrices = 0
     for t in range(3, 21):
         cycles = [
-            {astuple(f) for f in reduction_cycle(rep.form)} for rep in classes_with_trace(t)
+            {astuple(f) for f in reduction_cycle(QuadForm(*form))}
+            for form in zip(*(col.tolist() for col in classes_with_trace(t)))
         ]
         for m in all_sl2_with_trace(t, 30):
             red = astuple(reduce_indefinite(matrix_to_bqf(m)))
@@ -294,8 +296,9 @@ def _random_hyperbolic(rng, tmax=50):
     # spread traces across the whole window: pick a class representative of
     # a uniform trace, then conjugate to vary the matrix entries
     t = rng.randint(3, tmax) * rng.choice([1, -1])
-    reps = classes_with_trace(t)
-    m = reps[rng.randrange(len(reps))].matrix
+    forms = classes_with_trace(t)
+    i = rng.randrange(len(forms[0]))
+    m = _form_matrix(t, *(int(col[i]) for col in forms))
     return m.conjugate_by(random_sl2(rng, 4))
 
 

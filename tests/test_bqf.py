@@ -11,10 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mti import bqf
-from mti.bqf import QuadForm, bqf_to_matrix, class_count_with_trace, classes_with_trace
+from mti.bqf import _form_matrix, class_count_with_trace, classes_with_trace
 from mti.census import census
 from mti.sl2 import Sl2Matrix
 from oracles import (
+    QuadForm,
     _rho,
     all_sl2_with_trace,
     apply_transform,
@@ -37,15 +38,13 @@ def test_matrix_to_bqf_examples():
 
 
 def test_bqf_to_matrix_examples():
-    assert bqf_to_matrix(QuadForm(1, 1, -1), 3) == Sl2Matrix(1, -1, -1, 2)
-    assert bqf_to_matrix(QuadForm(1, 1, -1), -3) == Sl2Matrix(-2, -1, -1, -1)
-    m = bqf_to_matrix(QuadForm(3, 9, -3), 11)
+    assert _form_matrix(3, 1, 1, -1) == Sl2Matrix(1, -1, -1, 2)
+    assert _form_matrix(-3, 1, 1, -1) == Sl2Matrix(-2, -1, -1, -1)
+    m = _form_matrix(11, 3, 9, -3)
     assert m == Sl2Matrix(1, -3, -3, 10)
     # round trip lands in the same reduction cycle
     cyc = {astuple(f) for f in reduction_cycle(reduce_indefinite(QuadForm(3, 9, -3)))}
     assert astuple(reduce_indefinite(matrix_to_bqf(m))) in cyc
-    with pytest.raises(ValueError, match=r"discriminant 5 != t\^2-4 = 12"):
-        bqf_to_matrix(QuadForm(1, 1, -1), 4)
 
 
 def test_reduce_examples():
@@ -487,8 +486,8 @@ def test_trace_path_equals_store_rows_past_old_sieve_cap():
     cols = bqf._class_columns(5665)
     start = int(np.searchsorted(cols[0], 5650))
     rows = _rows(col[start:] for col in cols)
-    assert rows == [(t, *f) for t in range(5650, 5665) for f in bqf._trace_reps(t)]
-    assert bqf._trace_reps(5657) == [r[1:] for r in rows if r[0] == 5657]
+    assert rows == [(t, *f) for t in range(5650, 5665) for f in _rows(classes_with_trace(t))]
+    assert _rows(classes_with_trace(5657)) == [r[1:] for r in rows if r[0] == 5657]
     t, m, k = bqf._class_rows(5665)
     above = t >= 5650
     assert _rows(_canonical_of_rows(5665, t[above], m[above], k[above])) == rows
@@ -719,10 +718,10 @@ def test_canonical_reps_are_cycle_minima():
             min(astuple(f) for f in reduction_cycle(QuadForm(*g)))
             for g in _both_signs(_positive_reduced_forms(t * t - 4))
         }
-        assert bqf._trace_reps(t) == _canonical_cycle_reps(t) == sorted(minima), t
+        assert _rows(classes_with_trace(t)) == _canonical_cycle_reps(t) == sorted(minima), t
     # and the rows of the one-trace scan and min-doubling the walk replaced
     for t in range(3, 400):
-        assert bqf._trace_reps(t) == _rows(_cycle_minima(_trace_keys(t), t + 1)[1:]), t
+        assert _rows(classes_with_trace(t)) == _rows(_cycle_minima(_trace_keys(t), t + 1)[1:]), t
 
 
 def test_cycle_minima_refuse_a_form_whose_orbit_never_closes():
@@ -750,8 +749,8 @@ def test_disc12_two_cycles():
 def test_cycle_properties_small_traces():
     for t in range(3, 21):
         members_seen = set()
-        for rep in classes_with_trace(t):
-            cyc = reduction_cycle(rep.form)
+        for form in _rows(classes_with_trace(t)):
+            cyc = reduction_cycle(QuadForm(*form))
             assert len(cyc) % 2 == 0
             # leading coefficients alternate in sign around the cycle
             signs = [1 if f.m > 0 else -1 for f in cyc]
@@ -766,36 +765,39 @@ def test_cycle_properties_small_traces():
 
 def test_rho_returns_to_start():
     for t in (3, 4, 11, 17):
-        for rep in classes_with_trace(t):
-            cyc = reduction_cycle(rep.form)
-            assert cyc[0] == rep.form
+        for form in _rows(classes_with_trace(t)):
+            cyc = reduction_cycle(QuadForm(*form))
+            assert astuple(cyc[0]) == form
 
 
 def test_class_rep_round_trip():
+    # each form's matrix of either sign has trace t (and determinant 1, which
+    # Sl2Matrix checks) and lies in the form's class; the content the CLI
+    # lists, the gcd of the columns, is the form's
     for t in (3, -3, 4, -4, 11, -11, 20):
-        for rep in classes_with_trace(t):
-            assert rep.matrix.trace == t
-            assert rep.form.discriminant == t * t - 4
-            cyc = {astuple(f) for f in reduction_cycle(rep.form)}
-            assert astuple(reduce_indefinite(matrix_to_bqf(rep.matrix))) in cyc
-            assert rep.primitive_content == rep.form.content
+        forms = classes_with_trace(t)
+        assert all(col.dtype == np.int64 for col in forms)
+        for *form, content in _rows((*forms, np.gcd.reduce(forms))):
+            f, a = QuadForm(*form), _form_matrix(t, *form)
+            assert a.trace == t
+            assert f.discriminant == t * t - 4
+            cyc = {astuple(g) for g in reduction_cycle(f)}
+            assert astuple(reduce_indefinite(matrix_to_bqf(a))) in cyc
+            assert content == f.content
 
 
 def test_trace11_contains_imprimitive_class():
-    reps = classes_with_trace(11)
+    forms = [QuadForm(*f) for f in _rows(classes_with_trace(11))]
     q = reduce_indefinite(matrix_to_bqf(Sl2Matrix(10, 3, 3, 1)))
-    hits = [
-        r
-        for r in reps
-        if astuple(q) in {astuple(f) for f in reduction_cycle(r.form)}
-    ]
+    hits = [f for f in forms if astuple(q) in {astuple(g) for g in reduction_cycle(f)}]
     assert len(hits) == 1
-    assert hits[0].primitive_content == 3
+    assert hits[0].content == 3
 
 
 def test_counts_symmetric_in_sign():
     for t in range(3, 30):
-        assert len(classes_with_trace(t)) == len(classes_with_trace(-t))
+        assert all(map(np.array_equal, classes_with_trace(t), classes_with_trace(-t)))
+        assert class_count_with_trace(t) == class_count_with_trace(-t)
 
 
 def test_single_trace_refuses_traces_past_max_t():
@@ -871,8 +873,8 @@ def test_class_listing_refuses_bad_bounds_at_the_call():
 def test_completeness_small_trace():
     for t in range(3, 21):
         cycles = [
-            {astuple(f) for f in reduction_cycle(rep.form)}
-            for rep in classes_with_trace(t)
+            {astuple(f) for f in reduction_cycle(QuadForm(*form))}
+            for form in _rows(classes_with_trace(t))
         ]
         for m in all_sl2_with_trace(t, 30):
             red = astuple(reduce_indefinite(matrix_to_bqf(m)))
@@ -922,18 +924,18 @@ def test_reduce_random_forms(f):
 
 def test_content_constant_on_cycles():
     for t in (11, 18):
-        for rep in classes_with_trace(t):
-            contents = {f.content for f in reduction_cycle(rep.form)}
-            assert contents == {rep.primitive_content}
+        forms = classes_with_trace(t)
+        for *form, content in _rows((*forms, np.gcd.reduce(forms))):
+            assert {f.content for f in reduction_cycle(QuadForm(*form))} == {content}
 
 
 def test_large_disc_cycles_close_and_stay_reduced():
     for t in (1499, 1500):
-        reps = classes_with_trace(t)
-        assert reps, t
+        forms = _rows(classes_with_trace(t))
+        assert forms, t
         total = 0
-        for rep in reps:
-            cyc = reduction_cycle(rep.form)
+        for form in forms:
+            cyc = reduction_cycle(QuadForm(*form))
             assert all(is_reduced(f) for f in cyc)
             total += len(cyc)
         assert total == 2 * len(_positive_reduced_forms(t * t - 4))

@@ -125,12 +125,13 @@ def test_census_small_hand_check():
 
 
 def _classes_below(T):
-    # every class of trace 3 <= |t| < T, those of trace s and then of -s for
-    # each s, lazily from the single-trace scan, which shares no code with
-    # the word walk that the census tallies
+    # a matrix of every class of trace 3 <= |t| < T, those of trace s and
+    # then of -s for each s, lazily from the single-trace scan, which shares
+    # no code with the word walk that the census tallies
     for s in range(3, T):
-        yield from classes_with_trace(s)
-        yield from classes_with_trace(-s)
+        forms = list(zip(*(col.tolist() for col in classes_with_trace(s))))
+        for sign in (s, -s):
+            yield from (bqf._form_matrix(sign, *form) for form in forms)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 1_000_003, 2**31 - 1, 2**32 + 15, 2**63 - 25])
@@ -145,9 +146,9 @@ def test_census_matches_direct_classification(p):
     T = 120 if p < 120 else 60
     rep = census(p, T)
     rows = []
-    for r in _classes_below(T):
-        kind = classify_mod_p(r.matrix, p).kind
-        a1, a2 = sl2_snf_entries(r.matrix)
+    for a in _classes_below(T):
+        kind = classify_mod_p(a, p).kind
+        a1, a2 = sl2_snf_entries(a)
         if a1 % p == 0 and a2 % p == 0:
             cat = 0
         elif a2 % p == 0:
@@ -155,7 +156,7 @@ def test_census_matches_direct_classification(p):
         else:
             assert a1 % p != 0  # p | A1 would force p | A2
             cat = 2
-        rows.append((abs(r.trace), r.trace > 0, kind, dw_invariant_sl2(r.matrix, p).value, cat))
+        rows.append((abs(a.trace), a.trace > 0, kind, dw_invariant_sl2(a, p).value, cat))
     for cp in rep.checkpoints:
         for pos_only in (False, True):
             labels = {}
@@ -363,7 +364,7 @@ def test_class_codes_match_per_class_oracle(p):
     rows = zip(t.tolist(), m.tolist(), l.tolist(), k.tolist(), pos.tolist(), neg.tolist())
     for abs_t, mi, li, ki, *codes in rows:
         for s, code in zip((abs_t, -abs_t), codes):
-            A = bqf.bqf_to_matrix(bqf.QuadForm(mi, li, ki), s)
+            A = bqf._form_matrix(s, mi, li, ki)
             kind = classify_mod_p(A, p).kind
             a1, a2 = sl2_snf_entries(A)
             assert code == labels.index(kind), (p, s, mi, li, ki)
@@ -430,7 +431,7 @@ def test_census_checkpoints():
     assert totals == sorted(totals)
     # cumulative consistency: totals count classes under each bound
     for cp in rep.checkpoints:
-        expect = sum(1 for r in _classes_below(cp.T))
+        expect = sum(1 for _ in _classes_below(cp.T))
         assert cp.total == expect
 
 
@@ -599,8 +600,8 @@ def test_census_rejects_primes_past_int64():
 def test_census_snf_triple_pos_direct_count(p):
     snf = [0, 0, 0]
     for s in range(3, 200):
-        for r in classes_with_trace(s):
-            a1, a2 = sl2_snf_entries(r.matrix)
+        for form in zip(*(col.tolist() for col in classes_with_trace(s))):
+            a1, a2 = sl2_snf_entries(bqf._form_matrix(s, *form))
             snf[0 if a1 % p == 0 else 1 if a2 % p == 0 else 2] += 1
     assert census(p, 200).snf_triple_pos == tuple(snf)
 
@@ -634,10 +635,10 @@ def test_density_report():
 def test_snf_routing_first_ten_thousand_classes():
     # divisibility category <-> label-group routing, re-checked per class
     seen = 0
-    for r in _classes_below(400):
-        a1, a2 = sl2_snf_entries(r.matrix)
+    for a in _classes_below(400):
+        a1, a2 = sl2_snf_entries(a)
         for p in (2, 3, 5, 7):
-            kind = classify_mod_p(r.matrix, p).kind
+            kind = classify_mod_p(a, p).kind
             if kind == "C1":
                 assert a1 % p == 0 and a2 % p == 0
             elif kind in (("C2",) if p == 2 else ("C3", "C4")):
