@@ -246,13 +246,20 @@ def predicted_class_fractions(p: int) -> dict[str, float]:
     return {kind: count * size / (p**3 - p) for kind, (count, size) in class_table(p).items()}
 
 
-def group_fractions(p: int) -> tuple[float, float, float]:
-    """Predicted (identity, Z=p group, rest) frequencies: the class sizes
-    summed by SNF category 2 - e (see `_snapshots`) over |G|."""
+@cache
+def _category_sizes(p: int) -> tuple[int, int, int]:
+    """The class sizes of SL(2, F_p) summed by SNF category 2 - e (see
+    `_snapshots`), once per p, in Python ints."""
     sizes = [0, 0, 0]
     for kind, (count, size) in class_table(p).items():
         sizes[2 - dw_exponent_of_kind(kind, p)] += count * size
-    return tuple(n / (p**3 - p) for n in sizes)
+    return tuple(sizes)
+
+
+def group_fractions(p: int) -> tuple[float, float, float]:
+    """Predicted (identity, Z=p group, rest) frequencies: the class sizes
+    by SNF category over |G|."""
+    return tuple(n / (p**3 - p) for n in _category_sizes(p))
 
 
 def density_report(report: CensusReport) -> DensityReport:
@@ -299,12 +306,13 @@ class ConstantsReport:
 def theorem_constants(report: CensusReport) -> ConstantsReport:
     """The census sums over li(T^2), and the paper's printed constants next
     to the ones derived from `sl2.class_table`: the mean of Z = p^e over
-    SL(2, F_p), sum Z |C| / |G|, which is 2 for every p, and the SNF
-    category fractions."""
+    SL(2, F_p), sum Z |C| / |G| = (p^2, p, 1) times the class sizes by SNF
+    category over |G|, which is 2 for every p, and the SNF category
+    fractions."""
     p = report.p
     li = report.li_T2
     order = p**3 - p
-    z_sum = sum(p ** dw_exponent_of_kind(kind, p) * count * size for kind, (count, size) in class_table(p).items())
+    z_sum = sum(map(operator.mul, (p * p, p, 1), _category_sizes(p)))
     return ConstantsReport(
         dw_all=report.dw_sum / li,
         dw_pos=report.dw_sum_pos / li,

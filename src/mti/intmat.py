@@ -61,9 +61,6 @@ class IntMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_rows()!r})"
 

@@ -52,9 +52,6 @@ class Sl2Matrix:
     def mod(self, p: int) -> tuple[int, int, int, int]:
         return (self.a % p, self.b % p, self.c % p, self.d % p)
 
-    def to_rows(self):
-        return [[self.a, self.b], [self.c, self.d]]
-
 
 SL2_T = Sl2Matrix(1, 1, 0, 1)
 SL2_S = Sl2Matrix(0, 1, -1, 0)

@@ -619,6 +619,23 @@ def test_predicted_fractions():
     assert abs(sum(group_fractions(7)) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 2**31 - 1, 2**63 - 25])
+def test_class_sizes_by_snf_category_once_per_prime(p, monkeypatch):
+    # group_fractions and theorem_constants read the class sizes by SNF
+    # category from one class_table per prime, and the Z mean keeps its
+    # integer numerator, the sum of p^e |C| over the kinds, so its float
+    module, calls = sys.modules["mti.census"], []
+    table = module.class_table
+    monkeypatch.setattr(module, "class_table", lambda q: calls.append(q) or table(q))
+    module._category_sizes.cache_clear()
+    report = dataclasses.replace(census(3, 60), p=p)
+    consts = [theorem_constants(report) for _ in range(2)]
+    assert group_fractions(p) == consts[0].snf_derived == consts[1].snf_derived
+    assert calls == [p]
+    z_sum = sum(p ** dw_exponent_of_kind(kind, p) * n * size for kind, (n, size) in table(p).items())
+    assert consts[0].dw_derived == z_sum / (p**3 - p)
+
+
 def test_density_report():
     rep = census(3, 80)
     dens = density_report(rep)

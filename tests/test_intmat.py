@@ -174,6 +174,13 @@ def test_is_symplectic():
         is_symplectic(IntMatrix.zero(2, 3), 1)
 
 
+def test_int_matrix_is_unhashable():
+    # its entries are a public list that is_symplectic writes in place, so a
+    # hash taken over them would go stale
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(IntMatrix.identity(2))
+
+
 def test_json_round_trip():
     m = IntMatrix.from_rows([[10**30, -3], [0, 7]])
     assert IntMatrix.from_json(m.to_json()) == m

@@ -47,7 +47,7 @@ def test_sl2_snf_matches_full_snf():
     for _ in range(100):
         a = random_sl2(rng, 8)
         a1, a2 = sl2_snf_entries(a)
-        diag = smith_normal_form(IntMatrix.from_rows(a.to_rows()) - IntMatrix.identity(2)).diag
+        diag = smith_normal_form(IntMatrix.from_rows([[a.a, a.b], [a.c, a.d]]) - IntMatrix.identity(2)).diag
         expect = [a1, a2]
         # full SNF lists zeros last; the closed form puts A1 first
         if a1 == 0:

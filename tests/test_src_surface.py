@@ -16,14 +16,23 @@ PAPER_STATEMENTS = {
 }
 
 
+def _is_self_read(node):
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
 def _reads(node):
     # how often each name is read in the subtree of node, as a variable or
-    # an attribute
+    # an attribute of anything but self
     return Counter(
         sub.id if isinstance(sub, ast.Name) else sub.attr
         for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
+        if isinstance(sub, (ast.Name, ast.Attribute)) and not _is_self_read(sub)
     )
+
+
+def _self_reads(node):
+    # how often each name is read as an attribute of self in the subtree of node
+    return Counter(sub.attr for sub in ast.walk(node) if _is_self_read(sub))
 
 
 def _library():
@@ -69,7 +78,8 @@ def test_every_library_method_is_run_by_the_library_or_the_benchmark():
     # a method or property of a src/mti class that nothing in src/mti
     # outside its own body reads, and that perfbench's worker does not
     # read, is run by tests only: it belongs in tests/oracles.py; the
-    # dunders are read by the language, not by name. Methods are matched by
+    # dunders are read by the language, not by name. A read of self.<name>
+    # counts only in the class it appears in; other reads are matched by
     # bare name, so one read under the same name on another class counts:
     # IntMatrix.from_rows hid the unused Sl2Matrix.from_rows
     trees, reads = _library()
@@ -82,6 +92,7 @@ def test_every_library_method_is_run_by_the_library_or_the_benchmark():
         for meth in top.body
         if isinstance(meth, ast.FunctionDef) and not (meth.name.startswith("__") and meth.name.endswith("__"))
         if meth.name not in worker and not _read_elsewhere(meth, reads)
+        if _self_reads(top)[meth.name] == _self_reads(meth)[meth.name]
     ]
     assert unused == []
 
