@@ -623,7 +623,7 @@ def test_predicted_fractions():
 def test_class_sizes_by_snf_category_once_per_prime(p, monkeypatch):
     # group_fractions and theorem_constants read the class sizes by SNF
     # category from one class_table per prime, and the Z mean keeps its
-    # integer numerator, the sum of p^e |C| over the kinds, so its float
+    # integer numerator, the sum of p^e |C| over the kinds, and so its bits
     module, calls = sys.modules["mti.census"], []
     table = module.class_table
     monkeypatch.setattr(module, "class_table", lambda q: calls.append(q) or table(q))

