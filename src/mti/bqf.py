@@ -20,11 +20,11 @@ J. Algorithms 13, 1992), pruned by trace.  The tree is walked by runs:
 the children appending (x', y') for one x' are linear in y', and only
 those that can have children are built as nodes.  The census's rows are
 read off the runs as one reduced m < 0 form of each class, unsorted, and
-kept for the last bound asked for only; the listing below a bound takes
-the cycle minima of the same rows, chunk by chunk, and sorts them into
-columns, which `mti classes --tmax` prints as they are.  A single trace is
-listed on its own: its m > 0 reduced forms are scanned, and the cycle
-minima of their negatives are its classes.
+kept for the census at the last bound asked for only; the counts per trace
+sum a bincount of each chunk's traces, and the listing sorts the chunks'
+cycle minima into columns, which `mti classes --tmax` prints as they are.
+A single trace is listed on its own: its m > 0 reduced forms are scanned,
+and the cycle minima of their negatives are its classes.
 
 The walk computes in int32 (`_WALK`), its rows and block rows being int16:
 a node has a + d < T and b >= 1, so c <= bc < T^2/4, and every value it
@@ -265,6 +265,14 @@ def _walked_rows(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for col in cols:
         col.flags.writeable = False
     return cols
+
+
+def _trace_counts(T: int) -> np.ndarray:
+    """Classes of each trace t < T per sign, indexed by t: a bincount of the
+    traces of each chunk's rows (`_necklace_rows`), summed over one walk and
+    keeping no rows.  T < 4 and T > _MAX_ROWS_T are refused before the walk."""
+    T = _checked_bound(T, _MAX_ROWS_T)
+    return sum(np.bincount(_necklace_rows(*chunk)[0], minlength=T) for chunk in _word_pieces(T))
 
 
 def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

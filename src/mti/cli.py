@@ -1,9 +1,10 @@
 """Command line interface.
 
 Matrices are passed as JSON arrays of arrays of decimal integer strings
-(strings so that 64-bit-lossy JSON readers round-trip them), either inline
-or as a path to a file containing the JSON.  Every subcommand can emit a
-stable JSON document ("schema": 1) with --json.
+(strings so that 64-bit-lossy JSON readers round-trip them) or JSON
+integers, either inline or as a path to a file containing the JSON; any
+other entry is refused.  Every subcommand can emit a stable JSON document
+("schema": 1) with --json.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import argparse
 import json
 import pathlib
 import random
+import re
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from .bqf import _MAX_T, _class_columns, _class_rows, _form_matrix, classes_with_trace
+from .bqf import _MAX_T, _class_columns, _form_matrix, _trace_counts, classes_with_trace
 from .census import census, census_text, density_report, theorem_constants
 from .csw import MAX_LEVEL, compare_with_rep_trace, csw_invariant
 from .intmat import IntMatrix, mapping_torus_homology, smith_normal_form
@@ -46,14 +48,28 @@ class DomainError(Exception):
     """Invalid mathematical input (exit code 1, not a usage error)."""
 
 
+def _matrix_entry(x) -> int:
+    # a JSON integer or a decimal integer string; never a bool, which is an int in Python
+    if isinstance(x, str):
+        if not re.fullmatch("-?[0-9]+", x):
+            raise ValueError(f"invalid literal for int() with base 10: {x!r}")
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"entry {json.dumps(x)} is not an integer or a decimal integer string")
+    return x
+
+
 def _load_matrix(arg: str) -> IntMatrix:
     text = arg
     if not arg.lstrip().startswith("["):
         with open(arg, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        return IntMatrix.from_json(text)
-    except (ValueError, json.JSONDecodeError) as exc:
+        data = json.loads(text)
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError("expected an array of arrays")
+        return IntMatrix.from_rows([[_matrix_entry(x) for x in row] for row in data])
+    except ValueError as exc:  # json.JSONDecodeError included
         raise DomainError(f"bad matrix JSON: {exc}") from exc
 
 
@@ -80,8 +96,8 @@ def _cmd_snf(args) -> int:
     res = smith_normal_form(m)
     payload = {
         "diag": [str(d) for d in res.diag],
-        "left": json.loads(res.left.to_json()),
-        "right": json.loads(res.right.to_json()),
+        "left": [[str(x) for x in row] for row in res.left.to_rows()],
+        "right": [[str(x) for x in row] for row in res.right.to_rows()],
     }
     _emit(args, payload, f"diag {res.diag}")
     return 0
@@ -138,19 +154,14 @@ def _cmd_classes(args) -> int:
         payload = {"trace": args.trace, "classes": classes}
         _emit(args, payload, json.dumps(payload["classes"]))
         return 0
-    # the counts and the total come from the census's rows; the text
-    # listing walks the word tree once for the canonical forms instead
     if args.count_only:
-        t = _class_rows(args.tmax)[0]
-        # 2^20 rows per bincount, which copies its int16 input to intp
-        per_trace = sum(np.bincount(t[lo : lo + 2**20], minlength=args.tmax) for lo in range(0, len(t), 2**20))
-        counts = list(enumerate(per_trace[3:].tolist(), 3))
+        counts = list(enumerate(_trace_counts(args.tmax)[3:].tolist(), 3))
         payload = {"tmax": args.tmax, "counts": [{"t": t, "classes_per_sign": c} for t, c in counts]}
         text = "\n".join(f"{t} {c}" for t, c in counts)
         _emit(args, payload, text)
         return 0
-    if args.json:  # each row is one class of trace t and one of trace -t
-        _emit(args, {"tmax": args.tmax, "total": 2 * len(_class_rows(args.tmax)[0])}, "")
+    if args.json:  # each count is of trace t and of trace -t
+        _emit(args, {"tmax": args.tmax, "total": 2 * int(_trace_counts(args.tmax).sum())}, "")
     else:  # one piece per trace s: its forms as trace s, then as trace -s
         t, *form = _class_columns(args.tmax)
         cols = (*form, np.gcd.reduce(form))

@@ -7,7 +7,6 @@ performance-critical, so clarity and exactness win over speed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -83,15 +82,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
-
-    def to_json(self) -> str:
-        """Interchange format: array of arrays of decimal strings, row-major."""
-        return json.dumps([[str(x) for x in self.row(i)] for i in range(self.rows)])
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntMatrix":
-        data = json.loads(text)
-        return cls.from_rows([[int(x) for x in row] for row in data])
 
 
 @dataclass

@@ -3,6 +3,7 @@ import json
 import pathlib
 import shlex
 
+import numpy as np
 import pytest
 
 from mti import bqf, cli, csw, weight1
@@ -166,10 +167,10 @@ def test_classes_refuses_trace_with_tmax_or_count_only(argv, capsys):
     "extra, walks", [((), 1), (("--json",), 0), (("--count-only",), 0), (("--count-only", "--json"), 0)]
 )
 def test_classes_tmax_walks_the_listing_at_most_once(extra, walks, monkeypatch, capsys):
-    # the counts and the total come from the census's rows; only the text
-    # listing walks for the canonical forms, and then it is the one walk of
-    # the word tree (it used to walk a second time for a total it never
-    # printed)
+    # the counts and the total sum one bincount per chunk of one walk; only
+    # the text listing walks for the canonical forms, and then it is the one
+    # walk of the word tree (it used to walk a second time for a total it
+    # never printed)
     calls, listings = [], []
     pieces, columns = bqf._word_pieces, bqf._class_columns
 
@@ -188,6 +189,30 @@ def test_classes_tmax_walks_the_listing_at_most_once(extra, walks, monkeypatch, 
     assert _capture(capsys, ["classes", "--tmax", "60", *extra])[0] == 0
     assert calls == [60]
     assert listings == [60] * walks
+
+
+@pytest.mark.parametrize("T", [4, 60, 500, 2010])
+def test_classes_counts_and_total_need_no_row_store(T, monkeypatch, capsys):
+    # the census's rows, read before the store is shut off, are the oracle
+    # of the counts and the total, which the CLI reads off the walk
+    bqf._walked_rows.cache_clear()
+    t = bqf._class_rows(T)[0]
+    counts = list(enumerate(np.bincount(t, minlength=T)[3:].tolist(), 3))
+    want = {
+        ("--count-only",): "".join(f"{s} {c}\n" for s, c in counts),
+        ("--count-only", "--json"): json.dumps(
+            {"schema": 1, "tmax": T, "counts": [{"t": s, "classes_per_sign": c} for s, c in counts]}, sort_keys=True
+        )
+        + "\n",
+        ("--json",): json.dumps({"schema": 1, "tmax": T, "total": 2 * len(t)}, sort_keys=True) + "\n",
+    }
+
+    def shut(T):
+        raise AssertionError("read the census's row store")
+
+    monkeypatch.setattr(bqf, "_walked_rows", shut)
+    for flags, out in want.items():
+        assert _capture(capsys, ["classes", "--tmax", str(T), *flags]) == (0, out), flags
 
 
 def test_census_csv_stdout(capsys):
@@ -423,6 +448,13 @@ def test_matrix_from_file(tmp_path, capsys):
     assert "[3, 3]" in out
 
 
+def test_matrix_entries_may_be_json_integers(capsys):
+    # a JSON integer reads as its decimal string does, however large
+    big = 10**30 + 1
+    for m in (f'[["{big}", "3"], ["-3", "1"]]', f"[[{big}, 3], [-3, 1]]"):
+        assert _capture(capsys, ["snf", "--matrix", m]) == (0, f"diag [1, {big + 9}]\n")
+
+
 def test_domain_error_exit_code(capsys):
     assert run(["dw", "--matrix", '[["1","0"],["0","1"]]', "--prime", "4"]) == 1
     assert run(["classes", "--trace", "2"]) == 1
@@ -500,8 +532,38 @@ def test_library_value_errors_exit_1_with_their_message(argv, err, capsys, monke
         (["snf", "--matrix", '[["1","x"]]'], "bad matrix JSON: invalid literal for int() with base 10: 'x'"),
         (["snf", "--matrix", '[["1","2"],'], "bad matrix JSON: Expecting value: line 1 column 12 (char 11)"),
         (["classify", "--matrix", _IDENTITY_4, "--prime", "3"], "expected a 2x2 matrix"),
+        # entries used to pass through int(): 1.5 read as 1, 2.9 as 2, true as 1
+        (
+            ["snf", "--matrix", "[[1.5, 0], [0, 1]]"],
+            "bad matrix JSON: entry 1.5 is not an integer or a decimal integer string",
+        ),
+        (
+            ["classify", "--matrix", "[[2.9, 1], [1, 1]]", "--prime", "2"],
+            "bad matrix JSON: entry 2.9 is not an integer or a decimal integer string",
+        ),
+        (
+            ["snf", "--matrix", '[[true, "1"], ["0", "1"]]'],
+            "bad matrix JSON: entry true is not an integer or a decimal integer string",
+        ),
+        # a row that is not an array used to escape run() as a TypeError
+        (["snf", "--matrix", "[1, 2]"], "bad matrix JSON: expected an array of arrays"),
+        (["snf", "--matrix", '[["1"], ["2", "3"]]'], "bad matrix JSON: ragged rows"),
+        (["snf", "--matrix", "[]"], "bad matrix JSON: empty matrix"),
     ],
-    ids=["classes-no-bound", "classes-no-bound-json", "snf-not-square", "matrix-entry", "matrix-json", "not-2x2"],
+    ids=[
+        "classes-no-bound",
+        "classes-no-bound-json",
+        "snf-not-square",
+        "matrix-entry",
+        "matrix-json",
+        "not-2x2",
+        "matrix-float",
+        "matrix-float-classify",
+        "matrix-bool",
+        "matrix-flat",
+        "matrix-ragged",
+        "matrix-empty",
+    ],
 )
 def test_cli_domain_errors_exit_1_with_their_message(argv, err, capsys):
     # the refusals cli.py makes itself, before any library call

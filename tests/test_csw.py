@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.fft import fft
 
+from mti import csw
 from mti.csw import (
     MAX_TRACE,
     _box_term,
@@ -236,6 +237,14 @@ def test_word_examples():
     assert evaluate_word(word_in_generators(SL2_S)) == SL2_S
     w = word_in_generators(Sl2Matrix(2, 1, 1, 1))
     assert evaluate_word(w) == Sl2Matrix(2, 1, 1, 1)
+
+
+def test_rep_trace_refuses_a_word_that_is_not_its_matrix(monkeypatch):
+    # the word's product is checked before any representation is built
+    monkeypatch.setattr(csw, "word_in_generators", lambda A: [("T", 1)])
+    monkeypatch.setattr(csw, "su2_modular_data", None)
+    with pytest.raises(AssertionError, match=r"^word decomposition failed for Sl2Matrix\(a=2, b=1, c=1, d=1\)$"):
+        rep_trace(Sl2Matrix(2, 1, 1, 1), 3)
 
 
 @settings(max_examples=200, deadline=None)

@@ -181,9 +181,8 @@ def test_int_matrix_is_unhashable():
         hash(IntMatrix.identity(2))
 
 
-def test_json_round_trip():
-    m = IntMatrix.from_rows([[10**30, -3], [0, 7]])
-    assert IntMatrix.from_json(m.to_json()) == m
+def test_repr_shows_the_rows():
+    assert repr(IntMatrix.from_rows([[1, 2], [3, 4]])) == "IntMatrix([[1, 2], [3, 4]])"
 
 
 def test_is_prime():

@@ -67,7 +67,9 @@ def _dqk21(f, a: float, b: float) -> tuple[float, float, float, float]:
 # point singularities (extrapolation, reordering of the error list), a kink,
 # a jump, a staircase and a NaN half (round-off flags), oscillation that
 # exhausts the 200 subintervals, divergent integrals (the bad-integrand
-# flag), a zero integrand and a reversed interval
+# flag), a zero integrand and a reversed interval; a first approximation
+# whose error is round-off alone (ier = 2 before any bisection) and an
+# extrapolation that stalls (ier = 5)
 HARD = {
     "inv_sqrt": (lambda u: 1.0 / math.sqrt(u), 0.0, 1.0),
     "log": (lambda u: math.log(u), 0.0, 1.0),
@@ -85,6 +87,8 @@ HARD = {
     "nan_half": (lambda u: math.nan if u > 0.5 else 1.0, 0.0, 1.0),
     "zero": (lambda u: 0.0, 0.0, 1.0),
     "reversed": (lambda u: 1.0 / math.sqrt(u), 1.0, 0.0),
+    "huge_sine": (lambda u: 1e10 * math.sin(2.0 * math.pi * u), 0.0, 1.0),
+    "sin_inv_pole": (lambda u: math.sin(1.0 / u) / (u * u) if u else 0.0, 0.0, 1.0),
 }
 
 
@@ -131,3 +135,16 @@ def test_import_loads_no_scipy_and_no_fft():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}
     ).stdout
     assert out.split("\n")[:2] == ["[]", "False"]
+
+
+def test_import_mti_loads_no_json():
+    # matrices are parsed by the CLI alone; the library has no JSON format
+    src = pathlib.Path(mti.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mti; print('json' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out == "False\n"
