@@ -20,9 +20,10 @@ J. Algorithms 13, 1992), pruned by trace.  The tree is walked by runs:
 the children appending (x', y') for one x' are linear in y', and only
 those that can have children are built as nodes.  The census's rows are
 read off the runs as one reduced m < 0 form of each class, unsorted, and
-kept for the census at the last bound asked for only; the counts per trace
-sum a bincount of each chunk's traces, and the listing sorts the chunks'
-cycle minima into columns, which `mti classes --tmax` prints as they are.
+kept for the census as the walk's own chunks, at the last bound asked for
+only; the counts per trace sum a bincount of each chunk's traces, and the
+listing sorts the chunks' cycle minima into columns, which `mti classes
+--tmax` prints as they are.
 A single trace is listed on its own: its m > 0 reduced forms are scanned,
 and the cycle minima of their negatives are its classes.
 
@@ -48,7 +49,7 @@ from .sl2 import Sl2Matrix
 # the Lucas number L_32 > 2^21 (`_cycle_minima`)
 _MAX_T = 1 << 21
 # the largest bounds run, each refused past: on a 2-core x86-64 machine with
-# 8 GB, the census of five primes at T = 30000 took 4.6 s and 587 MB, and
+# 8 GB, the census of five primes at T = 30000 took 3.8-4.3 s and 313 MB, and
 # the text listing at T = 20000 took 35 s and 1.50 GB; both grow like T^2.
 # The rows are int16 (`_necklace_rows`), which holds every |t|, |m| and k
 # below these bounds, and the walk computes in _WALK, which holds T^2/4 + 4T
@@ -139,8 +140,8 @@ def _run_children(xs, ys, node, x, y0, same, a, c, u, v, ny):
 
 def _necklace_rows(xs, ys, node, x, y0, same, a, c, u, v, ny):
     """int16 columns (t, m, k) of rotation 0 of each necklace among the
-    children of one chunk of runs, t being its trace; no child's blocks are
-    built.
+    children of one chunk of runs, t being its trace, each expanded only
+    when the generator reaches it; no child's blocks are built.
 
     A word B_0 ... B_(n-1) of blocks B_i = R^(x_i) L^(y_i) is a necklace when
     n % per == 0, so only a y0 child of period same can fail.  Rotation 0,
@@ -156,8 +157,7 @@ def _necklace_rows(xs, ys, node, x, y0, same, a, c, u, v, ny):
     y = np.arange(len(run), dtype=_WALK) - (np.cumsum(ny, dtype=_WALK) - ny - y0)[run]
     w = v - a + x0 * c
     lines = ((a + v, u), (-c, -v), (u - x0 * w, x0 * (u - x0 * v)))
-    del x0, skip, y0, w  # per-run temporaries, dropped before the per-child expansion
-    return tuple((c0[run] + y * c1[run]).astype(np.int16) for c0, c1 in lines)
+    return ((c0[run] + y * c1[run]).astype(np.int16) for c0, c1 in lines)
 
 
 def _cycle_minima(t, m, l, k):
@@ -237,42 +237,39 @@ def _checked_bound(T, largest: int) -> int:
     return T
 
 
-def _class_rows(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only int16 columns (|t|, m, k) of one reduced m < 0 form
-    (m, l, k) of every class of trace 3 <= |t| < T, in no particular order:
-    the census's rows.
+def _class_rows(T: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The census's rows: read-only int16 columns (|t|, m, k) of one reduced
+    m < 0 form (m, l, k) of every class of trace 3 <= |t| < T, as the walk's
+    chunks (`_necklace_rows`), in no particular order.
 
-    The rows of the last bound asked for are kept, so the census of several
-    primes at one T walks the word tree once; any other bound drops them and
-    walks once, so a process that alternates between bounds re-walks at each
-    switch, and two bounds' rows are never held at once.  T < 4, a
-    non-integer T and T > _MAX_ROWS_T are refused before the kept rows or
-    the walk.
+    The chunks of the last bound asked for are kept, so the census of
+    several primes at one T walks the word tree once; any other bound drops
+    them and walks once, so a process that alternates between bounds
+    re-walks at each switch, and two bounds' rows are never held at once.
+    T < 4, a non-integer T and T > _MAX_ROWS_T are refused before the kept
+    rows or the walk.
     """
     return _walked_rows(_checked_bound(T, _MAX_ROWS_T))
 
 
 @lru_cache(maxsize=1)
-def _walked_rows(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # the rotation-0 rows (`_necklace_rows`) of one walk, the last bound's rows dropped first
+def _walked_rows(T: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    # the rows of each chunk of one walk, the last bound's rows dropped first
     _walked_rows.cache_clear()
-    parts = [[], [], []]
-    for chunk in _word_pieces(T):
-        for part, col in zip(parts, _necklace_rows(*chunk)):
-            part.append(col)
-    # one column at a time, each dropping its pieces once joined
-    cols = tuple(np.concatenate(parts.pop(0)) for _ in range(3))
-    for col in cols:
-        col.flags.writeable = False
-    return cols
+    chunks = tuple(tuple(_necklace_rows(*chunk)) for chunk in _word_pieces(T))
+    for cols in chunks:
+        for col in cols:
+            col.flags.writeable = False
+    return chunks
 
 
 def _trace_counts(T: int) -> np.ndarray:
     """Classes of each trace t < T per sign, indexed by t: a bincount of the
-    traces of each chunk's rows (`_necklace_rows`), summed over one walk and
-    keeping no rows.  T < 4 and T > _MAX_ROWS_T are refused before the walk."""
+    traces of each chunk (`_necklace_rows`, whose m and k are never
+    expanded), summed over one walk and keeping no rows.  T < 4 and
+    T > _MAX_ROWS_T are refused before the walk."""
     T = _checked_bound(T, _MAX_ROWS_T)
-    return sum(np.bincount(_necklace_rows(*chunk)[0], minlength=T) for chunk in _word_pieces(T))
+    return sum(np.bincount(next(_necklace_rows(*chunk)), minlength=T) for chunk in _word_pieces(T))
 
 
 def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -82,41 +82,37 @@ def census(p: int, T: int) -> CensusReport:
     """Classify every hyperbolic class with |Tr| < T modulo p.
 
     The classes come from `bqf`, which keeps the rows of the last bound
-    asked for, as columns (|t|, m, k) of one reduced m < 0 form (m, l, k)
-    per class, in no particular order, one row per |t| and class for both
-    trace signs.  A trace s != +-2 mod p fixes the label of all its
-    classes; on s = +-2 mod p the residues b = k and c = -m fix it: the
-    class is central exactly when b = c = 0, and the Legendre symbol of -c
-    (or of b) splits the rest (see `_bin_tables`).  The rows are counted by
-    checkpoint segment, trace slot and symbol in blocks of _BLOCK_ROWS: each
-    block's bins are gathered from three tables into two reused index
-    buffers and added into the count table by one bincount; each checkpoint
-    T/2^k sums the segments below it, one product with a one-hot matrix
-    built at import (`_tally_matrix`) takes its bins to labels on s = t and
-    on both signs, and `_snapshots` reads every checkpoint off the product
-    at once.
+    asked for as the walk's chunks, each columns (|t|, m, k) of one reduced
+    m < 0 form (m, l, k) per class, in no particular order, one row per |t|
+    and class for both trace signs.  A trace s != +-2 mod p fixes the label
+    of all its classes; on s = +-2 mod p the residues b = k and c = -m fix
+    it: the class is central exactly when b = c = 0, and the Legendre symbol
+    of -c (or of b) splits the rest (see `_bin_tables`).  The rows are
+    counted by checkpoint segment, trace slot and symbol chunk by chunk:
+    each chunk's bins are gathered from three tables and added into the
+    count table by one bincount; each checkpoint T/2^k sums the segments
+    below it, one product with a one-hot matrix built at import
+    (`_tally_matrix`) takes its bins to labels on s = t and on both signs,
+    and `_snapshots` reads every checkpoint off the product at once.
     """
     p, T = operator.index(p), operator.index(T)
     if p >= 2**63:
         raise ValueError("p must be below 2^63")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    t, m, k = _class_rows(T)
+    chunks = _class_rows(T)
     # checkpoint bounds T/2^k below T, all >= 4, then T itself
     bounds = sorted({T >> j for j in range(1, T.bit_length()) if T >> j >= 4}) + [T]
     base, of_m, of_k = _bin_tables(p, bounds)
     # counts by bin below each bound, then by label on s = t and on both
-    # signs; mode="wrap" neither buffers `out`, as "raise" does, nor clips
-    # the negative m, which index of_m from the end as in Python
+    # signs; mode="wrap" does not clip the negative m, which index of_m from
+    # the end as in Python
     counts = np.zeros(len(bounds) * _BINS, np.int64)
-    bins, part = np.empty((2, min(len(t), _BLOCK_ROWS)), np.intp)
-    for lo in range(0, len(t), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        block, other = bins[: len(t) - lo], part[: len(t) - lo]
-        np.take(base, t[rows], out=block, mode="wrap")
-        block += np.take(of_m, m[rows], out=other, mode="wrap")
-        block += np.take(of_k, k[rows], out=other, mode="wrap")
-        counts += np.bincount(block, minlength=counts.size)
+    for t, m, k in chunks:
+        bins = np.take(base, t, mode="wrap")
+        bins += np.take(of_m, m, mode="wrap")
+        bins += np.take(of_k, k, mode="wrap")
+        counts += np.bincount(bins, minlength=counts.size)
     counts = counts.reshape(len(bounds), _BINS).cumsum(0) @ (_TALLY_P2 if p == 2 else _TALLY_ODD)
     checkpoints = _snapshots(p, bounds, counts)
     return CensusReport(**vars(checkpoints[-1]), checkpoints=checkpoints)
@@ -125,10 +121,6 @@ def census(p: int, T: int) -> CensusReport:
 # the bins of one checkpoint segment: four trace slots (the two fixed labels,
 # then s = 2 and s = -2 mod p) of five symbol sums -2 .. 2 each
 _BINS = 4 * 5
-# rows per block of the tally, which bounds its index buffers and transients
-# (64 KB each); census-multi's 22,003 rows ran slower in blocks of 2^11,
-# 2^12, 2^14 and 2^15 (BENCH_census.json, row_block_tally)
-_BLOCK_ROWS = 1 << 13
 # 5 times the trace slot of s, indexed by 3 (s-2 / p) + (s+2 / p) in -4 .. 4
 # (from the end below 0): the symbol of s^2 - 4 picks slot 0 (1) or 1 (-1);
 # s = 2 mod p, where (s-2 / p) = 0, is slot 2, and s = -2 mod p slot 3

@@ -9,6 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import index
+
+
+def _checked_integer(x) -> int:
+    """x as an int: numpy integers are taken, a bool or anything that
+    `operator.index` refuses (a float, a string) is a ValueError."""
+    if not isinstance(x, bool):
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"entries must be integers, got {x!r}")
 
 
 class IntMatrix:
@@ -17,7 +29,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = [int(x) for x in entries]
+        entries = [_checked_integer(x) for x in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
         self.rows = rows

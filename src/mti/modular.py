@@ -62,10 +62,8 @@ def mobius(A: Sl2Matrix, tau: complex) -> complex:
     return (A.a * tau + A.b) / (A.c * tau + A.d)
 
 
-#: coset labels and their cross-ratio transformations, in the order
-#: (identity, T, S, T.S, T.S.T, -S.T^{-1})
-ANHARMONIC_LABELS = ("Id", "T", "S", "T.S", "T.S.T", "-S.T^-1")
-
+#: the coset representatives of the cross-ratio transformations by label,
+#: in the order (identity, T, S, T.S, T.S.T, -S.T^{-1})
 COSET_REPRESENTATIVES: dict[str, Sl2Matrix] = {
     "Id": Sl2Matrix(1, 0, 0, 1),
     "T": SL2_T,

@@ -12,12 +12,13 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .intmat import AbelianGroup, IntMatrix, _checked_genus, is_prime, rank_mod_p
+from .intmat import AbelianGroup, IntMatrix, _checked_genus, _checked_integer, is_prime, rank_mod_p
 
 
 @dataclass(frozen=True)
 class Sl2Matrix:
-    """Element of SL(2,Z); determinant is validated at construction."""
+    """Element of SL(2,Z); the entries are taken as ints (`_checked_integer`)
+    and the determinant is validated at construction."""
 
     a: int
     b: int
@@ -25,6 +26,10 @@ class Sl2Matrix:
     d: int
 
     def __post_init__(self):
+        for name in "abcd":
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is refused, a numpy integer stored as an int
+                object.__setattr__(self, name, _checked_integer(value))
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant is not 1: {self}")
 

@@ -18,6 +18,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
+from mti import bqf
 from mti.csw import su2_modular_data, word_in_generators
 from mti.intmat import IntMatrix
 from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
@@ -309,3 +310,9 @@ def rep_trace_per_letter(A: Sl2Matrix, k: int) -> complex:
         else:
             m = m @ np.linalg.matrix_power(data.S, e % 4)
     return complex(np.trace(m))
+
+
+def store_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The census's rows at bound T, which `bqf._class_rows` keeps as the
+    walk's chunks, joined into three columns (|t|, m, k)."""
+    return tuple(np.concatenate(cols) for cols in zip(*bqf._class_rows(T)))

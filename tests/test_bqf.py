@@ -25,6 +25,7 @@ from oracles import (
     reduce_indefinite,
     reduce_with_transform,
     reduction_cycle,
+    store_columns,
 )
 
 
@@ -488,7 +489,7 @@ def test_trace_path_equals_store_rows_past_old_sieve_cap():
     rows = _rows(col[start:] for col in cols)
     assert rows == [(t, *f) for t in range(5650, 5665) for f in _rows(classes_with_trace(t))]
     assert _rows(classes_with_trace(5657)) == [r[1:] for r in rows if r[0] == 5657]
-    t, m, k = bqf._class_rows(5665)
+    t, m, k = store_columns(5665)
     above = t >= 5650
     assert _rows(_canonical_of_rows(5665, t[above], m[above], k[above])) == rows
 
@@ -498,13 +499,13 @@ def test_class_columns_independent_of_block_splits(size, monkeypatch):
     # rows walked after other bounds, or in pieces of other sizes, are the
     # same rows as those of one fresh walk, and the listing the same columns
     bqf._walked_rows.cache_clear()
-    whole = _sorted_rows(bqf._class_rows(101))
+    whole = _sorted_rows(store_columns(101))
     listing = _rows(bqf._class_columns(101))
     monkeypatch.setattr(bqf, "_PIECE_NODES", size)
     bqf._walked_rows.cache_clear()
     for T in (60, 100, 101):
         bqf._class_rows(T)
-    assert _sorted_rows(bqf._class_rows(101)) == whole
+    assert _sorted_rows(store_columns(101)) == whole
     assert _rows(bqf._class_columns(101)) == listing
 
 
@@ -527,7 +528,7 @@ def test_class_columns_enumerate_each_trace_once(monkeypatch):
     assert calls == [500]
     calls.clear()
     for T in (60, 60, 100, 40, 40, 100, 101):
-        rows = _rows(_canonical_of_rows(T, *bqf._class_rows(T)))
+        rows = _rows(_canonical_of_rows(T, *store_columns(T)))
         assert rows == [(s, *f) for s in range(3, T) for f in _canonical_cycle_reps(s)], T
     assert calls == [60, 100, 40, 100, 101]
     bqf._class_rows(101)
@@ -539,7 +540,7 @@ def test_rows_of_a_larger_bound_are_dropped_for_a_smaller_one():
     # only the rows of the last bound are kept: once a smaller bound is
     # asked for, nothing holds the larger bound's rows for the process
     bqf._walked_rows.cache_clear()
-    t = bqf._class_rows(2010)[0]
+    t = bqf._class_rows(2010)[0][0]
     ref = weakref.ref(t)
     del t
     bqf._class_rows(60)
@@ -551,7 +552,7 @@ def test_rows_of_the_last_bound_are_dropped_before_a_new_walk(monkeypatch):
     # the kept rows are released when a new bound misses, before its walk
     # starts, so the two bounds' rows never coexist
     bqf._walked_rows.cache_clear()
-    ref = weakref.ref(bqf._class_rows(2010)[0])
+    ref = weakref.ref(bqf._class_rows(2010)[0][0])
     alive = []
     pieces = bqf._word_pieces
 
@@ -573,9 +574,8 @@ def _assert_store_equals_lattice_oracle(T):
     cols = bqf._class_columns(T)
     assert all(col.dtype == np.int64 for col in cols), T
     assert all(np.array_equal(col, want) for col, want in zip(cols, oracle, strict=True)), T
-    rows = bqf._class_rows(T)
-    assert all(col.dtype == np.int16 and not col.flags.writeable for col in rows), T
-    canonical = _canonical_of_rows(T, *rows)
+    assert all(col.dtype == np.int16 and not col.flags.writeable for cols in bqf._class_rows(T) for col in cols), T
+    canonical = _canonical_of_rows(T, *store_columns(T))
     assert all(np.array_equal(col, want) for col, want in zip(canonical, oracle, strict=True)), T
 
 
@@ -595,6 +595,27 @@ def test_word_store_grown_in_steps_equals_lattice_oracle(size, monkeypatch):
     bqf._walked_rows.cache_clear()
     for T in (60, 100, 40, 100, 101, 500):
         _assert_store_equals_lattice_oracle(T)
+
+
+@pytest.mark.parametrize(
+    "size, bounds", [(bqf._PIECE_NODES, (4, 500, 2010)), (64, (4, 500))], ids=["default", "small-pieces"]
+)
+def test_kept_chunks_are_read_only_int16_columns(size, bounds, monkeypatch):
+    # the kept rows are the walk's own chunks, one per chunk of runs: every
+    # array of every chunk is int16 and read-only, and a chunk's three
+    # columns have one row per necklace among its children
+    monkeypatch.setattr(bqf, "_PIECE_NODES", size)
+    for T in bounds:
+        bqf._walked_rows.cache_clear()
+        chunks = bqf._class_rows(T)
+        assert type(chunks) is tuple and len(chunks) == sum(1 for _ in bqf._word_pieces(T)), T
+        for cols in chunks:
+            assert type(cols) is tuple and len(cols) == 3 and len({len(col) for col in cols}) == 1, T
+            for col in cols:
+                assert col.dtype == np.int16 and not col.flags.writeable, T
+                with pytest.raises(ValueError, match="read-only"):
+                    col[:1] = 0
+    bqf._walked_rows.cache_clear()
 
 
 @pytest.mark.parametrize("T", [101, 500])
@@ -652,7 +673,7 @@ def test_run_rows_equal_node_walk(size, monkeypatch):
         bqf._walked_rows.cache_clear()
         parts = zip(*(_node_rows(*piece) for piece in _node_pieces(T)))
         want = _row_multiset([np.concatenate(part) for part in parts])
-        assert np.array_equal(_row_multiset(bqf._class_rows(T)), want), T
+        assert np.array_equal(_row_multiset(store_columns(T)), want), T
 
 
 def test_walk_materializes_only_nodes_that_can_have_children(monkeypatch):
@@ -681,7 +702,7 @@ def test_store_rows_are_reduced_forms_below_their_trace():
     # census's coefficient tables rely on it), and each |t| holds as many
     # rows as the listing has classes
     bqf._walked_rows.cache_clear()
-    t, m, k = bqf._class_rows(2010)
+    t, m, k = store_columns(2010)
     assert ((m < 0) & (0 < k)).all()
     assert ((-m < t) & (k < t)).all()
     assert np.array_equal(np.bincount(t, minlength=2010), np.bincount(bqf._class_columns(2010)[0], minlength=2010))
@@ -695,7 +716,7 @@ def test_word_walk_keeps_larger_blocks_past_an_overshooting_reference():
     # (rx + 1, 1): a walk that stopped at x' = rx there lost 196 of the 4177
     # classes below T = 200
     bqf._walked_rows.cache_clear()
-    for t in (bqf._class_columns(200)[0], bqf._class_rows(200)[0]):
+    for t in (bqf._class_columns(200)[0], store_columns(200)[0]):
         assert len(t) == 4177
         assert np.bincount(t, minlength=200)[3:].tolist() == [class_count_with_trace(s) for s in range(3, 200)]
 
@@ -836,8 +857,8 @@ def test_walk_dtype_replays_equal_in_int64():
         assert all(col.dtype == bqf._WALK for col in cols)
         wide = (xs, ys, node, *_wide(cols))
         assert np.max(_wide(cols[4:8])) < T
-        rows = bqf._necklace_rows(*chunk)
-        assert all(r.dtype == np.int16 for r in rows)
+        rows = tuple(bqf._necklace_rows(*chunk))
+        assert len(rows) == 3 and all(r.dtype == np.int16 for r in rows)
         assert all(map(np.array_equal, rows, bqf._necklace_rows(*wide)))
         piece = bqf._run_children(*chunk)
         assert all(col.dtype == bqf._WALK for col in piece[:5])

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import operator
@@ -305,38 +306,66 @@ def test_census_matches_oracle_tally(T):
         assert rep.to_csv().encode() == want.to_csv().encode(), p
 
 
+# the children per piece of the walks the census is checked on at each
+# bound: the default, 4096 and 64 everywhere, 7 and 1 up to T = 500 (at
+# T = 2010 pieces of 64 already split the walk into 7,427 chunks, and take
+# about 1 s to walk)
+_PIECE_SIZES = {
+    T: (bqf._PIECE_NODES, 4096, 64, 7, 1) if T <= 500 else (bqf._PIECE_NODES, 4096, 64) for T in (4, 5, 37, 500, 2010)
+}
+
+
+@functools.cache
+def _kept_rows_in_pieces(size: int, T: int):
+    # the kept rows of one walk below T in pieces of size children, walked
+    # once and read by the census of every prime
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bqf, "_PIECE_NODES", size)
+        bqf._walked_rows.cache_clear()
+        chunks = bqf._class_rows(T)
+    bqf._walked_rows.cache_clear()
+    return chunks
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 2**61 - 1])
 def test_census_equals_tally_over_canonical_rows(p, monkeypatch):
     # the store's rows are some reduced form of each class, the listing's the
-    # canonical one: both tally to the same report and CSV bytes, in blocks
-    # of the default size and of 4096, 7 and 1 rows (1 not at T = 2010,
-    # where it takes about 3.6 s a prime); past T = 4 neither 7 nor 4096
-    # divides a row count here
+    # canonical one: both tally to the same report and CSV bytes, whatever
+    # chunks the walk yields them in (smaller pieces give more chunks from
+    # T = 500 on)
     module = sys.modules["mti.census"]
-    blocks = (module._BLOCK_ROWS, 4096, 7, 1)
-    for T in (4, 5, 37, 500, 2010):
+    for T, sizes in _PIECE_SIZES.items():
         want = _oracle_census(p, T)
-        for block in blocks[: 3 if T == 2010 else 4]:
-            monkeypatch.setattr(module, "_BLOCK_ROWS", block)
+        if T >= 500:
+            assert len(_kept_rows_in_pieces(64, T)) > len(_kept_rows_in_pieces(bqf._PIECE_NODES, T)), T
+        for size in sizes:
+            monkeypatch.setattr(module, "_class_rows", functools.partial(_kept_rows_in_pieces, size))
             rep = census(p, T)
-            assert repr(rep) == repr(want), (T, block)
-            assert rep.to_csv().encode() == want.to_csv().encode(), (T, block)
+            assert repr(rep) == repr(want), (T, size)
+            assert rep.to_csv().encode() == want.to_csv().encode(), (T, size)
 
 
-def test_tally_transients_stay_within_its_blocks(monkeypatch):
-    # the tally gathers block by block through reused index buffers: it once
-    # cast the whole int32 store to intp, a 2.6 MB tracemalloc peak at
-    # T = 2010 against 2.2 MB of row-sized intp, and reads 0.15 MB in blocks
-    # of 4096 rows
-    rows = len(bqf._class_rows(2010)[0])
-    monkeypatch.setattr(sys.modules["mti.census"], "_BLOCK_ROWS", 4096)
-    tracemalloc.start()
-    try:
-        census(5, 2010)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < rows * 8 / 4, (peak, rows)
+def test_tally_transients_stay_within_its_largest_chunk(monkeypatch):
+    # the tally gathers chunk by chunk out of the kept rows: with the store
+    # walked before tracing starts, its tracemalloc peak is at most four
+    # intp arrays of the largest chunk (its bins, one gathered column and
+    # np.take's intp copy of the int16 indices) and the tables, five intp
+    # arrays of about T entries; at T = 2010 it read 1.62 MB for chunks of up
+    # to 65,534 rows and 0.15 MB for 4,096, where one intp column of all
+    # 285,629 rows takes 2.29 MB
+    T = 2010
+    for size in (bqf._PIECE_NODES, 4096):
+        monkeypatch.setattr(bqf, "_PIECE_NODES", size)
+        bqf._walked_rows.cache_clear()
+        largest = max(len(t) for t, _, _ in bqf._class_rows(T))
+        tracemalloc.start()
+        try:
+            census(5, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (4 * largest + 5 * T), (size, peak, largest)
+    bqf._walked_rows.cache_clear()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 2**63 - 25])
@@ -556,7 +585,7 @@ def test_non_integer_bound_leaves_the_store_intact():
             call()
         assert bqf._walked_rows.cache_info() == before
         assert repr(census(3, 100)) == fresh
-        assert all(col.dtype == np.int16 and not col.flags.writeable for col in bqf._class_rows(100))
+        assert all(col.dtype == np.int16 and not col.flags.writeable for cols in bqf._class_rows(100) for col in cols)
     assert repr(census(3, np.int64(100))) == fresh
     assert type(census(3, np.int64(100)).T) is int
 

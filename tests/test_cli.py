@@ -9,6 +9,7 @@ import pytest
 from mti import bqf, cli, csw, weight1
 from mti.census import CSV_HEADER, census
 from mti.cli import run
+from oracles import store_columns
 
 
 def _capture(capsys, argv):
@@ -196,7 +197,7 @@ def test_classes_counts_and_total_need_no_row_store(T, monkeypatch, capsys):
     # the census's rows, read before the store is shut off, are the oracle
     # of the counts and the total, which the CLI reads off the walk
     bqf._walked_rows.cache_clear()
-    t = bqf._class_rows(T)[0]
+    t = store_columns(T)[0]
     counts = list(enumerate(np.bincount(t, minlength=T)[3:].tolist(), 3))
     want = {
         ("--count-only",): "".join(f"{s} {c}\n" for s, c in counts),

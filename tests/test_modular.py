@@ -4,7 +4,6 @@ import random
 import pytest
 
 from mti.modular import (
-    ANHARMONIC_LABELS,
     COSET_REPRESENTATIVES,
     ZETA3,
     anharmonic_orbit,
@@ -89,7 +88,7 @@ def test_mobius():
 
 def test_anharmonic_orbit_at_half():
     orbit = anharmonic_orbit(0.5 + 0j)
-    assert [orbit[k] for k in ANHARMONIC_LABELS] == [0.5, -1, 0.5, -1, 2, 2]
+    assert [orbit[k] for k in COSET_REPRESENTATIVES] == [0.5, -1, 0.5, -1, 2, 2]
     with pytest.raises(ValueError, match="degenerate lambda value"):
         anharmonic_orbit(1.0 + 0j)
 

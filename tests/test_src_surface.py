@@ -46,15 +46,26 @@ def _library():
     return trees, sum(map(_reads, trees), Counter())
 
 
-def _read_elsewhere(definition, reads):
-    # whether the library reads the definition's name outside its own body
-    return reads[definition.name] > _reads(definition)[definition.name]
+def _read_elsewhere(name, definition, reads):
+    # whether the library reads the name outside the definition that binds it
+    return reads[name] > _reads(definition)[name]
+
+
+def _top_level_names(tree):
+    # each function, class and assigned name at the top of a module, with
+    # the statement that binds it
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            for target in top.targets if isinstance(top, ast.Assign) else [top.target]:
+                yield from ((node.id, top) for node in ast.walk(target) if isinstance(node, ast.Name))
 
 
 def test_every_library_definition_is_run_by_the_cli_the_census_or_the_benchmark():
     # slow reference implementations live in tests/oracles.py; a top-level
-    # function or class of src/mti that no other definition there reads
-    # and perfbench's worker does not import is dead code, unless it
+    # function, class or assigned name of src/mti that no other code there
+    # reads and perfbench's worker does not import is dead code, unless it
     # states the paper
     trees, reads = _library()
     worker = ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))
@@ -65,11 +76,10 @@ def test_every_library_definition_is_run_by_the_cli_the_census_or_the_benchmark(
         for alias in node.names
     }
     unused = [
-        top.name
+        name
         for tree in trees
-        for top in tree.body
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-        if top.name not in benchmarked and not _read_elsewhere(top, reads)
+        for name, top in _top_level_names(tree)
+        if name not in benchmarked and not _read_elsewhere(name, top, reads)
     ]
     assert sorted(set(unused) - PAPER_STATEMENTS) == []
 
@@ -91,7 +101,7 @@ def test_every_library_method_is_run_by_the_library_or_the_benchmark():
         if isinstance(top, ast.ClassDef)
         for meth in top.body
         if isinstance(meth, ast.FunctionDef) and not (meth.name.startswith("__") and meth.name.endswith("__"))
-        if meth.name not in worker and not _read_elsewhere(meth, reads)
+        if meth.name not in worker and not _read_elsewhere(meth.name, meth, reads)
         if _self_reads(top)[meth.name] == _self_reads(meth)[meth.name]
     ]
     assert unused == []
