@@ -21,7 +21,7 @@ import numpy as np
 from ._quadpack import dqk21_inv_log, qags
 from .bqf import _class_rows
 from .intmat import is_prime
-from .sl2 import KINDS_ODD, KINDS_P2, class_table, dw_exponent_of_kind, legendre
+from .sl2 import KINDS_ODD, KINDS_P2, class_table, dw_exponent_of_kind, jacobi
 
 CSV_HEADER = "T,total,c1,c2,unipotent,rest,dw_sum,snf_id,snf_unip,snf_rest,li_T2"
 
@@ -179,8 +179,8 @@ def _bin_tables(p: int, bounds: list[int]) -> tuple[np.ndarray, np.ndarray, np.n
 
 def _legendre_table(p: int, n: int) -> np.ndarray:
     """Legendre symbols mod p of 0 .. n - 1 as int8, mod 2 the residues:
-    `legendre` of each residue below min(p, n), repeated mod p."""
-    return np.array([legendre(v, p) for v in range(min(p, n))], np.int8)[np.arange(n) % p]
+    `jacobi` of each residue below min(p, n), repeated mod p."""
+    return np.array([jacobi(v, p) for v in range(min(p, n))], np.int8)[np.arange(n) % p]
 
 
 def _snapshots(p: int, bounds: list[int], counts: np.ndarray) -> list[Checkpoint]:

@@ -17,17 +17,19 @@ residual phase is an A-dependent eighth root of unity (framing correction),
 reported by compare_with_rep_trace.
 
 Each box term is a two-variable quadratic Gauss sum, evaluated in closed
-form in plain Python, with no array of length n.  The sum S(q, N) of the
-form q = (u, v, w) = (k+2) sign(n) (b, a-d, -c) over N = |n| is split over
-the prime powers p^e of N by the CRT, S(q, N) = prod S((N/p^e) q, p^e), with
-N factored by trial division; hence |Tr| < MAX_TRACE.  At each prime power
-the common power of p is stripped from the coefficients, and the form is
-diagonalized by completing the square (after making u a unit) or, at p = 2
-with v odd, recognized as the 2-adic block xy or x^2 + xy + y^2; the sum is
-then a product of one-variable Gauss sums G(a, p^f) (Berndt, Evans and
-Williams, Gauss and Jacobi Sums, 1998, ch. 1; Cassels, Rational Quadratic
-Forms, 1978, ch. 8 for p = 2).  Coefficients of any size are reduced mod
-p^e as exact integers.
+form in plain Python, with no array of length n and no factoring.  The sum
+S(q, N) of the form q = (u, v, w) = (k+2) sign(n) (b, a-d, -c) over N = |n|
+loses its content g = gcd(u, v, w, N), as S(gq, gN) = g^2 S(q, N).  Repeated
+gcds split N into coprime parts, S(q, N) = prod S((N/m) q, m) by the CRT: its
+power of 2, and the odd parts where u is a unit, where only w is, and where
+neither is, so that v and u + v + w are after (x, y) -> (x, x + y).  There
+the form is diagonalized by completing the square or, on the power of 2 with
+v odd, recognized as the 2-adic block xy or x^2 + xy + y^2.  The sum is then
+a product of one-variable Gauss sums G(a, m) = d G(a/d, m/d), d = gcd(a, m),
+and (a/m) eps_m sqrt(m) for odd m and a prime to m, eps_m = 1 or i as m = 1
+or 3 mod 4 (Jacobi symbol; Berndt, Evans and Williams, Gauss and Jacobi Sums,
+1998, ch. 1; Cassels, Rational Quadratic Forms, 1978, ch. 8 at 2).  Exact
+integers carry coefficients of any size; the floats bound |Tr| < MAX_TRACE.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sl2 import SL2_S, Sl2Matrix, legendre
+from .intmat import _checked_integer
+from .sl2 import SL2_S, Sl2Matrix, jacobi
 
-# below this bound, trial division of |Tr| +- 2 takes at most about 2^20 steps
-MAX_TRACE = 2**40
+# every float of the closed form stays finite below about 2^511: the content
+# squared and the normalization n sqrt(n) of each box term
+MAX_TRACE = 2**500
 # the largest level of the modular data: (k + 1)^2 complex entries per matrix,
 # and a product of them per S in a word; at k = 1000 `rep_trace` took up to
 # 2.0 s and 94 MB on a 2-core x86-64 machine, at k = 2000 13.6 s and 279 MB
@@ -53,80 +57,62 @@ def congruence_level(k: int) -> int:
     return 8 * (k + 2)
 
 
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """(p, e) for each prime power p^e exactly dividing n >= 1."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+def _checked_level(k) -> int:
+    k = _checked_integer(k, "level must be a positive integer")
+    if k < 1:
+        raise ValueError("level must be a positive integer")
+    return k
 
 
-def _gauss1(a: int, p: int, f: int) -> complex:
-    """G(a, p^f) = sum over x mod p^f of e(a x^2 / p^f), p prime."""
-    a %= p**f
-    j = 0
-    while j < f and a % p == 0:
-        a //= p
-        j += 1
-    if j == f:
-        return p**f
-    f -= j  # G(p^j a, p^(j+f)) = p^j G(a, p^f), a now a unit
-    if p == 2:
-        if f == 1:
-            return 0
-        jacobi2 = 1 if a % 8 in (1, 7) else -1
-        return p**j * (1 + (1j if a % 4 == 1 else -1j)) * jacobi2**f * 2 ** (f / 2)
-    g = p ** (j + f // 2)
-    if f % 2 == 0:
-        return g
-    return g * legendre(a, p) * (1 if p % 4 == 1 else 1j) * math.sqrt(p)
+def _coprime_part(n: int, a: int) -> int:
+    """The largest divisor of n >= 1 prime to a, by repeated gcds."""
+    g = math.gcd(n, a)
+    while g > 1:
+        n //= g
+        g = math.gcd(n, g)
+    return n
 
 
-def _prime_power_sum(u: int, v: int, w: int, p: int, e: int) -> complex:
-    """S(q, p^e) for q = u x^2 + v xy + w y^2."""
-    pe = p**e
-    u, v, w = u % pe, v % pe, w % pe
-    j = 0
-    while j < e and u % p == 0 and v % p == 0 and w % p == 0:
-        u, v, w = u // p, v // p, w // p
-        j += 1
-    if j == e:
-        return p ** (2 * e)
-    scale = p ** (2 * j)  # S(p^j q, p^(j+f)) = p^(2j) S(q, p^f)
-    e -= j
-    pe = p**e
-    if p == 2 and v % 2:
-        # Z_2-equivalent to xy (uw even) or to x^2 + xy + y^2 (uw odd)
-        return scale * (-1) ** (e * (u * w % 2)) * pe
-    if u % p == 0:
-        if w % p:
+def _gauss1(a: int, m: int) -> complex:
+    """G(a, m) = sum over x mod m of e(a x^2 / m), m odd or a power of 2."""
+    a %= m
+    d = math.gcd(a, m)
+    a, m = a // d, m // d  # G(a, m) = d G(a/d, m/d), a/d now prime to m/d
+    if m % 2:
+        return d * jacobi(a, m) * (1 if m % 4 == 1 else 1j) * math.sqrt(m)
+    if m == 2:
+        return 0
+    return d * (1 + (1j if a % 4 == 1 else -1j)) * jacobi(m, a) * math.sqrt(m)  # (m/a) = (2/a)^f, m = 2^f
+
+
+def _part_sum(u: int, v: int, w: int, m: int) -> complex:
+    """S(q, m) for q = u x^2 + v xy + w y^2 with content prime to m, where
+    m is a power of 2, or m is odd and u a unit mod m."""
+    if m % 2 == 0:
+        if v % 2:
+            # Z_2-equivalent to xy (uw even) or to x^2 + xy + y^2 (uw odd)
+            return -m if u * w % 2 and m.bit_length() % 2 == 0 else m
+        if u % 2 == 0:
             u, w = w, u
-        else:  # odd p, only v a unit: q(x, x + y) has x^2-coefficient u + v + w
-            u, v = u + v + w, v + 2 * w
-    # complete the square: q = u (x + (v/2u) y)^2 + (w - v^2/4u) y^2 mod p^e
-    if p == 2:
-        h = v // 2
-        a = (u * w - h * h) * pow(u, -1, pe)
-    else:
-        a = (4 * u * w - v * v) * pow(4 * u, -1, pe)
-    return scale * _gauss1(u, p, e) * _gauss1(a, p, e)
+    # complete the square: q = u (x + (h/u) y)^2 + (w - h^2/u) y^2 mod m
+    h = (v if v % 2 == 0 else v + m) // 2  # 2h = v mod m
+    a = (u * w - h * h) * pow(u, -1, m)
+    return _gauss1(u, m) * _gauss1(a, m)
 
 
 def _form_gauss_sum(u: int, v: int, w: int, n: int) -> complex:
     """S(q, n) = sum over (x, y) in (Z/n)^2 of e((u x^2 + v xy + w y^2) / n)."""
-    total = 1 + 0j
-    for p, e in _prime_powers(n):
-        m = n // p**e
-        total *= _prime_power_sum(m * u, m * v, m * w, p, e)
+    g = math.gcd(u, v, w, n)
+    u, v, w, n = u // g, v // g, w // g, n // g  # S(gq, gn) = g^2 S(q, n)
+    two = n & -n
+    odd_u = _coprime_part(n // two, u)  # u a unit
+    odd_w = _coprime_part(n // two // odd_u, w)  # only w a unit
+    odd_v = n // two // odd_u // odd_w  # v and u + v + w units: take q(x, x + y)
+    total = g * g + 0j
+    for m, a, b, c in ((two, u, v, w), (odd_u, u, v, w), (odd_w, w, v, u), (odd_v, u + v + w, v + 2 * w, w)):
+        if m > 1:
+            r = n // m
+            total *= _part_sum(r * a % m, r * b % m, r * c % m, m)
     return total
 
 
@@ -143,9 +129,8 @@ def csw_invariant(A: Sl2Matrix, k: int) -> complex:
     if abs(t) <= 2:
         raise ValueError("requires |trace| > 2")
     if abs(t) >= MAX_TRACE:
-        raise ValueError("requires |trace| < 2^40")
-    if k < 1:
-        raise ValueError("level must be a positive integer")
+        raise ValueError("requires |trace| < 2^500")
+    k = _checked_level(k)
     sign = 1 if t > 0 else -1
     return sign / 2 * (_box_term(A, k, t - 2) - _box_term(A, k, t + 2))
 
@@ -167,8 +152,7 @@ def su2_modular_data(k: int) -> ModularData:
     and T evaluate to an honest representation (trivial on -Id).  Levels
     above MAX_LEVEL are refused.
     """
-    if k < 1:
-        raise ValueError("level must be a positive integer")
+    k = _checked_level(k)
     if k > MAX_LEVEL:
         raise ValueError(f"level must be at most {MAX_LEVEL} for the modular data")
     r = k + 2
@@ -217,6 +201,7 @@ def evaluate_word(word: list[tuple[str, int]]) -> Sl2Matrix:
 
 def rep_trace(A: Sl2Matrix, k: int) -> complex:
     """Trace of the level-k representation at A, via a word in S and T."""
+    k = _checked_level(k)
     word = word_in_generators(A)
     if evaluate_word(word) != A:
         raise AssertionError(f"word decomposition failed for {A}")

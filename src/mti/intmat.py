@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import index
 
 
-def _checked_integer(x) -> int:
+def _checked_integer(x, message: str = "entries must be integers") -> int:
     """x as an int: numpy integers are taken, a bool or anything that
     `operator.index` refuses (a float, a string) is a ValueError."""
     if not isinstance(x, bool):
@@ -20,7 +20,7 @@ def _checked_integer(x) -> int:
             return index(x)
         except TypeError:
             pass
-    raise ValueError(f"entries must be integers, got {x!r}")
+    raise ValueError(f"{message}, got {x!r}")
 
 
 class IntMatrix:

@@ -157,12 +157,20 @@ def dw_invariant_sl2(A: Sl2Matrix, p: int) -> DwValue:
     return DwValue.of(p, 0)
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol by Euler's criterion (p an odd prime)."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+def jacobi(a: int, m: int) -> int:
+    """Jacobi symbol (a/m) for odd m > 0, by quadratic reciprocity: the
+    Legendre symbol when m is prime, and a mod 2 at m = 2."""
+    a %= m
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == m % 4 == 3:
+            sign = -sign
+        a, m = m % a, a
+    return sign if m == 1 else 0
 
 
 def _unipotent_invariant(am, bm, cm, dm, p) -> int:
@@ -266,14 +274,14 @@ def _classify_residues(a: int, b: int, c: int, d: int, p: int) -> ClassLabel:
         return ClassLabel("C2" if t == 0 else "C3", p, t)
     if t == 2 % p:
         u = _unipotent_invariant(a, b, c, d, p)
-        is_qr = legendre(u, p) == 1
+        is_qr = jacobi(u, p) == 1
         return ClassLabel("C3" if is_qr else "C4", p, t, qr_flag=is_qr)
     if t == (p - 2) % p:
         u = _unipotent_invariant((-a) % p, (-b) % p, (-c) % p, (-d) % p, p)
         # anchor: the printed representative [[-1,1],[0,-1]] defines the C5
         # square class; its negative's invariant is -1
-        same = legendre(u, p) == legendre(-1, p)
+        same = jacobi(u, p) == jacobi(-1, p)
         return ClassLabel("C5" if same else "C6", p, t, qr_flag=same)
     disc = (t * t - 4) % p
-    is_qr = legendre(disc, p) == 1
+    is_qr = jacobi(disc, p) == 1
     return ClassLabel("C7" if is_qr else "C8", p, t, qr_flag=is_qr)

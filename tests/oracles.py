@@ -6,13 +6,15 @@ reduction with equivalence witnesses and the rho-cycle of a reduced form
 (Buchmann-Vollmer, Binary Quadratic Forms, 2007) check the class listing;
 the gcds of minors check the Smith normal form; exhaustive fixed-point
 counts check Z(A, p); the level-k rep trace with one matrix power per S
-letter checks `csw.rep_trace`.  The module is not a test file, so pytest
+letter checks `csw.rep_trace`; the Gauss sum of a binary form by trial
+division checks `csw._form_gauss_sum`.  The module is not a test file, so pytest
 does not collect it; the test files import it from their own directory.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import astuple, dataclass
 from math import gcd, isqrt
 
@@ -310,6 +312,95 @@ def rep_trace_per_letter(A: Sl2Matrix, k: int) -> complex:
         else:
             m = m @ np.linalg.matrix_power(data.S, e % 4)
     return complex(np.trace(m))
+
+
+def legendre_by_euler(a: int, p: int) -> int:
+    """The Legendre symbol (a/p), p an odd prime, as a^((p-1)/2) mod p."""
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _gauss1_prime_power(a: int, p: int, f: int) -> complex:
+    """G(a, p^f) = sum over x mod p^f of e(a x^2 / p^f), p prime."""
+    a %= p**f
+    j = 0
+    while j < f and a % p == 0:
+        a //= p
+        j += 1
+    if j == f:
+        return p**f
+    f -= j  # G(p^j a, p^(j+f)) = p^j G(a, p^f), a now a unit
+    if p == 2:
+        if f == 1:
+            return 0
+        jacobi2 = 1 if a % 8 in (1, 7) else -1
+        return p**j * (1 + (1j if a % 4 == 1 else -1j)) * jacobi2**f * 2 ** (f / 2)
+    g = p ** (j + f // 2)
+    if f % 2 == 0:
+        return g
+    return g * legendre_by_euler(a, p) * (1 if p % 4 == 1 else 1j) * math.sqrt(p)
+
+
+def _prime_power_sum(u: int, v: int, w: int, p: int, e: int) -> complex:
+    """S(q, p^e) for q = u x^2 + v xy + w y^2."""
+    pe = p**e
+    u, v, w = u % pe, v % pe, w % pe
+    j = 0
+    while j < e and u % p == 0 and v % p == 0 and w % p == 0:
+        u, v, w = u // p, v // p, w // p
+        j += 1
+    if j == e:
+        return p ** (2 * e)
+    scale = p ** (2 * j)  # S(p^j q, p^(j+f)) = p^(2j) S(q, p^f)
+    e -= j
+    pe = p**e
+    if p == 2 and v % 2:
+        # Z_2-equivalent to xy (uw even) or to x^2 + xy + y^2 (uw odd)
+        return scale * (-1) ** (e * (u * w % 2)) * pe
+    if u % p == 0:
+        if w % p:
+            u, w = w, u
+        else:  # odd p, only v a unit: q(x, x + y) has x^2-coefficient u + v + w
+            u, v = u + v + w, v + 2 * w
+    # complete the square: q = u (x + (v/2u) y)^2 + (w - v^2/4u) y^2 mod p^e
+    if p == 2:
+        h = v // 2
+        a = (u * w - h * h) * pow(u, -1, pe)
+    else:
+        a = (4 * u * w - v * v) * pow(4 * u, -1, pe)
+    return scale * _gauss1_prime_power(u, p, e) * _gauss1_prime_power(a, p, e)
+
+
+def form_gauss_sum_by_factoring(u: int, v: int, w: int, n: int) -> complex:
+    """S(q, n) = sum over (x, y) in (Z/n)^2 of e((u x^2 + v xy + w y^2) / n)
+    as `csw._form_gauss_sum` took it before its gcd splits: n factored by
+    trial division, the sum split over the prime powers of n by the CRT,
+    and each prime power's sum diagonalized on its own, Legendre symbols by
+    Euler's criterion."""
+    total = 1 + 0j
+    for p, e in prime_powers(n):
+        m = n // p**e
+        total *= _prime_power_sum(m * u, m * v, m * w, p, e)
+    return total
 
 
 def store_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

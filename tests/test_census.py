@@ -36,7 +36,7 @@ from mti.sl2 import (
     classify_mod_p,
     dw_exponent_of_kind,
     dw_invariant_sl2,
-    legendre,
+    jacobi,
     sl2_snf_entries,
 )
 
@@ -228,7 +228,7 @@ def _class_codes(p: int, T: int, t, m, k) -> tuple[np.ndarray, np.ndarray]:
 
 def _legendre_symbols(residues: np.ndarray, p: int) -> np.ndarray:
     distinct, where = np.unique(residues, return_inverse=True)
-    return np.array([legendre(v, p) for v in distinct.tolist()], np.int8)[where]
+    return np.array([jacobi(v, p) for v in distinct.tolist()], np.int8)[where]
 
 
 def _snapshot(T: int, pos: np.ndarray, neg: np.ndarray, labels, p: int) -> Checkpoint:
@@ -409,20 +409,20 @@ def test_legendre_table_past_the_bound_matches_scalar_legendre(p):
     for n in (1, 2, 3, 4, 100, 2**11, 3001):
         table = _legendre_table(p, n)
         assert table.dtype == np.int8
-        assert table.tolist() == [legendre(v, p) for v in range(n)], n
+        assert table.tolist() == [jacobi(v, p) for v in range(n)], n
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**61 - 1])
 def test_legendre_symbols_match_scalar_legendre(p):
     # the census table of 0 .. n - 1 on both sides of n = p (mod 2, the
-    # residues, as `legendre` gives them), and the oracle's one scalar call
+    # residues, as `jacobi` gives them), and the oracle's one scalar call
     # per distinct residue spread back to every residue: seeded residues over
     # all of [0, p), repeats of a few small ones, zero and p - 1
     for n in (1, 2, p - 1, p, p + 1, 3 * p + 2, 500):
         if n <= 10**4:
             table = _legendre_table(p, n)
             assert table.dtype == np.int8
-            assert table.tolist() == [legendre(v, p) for v in range(n)], n
+            assert table.tolist() == [jacobi(v, p) for v in range(n)], n
     rng = np.random.default_rng(2024)
     residues = np.concatenate(
         [rng.integers(0, p, 600, dtype=np.int64), rng.integers(0, min(p, 40), 600, dtype=np.int64), [0, p - 1, 0]]
@@ -430,7 +430,7 @@ def test_legendre_symbols_match_scalar_legendre(p):
     rng.shuffle(residues)
     symbols = _legendre_symbols(residues, p)
     assert symbols.dtype == np.int8
-    assert symbols.tolist() == [legendre(v, p) for v in residues.tolist()]
+    assert symbols.tolist() == [jacobi(v, p) for v in residues.tolist()]
 
 
 def test_census_dw_sum_recomputable_from_labels():

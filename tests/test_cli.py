@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import shlex
+import sys
 
 import numpy as np
 import pytest
@@ -367,12 +368,12 @@ def test_csw_gauss_sum_alone(matrix, level, text, capsys):
     assert complex(*doc["gauss_sum"]) == pytest.approx(complex(text), abs=1e-10)
 
 
-def test_csw_rejects_trace_beyond_factoring_bound(capsys):
-    matrix = f'[["{2**40}","1"],["-1","0"]]'
+def test_csw_rejects_trace_beyond_the_bound(capsys):
+    matrix = f'[["{2**500}","1"],["-1","0"]]'
     assert run(["csw", "--matrix", matrix, "--level", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: requires |trace| < 2^40\n"
+    assert captured.err == "error: requires |trace| < 2^500\n"
 
 
 def test_csw_sweep(capsys):
@@ -454,6 +455,19 @@ def test_matrix_entries_may_be_json_integers(capsys):
     big = 10**30 + 1
     for m in (f'[["{big}", "3"], ["-3", "1"]]', f"[[{big}, 3], [-3, 1]]"):
         assert _capture(capsys, ["snf", "--matrix", m]) == (0, f"diag [1, {big + 9}]\n")
+
+
+def test_console_entry_exits_with_the_run_code(capsys, monkeypatch):
+    # `mti` is cli.main: the README's dw example, then a domain error
+    monkeypatch.setattr(sys, "argv", ["mti", "dw", "--matrix", '[["4","3"],["5","4"]]', "--prime", "3"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == 0 and capsys.readouterr().out == "3\n"
+    monkeypatch.setattr(sys, "argv", ["mti", "dw", "--matrix", '[["4","3"],["5","4"]]', "--prime", "4"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    captured = capsys.readouterr()
+    assert exit_.value.code == 1 and captured.out == "" and captured.err == "error: 4 is not prime\n"
 
 
 def test_domain_error_exit_code(capsys):

@@ -24,7 +24,7 @@ from mti.csw import (
     word_in_generators,
 )
 from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
-from oracles import random_sl2, rep_trace_per_letter
+from oracles import form_gauss_sum_by_factoring, random_sl2, rep_trace_per_letter
 
 
 def _csw_histogram_oracle(a: Sl2Matrix, k: int) -> complex:
@@ -126,6 +126,20 @@ def test_closed_form_matches_fft_at_prime_powers(p, e):
             assert abs(_box_term(a, k, n) - _box_term_fft(a, k, n)) < 1e-12
 
 
+def test_closed_form_matches_trial_division_oracle():
+    # seeded forms with coefficients up to 2^64 over n < 2^36, the form and n
+    # sharing a power of 2, 3, 4, 8, 9 or 25, against the closed form that
+    # factors n by trial division.  Both vanish exactly or not at all
+    rng = random.Random(37)
+    for _ in range(400):
+        f = rng.choice((2, 3, 4, 8, 9, 25))
+        power = f ** rng.randint(0, 4)
+        n = power * rng.randrange(1, 2**36 // power)
+        u, v, w = (f ** rng.randint(0, 3) * rng.randrange(-(2**64), 2**64) for _ in range(3))
+        want = form_gauss_sum_by_factoring(u, v, w, n)
+        assert abs(_form_gauss_sum(u, v, w, n) - want) <= 1e-12 * abs(want), (u, v, w, n)
+
+
 def test_csw_large_entries_reduced_exactly():
     # entries whose unreduced products wrap in int64 (2^56) or that do not
     # fit in it at all (2^70): the coefficients must be reduced mod n as
@@ -150,16 +164,20 @@ def test_csw_rejects_bad_input():
         csw_invariant(Sl2Matrix(1, 1, 0, 1), 1)
     with pytest.raises(ValueError):
         csw_invariant(Sl2Matrix(2, 1, 1, 1), 0)
-    for t in (MAX_TRACE, -MAX_TRACE, 2**70):
-        with pytest.raises(ValueError, match=r"requires \|trace\| < 2\^40"):
+    with pytest.raises(ValueError, match=r"^level must be a positive integer, got 1\.5$"):
+        csw_invariant(Sl2Matrix(2, 1, 1, 1), 1.5)
+    with pytest.raises(ValueError, match=r"^level must be a positive integer, got True$"):
+        rep_trace(Sl2Matrix(2, 1, 1, 1), True)
+    for t in (MAX_TRACE, -MAX_TRACE, 2**700):
+        with pytest.raises(ValueError, match=r"requires \|trace\| < 2\^500"):
             csw_invariant(Sl2Matrix(t, 1, -1, 0), 1)
 
 
 def test_csw_largest_trace():
-    # the closed form factors |Tr| +- 2 just below the bound.  rep_trace loses
-    # digits to T-powers near 2^40, so the modulus is checked against the
-    # trace of a small matrix congruent mod 8(k+2), which has the same value
-    for t in (MAX_TRACE - 1, 3 - MAX_TRACE):
+    # the closed form's floats stay finite at the bound, |Tr| = 2^500 - 1.
+    # The representation factors through SL(2, Z/8(k+2)), so the modulus is
+    # checked against the trace of a small congruent matrix
+    for t in (MAX_TRACE - 1, 1 - MAX_TRACE):
         for k in (1, 2):
             level = congruence_level(k)
             small = Sl2Matrix(t % level + level, 1, -1, 0)
@@ -356,6 +374,30 @@ def test_mod_level_dependence():
             assert abs(abs(csw_invariant(a, k)) - abs(csw_invariant(b, k))) < 1e-8
             cases += 1
     assert cases >= 4
+
+
+def test_rep_trace_is_gauss_sum_times_block_word_phase():
+    """On a block word W = R^x1 L^y1 ... R^xr L^yr with R = [[1, 1], [0, 1]],
+    L = [[1, 0], [1, 1]] and every x, y >= 1, Rademacher's invariant is
+    Psi(W) = Psi(-W) = sum x - sum y, and for either sign
+
+        rep_trace(+-W, k) = e^(-2 pi i Psi / 8) csw_invariant(+-W, k)
+
+    as complex numbers, vanishing values included: the phase carries the
+    minus sign, and -W takes the same phase as W."""
+    rng = random.Random(43)
+    vanishing = 0
+    for i in range(400):
+        w, psi = Sl2Matrix(1, 0, 0, 1), 0
+        for _ in range(rng.randint(1, 3)):
+            x, y = rng.randint(1, 6), rng.randint(1, 6)
+            w, psi = w * Sl2Matrix(1, x, 0, 1) * Sl2Matrix(1, 0, y, 1), psi + x - y
+        a = w if i % 2 else -w
+        k = 1 + i % 8
+        tr = rep_trace(a, k)
+        assert abs(tr - cmath.exp(-2j * math.pi * psi / 8) * csw_invariant(a, k)) < 1e-9, (a, k)
+        vanishing += abs(tr) < 1e-9
+    assert vanishing >= 50
 
 
 def test_framing_phase_is_eighth_root():

@@ -3,7 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from mti.csw import su2_modular_data
+from mti.csw import csw_invariant, su2_modular_data
 from mti.intmat import IntMatrix, is_symplectic, mapping_torus_homology, smith_normal_form
 from mti.modular import anharmonic_orbit
 from mti.sl2 import Sl2Matrix
@@ -31,6 +31,10 @@ REFUSALS = {
         lambda: smith_normal_form(IntMatrix.from_rows([[2.7, 0], [0, 3]])),
         "entries must be integers, got 2.7",
     ),
+    # these two were taken: the first as 3x3 data for a level that does not
+    # exist, the second as level 1
+    "float level": (lambda: su2_modular_data(1.5), "level must be a positive integer, got 1.5"),
+    "bool level": (lambda: csw_invariant(Sl2Matrix(2, 1, 1, 1), True), "level must be a positive integer, got True"),
 }
 
 
@@ -50,3 +54,9 @@ def test_matrices_take_numpy_integers_as_ints():
     assert m.entries == [2, 0, 0, 3] and all(type(x) is int for x in m.entries)
     with pytest.raises(ValueError, match="entries must be integers"):
         IntMatrix.from_rows([[np.True_, 0], [0, 1]])
+
+
+def test_levels_take_numpy_integers_as_ints():
+    data = su2_modular_data(np.int64(3))
+    assert type(data.k) is int and data.k == 3
+    assert csw_invariant(Sl2Matrix(2, 1, 1, 1), np.int16(3)) == csw_invariant(Sl2Matrix(2, 1, 1, 1), 3)

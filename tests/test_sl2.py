@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -18,13 +19,15 @@ from mti.sl2 import (
     dw_invariant_sl2,
     genus1_homology,
     geodesic_pullback_splitting,
-    legendre,
+    jacobi,
     sl2_snf_entries,
     slp_class_census,
 )
 from oracles import (
     fixed_point_count_bruteforce,
     fixed_point_count_genus_g,
+    legendre_by_euler,
+    prime_powers,
     random_sl2,
     sl2_fp_elements,
     sp4_fp_elements,
@@ -127,7 +130,7 @@ def test_classify_tests_its_prime_once():
     p = 2**63 - 25
     is_prime.cache_clear()
     kinds = [classify_mod_p(Sl2Matrix(1 + t, 1, t, 1), p).kind for t in range(1, 50)]
-    assert kinds == ["C7" if legendre(t * t + 4 * t, p) == 1 else "C8" for t in range(1, 50)]
+    assert kinds == ["C7" if jacobi(t * t + 4 * t, p) == 1 else "C8" for t in range(1, 50)]
     assert (is_prime.cache_info().misses, is_prime.cache_info().hits) == (1, 48)
 
 
@@ -187,11 +190,26 @@ def test_geodesic_pullback_splitting():
         geodesic_pullback_splitting(Sl2Matrix(1, 1, 0, 1))
 
 
+def test_jacobi_is_the_product_of_legendre_symbols():
+    # (a/m) for odd m is the product of Euler's criterion over the prime
+    # factors of m with multiplicity, so at a prime it is the Legendre
+    # symbol; at m = 2 it is a mod 2
+    for m in range(1, 200, 2):
+        for a in range(-30, m + 30):
+            want = math.prod(legendre_by_euler(a, p) ** e for p, e in prime_powers(m))
+            assert jacobi(a, m) == want, (a, m)
+    rng = random.Random(47)
+    for p in (2**61 - 1, 2**63 - 25, 2**127 - 1):
+        for a in [0, 1, 2, p - 1, -1] + [rng.randrange(-(p**2), p**2) for _ in range(200)]:
+            assert jacobi(a, p) == legendre_by_euler(a, p), (a, p)
+    assert [jacobi(a, 2) for a in range(-3, 4)] == [1, 0, 1, 0, 1, 0, 1]
+
+
 def test_unipotent_invariant_well_defined():
     for p in (3, 5, 7, 11):
         for u in range(1, p):
             kind = classify_mod_p(_lift(1, u, 0, 1, p), p).kind
-            assert kind == ("C3" if legendre(u, p) == 1 else "C4")
+            assert kind == ("C3" if jacobi(u, p) == 1 else "C4")
 
 
 def test_classify_conjugation_invariance():
