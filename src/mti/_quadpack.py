@@ -1,29 +1,40 @@
-"""QUADPACK's QAGS (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
-*QUADPACK*, Springer 1983), which `mti.census` uses for li(x).
+"""li(x) by QUADPACK's QAGS (Piessens, de Doncker-Kapenga, Ueberhuber and
+Kahaner, *QUADPACK*, Springer 1983), along the one path QAGS takes for
+1/log u on [2, x]: `qags_inv_log(x)` equals
+`scipy.integrate.quad(lambda u: 1.0 / log(u), 2.0, x, limit=200)[:2]` bit
+for bit.
 
-This is `dqagse` with the error list ordering `dqpsrt` and the Wynn epsilon
-extrapolation `dqelg`, ported statement by statement with
-epsabs = epsrel = 1.49e-8 (the defaults of `scipy.integrate.quad`) and
-limit = 200 subintervals.  The 21-point Gauss-Kronrod rule `dqk21` is the
-parameter: `qags(rule, a, b)` calls rule(a', b') -> (result, abserr, resabs,
-resasc) on [a, b] and on every subinterval it bisects.  The one rule here,
-`dqk21_inv_log`, is `dqk21` for the census's 1/log u, written out node by
-node.  Every sum keeps QUADPACK's operands and order (the Gauss nodes
-before the Kronrod-only ones, the final sum over the interval list in index
-order); the rule leaves out only the abs() that are identities where qags
-calls it, 2 <= a < b with 1/log u > 0, so `qags(dqk21_inv_log, a, b)` equals
-`quad(lambda u: 1.0 / log(u), a, b, limit=200)[:2]` bit for bit.  The smooth
-1/log u runs a small part of the control flow; the tests drive the rest
-(extrapolation, reordering, the subdivision limit) against `quad` through a
-generic `dqk21` of any integrand.  Arrays are 1-based as in the Fortran
-(index 0 is unused), which keeps the index arithmetic of the original.
+`dqk21_inv_log` is the 21-point Gauss-Kronrod rule `dqk21` for 1/log u,
+written out node by node.  `qags_inv_log` is `dqagse` with epsabs = epsrel =
+1.49e-8 (the defaults of `quad`) and the Wynn epsilon step `dqelg`, ported
+statement by statement but kept to the statements li reaches.  Every sum
+keeps QUADPACK's operands and order (the Gauss nodes before the
+Kronrod-only ones, the final sum over the intervals in index order), and
+the rule leaves out only the abs() that are identities on 2 <= a < b, where
+1/log u > 0.
+
+The path, measured over every T^2 with 4 <= T <= 30000 and 30,000 more x
+up to 10^308: QAGS either returns the first rule, or it bisects the
+leftmost interval [2, b] at every step, its error staying the largest.  It
+then ends with the sum of the intervals in index order or, extrapolating at
+every step from the third, with the epsilon result.  So no interval list is
+ordered (`dqpsrt` goes): the left interval and the right halves, in the
+order QAGS appends them, are the whole state.  Each branch of QAGS off that
+path raises an AssertionError that names it: a right half with the larger
+error, a round-off counter, ier = 4 or 5, the loop over larger intervals,
+and an epsilon table that returns early, breaks or fills.  The table fills
+at the 50th subinterval, so the limit of 200 (ier = 1) is never reached.
+QAGS leaves the path only where x - 2 is below about 3.4e-13, inside the
+band 2 < x < 3 that `census.log_integral` refuses.  Arrays are 1-based as
+in the Fortran (index 0 is unused), which keeps the index arithmetic of the
+original.
 """
 from __future__ import annotations
 
+from itertools import count
 from math import log
 
 _EPSABS = _EPSREL = 1.49e-8
-_LIMIT = 200
 _EPMACH = 2.220446049250313e-16  # d1mach(4)
 _UFLOW = 2.2250738585072014e-308  # d1mach(1)
 _OFLOW = 1.7976931348623157e308  # d1mach(2)
@@ -72,7 +83,7 @@ def dqk21_inv_log(a: float, b: float) -> tuple[float, float, float, float]:
     """(result, abserr, resabs, resasc) of the 21-point rule for 1/log u on
     [a, b]: `dqk21` written out node by node, each value 1.0 / log(u), with
     QUADPACK's operands and order in every sum (the Gauss nodes before the
-    Kronrod-only ones).  qags calls it with 2 <= a < b only, where the
+    Kronrod-only ones).  QAGS calls it with 2 <= a < b only, where the
     values and hlgth are positive: QUADPACK's resabs, the same Kronrod sum
     over |f| times |hlgth|, is result bit for bit."""
     _, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = _XGK
@@ -132,302 +143,133 @@ def dqk21_inv_log(a: float, b: float) -> tuple[float, float, float, float]:
     return result, abserr, result, resasc
 
 
-def _dqpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int) -> tuple[int, float, int]:
-    """Keep iord descending in elist; return (maxerr, ermax, nrmax) of the
-    interval to bisect next."""
-    if last <= 2:
-        iord[1] = 1
-        iord[2] = 2
-    else:
-        errmax = elist[maxerr]
-        for _ in range(nrmax - 1):
-            isucc = iord[nrmax - 1]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax] = isucc
-            nrmax -= 1
-        jupbn = last
-        if last > limit // 2 + 2:
-            jupbn = limit + 3 - last
-        errmin = elist[last]
-        jbnd = jupbn - 1
-        ibeg = nrmax + 1
-        # insert errmax top-down, then errmin bottom-up
-        for i in range(ibeg, jbnd + 1):
-            isucc = iord[i]
-            if errmax >= elist[isucc]:
-                iord[i - 1] = maxerr
-                k = jbnd
-                for _ in range(i, jbnd + 1):
-                    isucc = iord[k]
-                    if errmin < elist[isucc]:
-                        iord[k + 1] = last
-                        break
-                    iord[k + 1] = isucc
-                    k -= 1
-                else:
-                    iord[i] = last
-                break
-            iord[i - 1] = isucc
-        else:
-            iord[jbnd] = maxerr
-            iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
-
-
-def _dqelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, float, float, int]:
-    """One step of the epsilon algorithm on epstab[1..n]; return
-    (n, result, abserr, nres)."""
-    nres += 1
+def _dqelg(n: int, epstab: list, res3la: list) -> tuple[float, float]:
+    """The (n - 2)-th step of the epsilon algorithm, on epstab[1..n] with
+    n >= 3; return (result, abserr)."""
+    if n == 50:  # limexp: dqelg would shift the table
+        raise AssertionError("QAGS leaves li's path: the epsilon table is full")
+    nres = n - 2
     abserr = _OFLOW
     result = epstab[n]
-    if n >= 3:
-        limexp = 50
-        epstab[n + 2] = epstab[n]
-        newelm = (n - 1) // 2
-        epstab[n] = _OFLOW
-        num = n
-        k1 = n
-        for i in range(1, newelm + 1):
-            k2 = k1 - 1
-            k3 = k1 - 2
-            res = epstab[k1 + 2]
-            e0 = epstab[k3]
-            e1 = epstab[k2]
-            e2 = res
-            e1abs = abs(e1)
-            delta2 = e2 - e1
-            err2 = abs(delta2)
-            tol2 = max(abs(e2), e1abs) * _EPMACH
-            delta3 = e1 - e0
-            err3 = abs(delta3)
-            tol3 = max(e1abs, abs(e0)) * _EPMACH
-            if err2 <= tol2 and err3 <= tol3:
-                # e0, e1 and e2 agree to machine accuracy
-                result = res
-                abserr = err2 + err3
-                return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-            e3 = epstab[k1]
-            epstab[k1] = e1
-            delta1 = e1 - e3
-            err1 = abs(delta1)
-            tol1 = max(e1abs, abs(e3)) * _EPMACH
-            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-                n = i + i - 1
-                break
-            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-            epsinf = abs(ss * e1)
-            if not epsinf > 1e-4:
-                n = i + i - 1
-                break
-            res = e1 + 1.0 / ss
-            epstab[k1] = res
-            k1 = k1 - 2
-            error = err2 + abs(res - e2) + err3
-            if error > abserr:
-                continue
+    epstab[n + 2] = epstab[n]
+    newelm = (n - 1) // 2
+    epstab[n] = _OFLOW
+    k1 = n
+    for _ in range(newelm):
+        e0 = epstab[k1 - 2]
+        e1 = epstab[k1 - 1]
+        e2 = epstab[k1 + 2]
+        e3 = epstab[k1]
+        e1abs = abs(e1)
+        delta2 = e2 - e1
+        err2 = abs(delta2)
+        tol2 = max(abs(e2), e1abs) * _EPMACH
+        delta3 = e1 - e0
+        err3 = abs(delta3)
+        tol3 = max(e1abs, abs(e0)) * _EPMACH
+        delta1 = e1 - e3
+        err1 = abs(delta1)
+        tol1 = max(e1abs, abs(e3)) * _EPMACH
+        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+            raise AssertionError("QAGS leaves li's path: epsilon table elements agree to machine accuracy")
+        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+        epsinf = abs(ss * e1)
+        if not epsinf > 1e-4:
+            raise AssertionError("QAGS leaves li's path: the epsilon table breaks on an irregular element")
+        res = e1 + 1.0 / ss
+        epstab[k1] = res
+        k1 = k1 - 2
+        error = err2 + abs(res - e2) + err3
+        if error <= abserr:
             abserr = error
             result = res
-        # shift the table
-        if n == limexp:
-            n = 2 * (limexp // 2) - 1
-        ib = 1 if num % 2 else 2
-        for _ in range(newelm + 1):
-            ib2 = ib + 2
-            epstab[ib] = epstab[ib2]
-            ib = ib2
-        if num != n:
-            indx = num - n + 1
-            for i in range(1, n + 1):
-                epstab[i] = epstab[indx]
-                indx += 1
-        if nres < 4:
-            res3la[nres] = result
-            abserr = _OFLOW
-        else:
-            abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
-            res3la[1] = res3la[2]
-            res3la[2] = res3la[3]
-            res3la[3] = result
-    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+    # drop the oldest element of the diagonal the new elements are on
+    ib = 1 if n % 2 else 2
+    for _ in range(newelm + 1):
+        epstab[ib] = epstab[ib + 2]
+        ib = ib + 2
+    if nres < 4:
+        res3la[nres] = result
+        abserr = _OFLOW
+    else:
+        abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
+        res3la[1] = res3la[2]
+        res3la[2] = res3la[3]
+        res3la[3] = result
+    return result, max(abserr, 5.0 * _EPMACH * abs(result))
 
 
-def qags(rule, a: float, b: float) -> tuple[float, float]:
-    """(integral over [a, b], error estimate) by QAGS with the 21-point rule
-    `rule` of some integrand f, as `scipy.integrate.quad(f, a, b,
-    limit=200)[:2]` for finite a and b."""
-    epsabs, epsrel, limit = _EPSABS, _EPSREL, _LIMIT
-    epmach = _EPMACH
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    rlist2 = [0.0] * 53
-    res3la = [0.0] * 4
-    ier = 0
-    alist[1] = a
-    blist[1] = b
-
-    # first approximation to the integral
-    ierro = 0
-    result, abserr, defabs, resabs = rule(a, b)
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    last = 1
-    rlist[1] = result
-    elist[1] = abserr
-    iord[1] = 1
-    if abserr <= 100.0 * epmach * defabs and abserr > errbnd:
-        ier = 2
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+def qags_inv_log(b: float) -> tuple[float, float]:
+    """(li(b), error estimate) by QAGS for 1/log u on [2, b], as
+    `quad(lambda u: 1.0 / log(u), 2.0, b, limit=200)[:2]`, for b from 3 to
+    the largest float: the interval QAGS bisects is always the left one,
+    [a, bl], so dqagse's maxerr is always 1 and its rlist[1] is rl."""
+    a = 2.0
+    result, abserr, _, resasc = dqk21_inv_log(a, b)
+    # QAGS's other exits here cannot occur: the rule's abserr is at least
+    # 50 epmach * result > 0, and ier = 2 needs errbnd < abserr <= 100 epmach
+    # * result, below errbnd >= 1.49e-8 * result
+    errbnd = max(_EPSABS, _EPSREL * abs(result))
+    if abserr <= errbnd and abserr != resasc:
         return result, abserr
-
+    rlist2 = [0.0] * 53  # the epsilon table
+    res3la = [0.0] * 4
     rlist2[1] = result
-    errmax = abserr
-    maxerr = 1
+    bl, rl, errmax = b, result, abserr
+    rights = []  # rlist[2..last]: the right halves' areas
+    errright = 0.0  # the largest of their errors
     area = result
     errsum = abserr
     abserr = _OFLOW
-    nrmax = 1
-    nres = 0
-    numrl2 = 2
-    ktmin = 0
-    extrap = False
-    noext = False
-    iroff1 = iroff2 = iroff3 = 0
-    small = erlarg = ertest = correc = 0.0
-
-    final_sum = False  # leave by summing rlist (label 115 of dqagse)
-    for last in range(2, limit + 1):
-        # bisect the subinterval with the nrmax-th largest error estimate
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
+    ktmin = 0  # extrapolations since abserr last fell
+    for last in count(2):
+        b1 = 0.5 * (a + bl)
         erlast = errmax
-        area1, error1, _, defab1 = rule(a1, b1)
-        area2, error2, _, defab2 = rule(a2, b2)
+        area1, error1, _, defab1 = dqk21_inv_log(a, b1)
+        area2, error2, _, defab2 = dqk21_inv_log(b1, bl)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        rlist[maxerr] = area1
-        rlist[last] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * epmach) * (abs(a2) + 1000.0 * _UFLOW):
-            ier = 4
-        # append the new intervals to the list
-        if error2 > error1:
-            alist[maxerr] = a2
-            alist[last] = a1
-            blist[last] = b1
-            rlist[maxerr] = area2
-            rlist[last] = area1
-            elist[maxerr] = error2
-            elist[last] = error1
-        else:
-            alist[last] = a2
-            blist[maxerr] = b1
-            blist[last] = b2
-            elist[maxerr] = error1
-            elist[last] = error2
-        maxerr, errmax, nrmax = _dqpsrt(limit, last, maxerr, elist, iord, nrmax)
+        area = area + area12 - rl
+        if not (defab1 == error1 or defab2 == error2) and (
+            not (abs(rl - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax) or last > 10 and erro12 > errmax
+        ):
+            raise AssertionError("QAGS leaves li's path: a round-off counter counts")
+        if bl <= (1.0 + 100.0 * _EPMACH) * (b1 + 1000.0 * _UFLOW):
+            raise AssertionError("QAGS leaves li's path: ier = 4, the interval is too small to bisect")
+        errright = max(errright, error2)
+        if error1 < errright:
+            raise AssertionError("QAGS leaves li's path: a right half carries the largest error")
+        bl, rl, errmax = b1, area1, error1
+        rights.append(area2)
+        errbnd = max(_EPSABS, _EPSREL * abs(area))
         if errsum <= errbnd:
-            final_sum = True
-            break
-        if ier != 0:
-            break
+            result = rl
+            for r in rights:
+                result = result + r
+            return result, errsum
+        rlist2[last] = area
         if last == 2:
             small = abs(b - a) * 0.375
             erlarg = errsum
             ertest = errbnd
-            rlist2[2] = area
             continue
-        if noext:
-            continue
+        # extrapolate when the interval to bisect next is the smallest one
         erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # is the interval to be bisected next the smallest one?
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if ierro != 3 and erlarg > ertest:
-            # the smallest interval has the largest error: before bisecting,
-            # decrease erlarg over the larger intervals and extrapolate
-            jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    larger = True
-                    break
-                nrmax += 1
-            if larger:
-                continue
-        # extrapolate
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _dqelg(numrl2, rlist2, res3la, nres)
+        if abs(b1 - a) > small:
+            raise AssertionError("QAGS leaves li's path: it bisects again before extrapolating")
+        if erlarg > ertest:
+            raise AssertionError("QAGS leaves li's path: the loop over larger intervals")
+        reseps, abseps = _dqelg(last, rlist2, res3la)
         ktmin += 1
         if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
+            raise AssertionError("QAGS leaves li's path: ier = 5, the extrapolation stalls")
         if abseps < abserr:
             ktmin = 0
             abserr = abseps
             result = reseps
-            correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
+            ertest = max(_EPSABS, _EPSREL * abs(reseps))
             if abserr <= ertest:
-                break
-        # prepare bisection of the smallest interval
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
+                return result, abserr
         small = small * 0.5
         erlarg = errsum
-
-    if not final_sum and abserr != _OFLOW:
-        # choose between the extrapolated and the summed result (label 100
-        # of dqagse); the divergence test that follows there, and its ksgn,
-        # only set ier
-        if ier + ierro == 0:
-            return result, abserr
-        if ierro == 3:
-            abserr = abserr + correc
-        if result != 0.0 and area != 0.0:
-            keep = not abserr / abs(result) > errsum / abs(area)
-        else:
-            keep = not abserr > errsum
-        if keep:
-            return result, abserr
-    result = 0.0
-    for k in range(1, last + 1):
-        result = result + rlist[k]
-    return result, errsum

@@ -11,14 +11,14 @@ factor 2 between the normalizations; reports show both.
 
 from __future__ import annotations
 
-import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from ._quadpack import dqk21_inv_log, qags
+from ._quadpack import qags_inv_log
 from .bqf import _class_rows
 from .intmat import is_prime
 from .sl2 import KINDS_ODD, KINDS_P2, class_table, dw_exponent_of_kind, jacobi
@@ -29,14 +29,17 @@ CSV_HEADER = "T,total,c1,c2,unipotent,rest,dw_sum,snf_id,snf_unip,snf_rest,li_T2
 @cache
 def log_integral(x: float) -> float:
     """li(x) = integral of dt/log(t) from 2 to x, once per x, by QUADPACK's
-    QAGS (`mti._quadpack`): the bits of scipy's `quad` with limit=200."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    if x < 2:
-        raise ValueError("x must be >= 2")
+    QAGS (`mti._quadpack.qags_inv_log`): the bits of scipy's `quad` with
+    limit=200.  The port follows the one path QAGS takes for 1/log u and
+    raises AssertionError off it, which happens only for x - 2 below about
+    3.4e-13.  So x = 2 (li = 0) and every x from 3 to the largest float are
+    taken, and the rest, the band 2 < x < 3 included, refused (ValueError);
+    the census asks only x = T^2 >= 16."""
     if x == 2:
         return 0.0
-    return qags(dqk21_inv_log, 2.0, float(x))[0]
+    if not 3 <= x <= sys.float_info.max:
+        raise ValueError("x must be 2 or a finite float of at least 3")
+    return qags_inv_log(float(x))[0]
 
 
 @dataclass

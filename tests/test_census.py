@@ -71,12 +71,14 @@ def test_log_integral_refuses_non_finite(x):
 def test_log_integral_is_quad_bit_for_bit():
     # scipy's QUADPACK is the oracle of the in-repo port: equal bits, no
     # tolerance, on every T^2 the census can ask for up to T = 1024, the
-    # checkpoint bounds of three larger censuses and seeded random x up to
+    # checkpoint bounds of four larger censuses and seeded random x up to
     # (2^21 - 1)^2
     from scipy.integrate import quad
 
     xs = [float(T) * T for T in range(4, 1025)]
-    xs += [float(T >> j) * (T >> j) for T in (2000, 4000, 10_000) for j in range(T.bit_length()) if T >> j >= 4]
+    xs += [float(T >> j) * (T >> j) for T in (2000, 4000, 10_000, 30_000) for j in range(T.bit_length()) if T >> j >= 4]
+    # and both sides of the lower end of the band QAGS's path holds on
+    xs += [3.0, math.nextafter(3.0, 4.0)]
     rng = random.Random(0)
     xs += [rng.uniform(2.0, 1e12) for _ in range(200)]
     # and up to the largest T^2 below the trace bound 2^21
@@ -91,13 +93,13 @@ def test_log_integral_once_per_bound(monkeypatch):
     # the checkpoint bounds 500 >> j of two censuses share their quadratures,
     # and the cached values are the quadrature's own bits
     module = sys.modules["mti.census"]
-    qags, calls = module.qags, []
+    qags_inv_log, calls = module.qags_inv_log, []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return qags(*args, **kwargs)
+        return qags_inv_log(*args, **kwargs)
 
-    monkeypatch.setattr(module, "qags", counted)
+    monkeypatch.setattr(module, "qags_inv_log", counted)
     log_integral.cache_clear()
     reports = [census(2, 500), census(3, 500)]
     assert len(calls) == 7

@@ -4,16 +4,15 @@ import pathlib
 import random
 import subprocess
 import sys
-import warnings
 
 import pytest
 
 import mti
-from mti._quadpack import _EPMACH, _UFLOW, _WG, _WGK, _XGK, dqk21_inv_log, qags
+from mti import _quadpack
+from mti._quadpack import _EPMACH, _UFLOW, _WG, _WGK, _XGK, dqk21_inv_log, qags_inv_log
 
 # QUADPACK's dqk21 for any integrand f, as the port had it before li(T^2)
-# got its own written-out rule: the oracle of that rule, and the rule that
-# drives qags through the HARD integrands
+# got its own written-out rule: the oracle of that rule
 
 
 def _dqk21(f, a: float, b: float) -> tuple[float, float, float, float]:
@@ -63,49 +62,8 @@ def _dqk21(f, a: float, b: float) -> tuple[float, float, float, float]:
     return result, abserr, resabs, resasc
 
 
-# integrands on which QAGS leaves the smooth path that 1/log u takes: end
-# point singularities (extrapolation, reordering of the error list), a kink,
-# a jump, a staircase and a NaN half (round-off flags), oscillation that
-# exhausts the 200 subintervals, divergent integrals (the bad-integrand
-# flag), a zero integrand and a reversed interval; a first approximation
-# whose error is round-off alone (ier = 2 before any bisection) and an
-# extrapolation that stalls (ier = 5)
-HARD = {
-    "inv_sqrt": (lambda u: 1.0 / math.sqrt(u), 0.0, 1.0),
-    "log": (lambda u: math.log(u), 0.0, 1.0),
-    "sin_inv": (lambda u: math.sin(1.0 / u), 0.01, 1.0),
-    "cos_log": (lambda u: math.cos(math.log(u) / u) / u, 0.0, 1.0),
-    "kink": (lambda u: abs(u - 1.0 / 3.0), 0.0, 1.0),
-    "sqrt_abs": (lambda u: math.sqrt(abs(u)), -1.0, 1.0),
-    "jump": (lambda u: 1.0 if u > 0.3 else 0.0, 0.0, 1.0),
-    "staircase": (lambda u: math.floor(u * 1e6) / 1e6, 0.0, 1.0),
-    "flat_start": (lambda u: math.exp(-1.0 / u) / (u * u), 0.0, 1.0),
-    "oscillating": (lambda u: math.cos(1000.0 * u), 0.0, 3.0),
-    "divergent": (lambda u: 1.0 / u, 0.0, 1.0),
-    "slow_divergent": (lambda u: 1.0 / (u * math.log(u) ** 2), 0.0, 0.5),
-    "interior_log_pole": (lambda u: 1.0 / abs(u - 0.3), 0.0, 1.0),
-    "nan_half": (lambda u: math.nan if u > 0.5 else 1.0, 0.0, 1.0),
-    "zero": (lambda u: 0.0, 0.0, 1.0),
-    "reversed": (lambda u: 1.0 / math.sqrt(u), 1.0, 0.0),
-    "huge_sine": (lambda u: 1e10 * math.sin(2.0 * math.pi * u), 0.0, 1.0),
-    "sin_inv_pole": (lambda u: math.sin(1.0 / u) / (u * u) if u else 0.0, 0.0, 1.0),
-}
-
-
-@pytest.mark.parametrize("name", sorted(HARD))
-def test_qags_is_quad_bit_for_bit(name):
-    from scipy.integrate import IntegrationWarning, quad
-
-    f, a, b = HARD[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        expected = quad(f, a, b, limit=200)[:2]
-    # repr: equal bits, with NaN equal to NaN and -0.0 apart from 0.0
-    assert list(map(repr, qags(lambda a, b: _dqk21(f, a, b), a, b))) == list(map(repr, expected))
-
-
-def test_inv_log_rule_is_the_generic_rule_bit_for_bit():
-    # on every interval that qags bisects for li(T^2), T over the small
+def test_inv_log_rule_is_the_generic_rule_bit_for_bit(monkeypatch):
+    # on every interval that QAGS bisects for li(T^2), T over the small
     # bounds and seeded bounds up to the census's trace range
     intervals = []
 
@@ -113,13 +71,36 @@ def test_inv_log_rule_is_the_generic_rule_bit_for_bit():
         intervals.append((a, b))
         return dqk21_inv_log(a, b)
 
+    monkeypatch.setattr(_quadpack, "dqk21_inv_log", recorded)
     rng = random.Random(0)
     for T in [*range(4, 3000), *(rng.randrange(3000, 2**21) for _ in range(200))]:
-        qags(recorded, 2.0, float(T) * T)
+        qags_inv_log(float(T) * T)
     assert len(intervals) > 3200
     for a, b in intervals:
         want = _dqk21(lambda u: 1.0 / math.log(u), a, b)
         assert list(map(repr, dqk21_inv_log(a, b))) == list(map(repr, want)), (a, b)
+
+
+def test_a_right_half_with_the_larger_error_stops_li(monkeypatch):
+    # QAGS would bisect that half next: li has no interval ordering to follow
+    # it, so it raises instead of returning
+    def right_heavy(a, b):
+        # each right half, the one interval not starting at 2, claims an
+        # error as large as its width
+        result, abserr, resabs, resasc = dqk21_inv_log(a, b)
+        return result, abserr if a == 2.0 else b - a, resabs, resasc
+
+    monkeypatch.setattr(_quadpack, "dqk21_inv_log", right_heavy)
+    with pytest.raises(AssertionError, match="a right half carries the largest error"):
+        qags_inv_log(1e6)
+
+
+@pytest.mark.parametrize(("x", "branch"), [(2.0 + 1e-13, "a right half carries"), (2.0 + 6.4e-14, "ier = 4")])
+def test_li_off_its_path_raises_below_the_refused_band(x, branch):
+    # just above 2, inside the band log_integral refuses, QAGS takes a
+    # branch li leaves out
+    with pytest.raises(AssertionError, match=f"QAGS leaves li's path: {branch}"):
+        qags_inv_log(x)
 
 
 def test_import_loads_no_scipy_and_no_fft():

@@ -3,6 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from mti.census import log_integral
 from mti.csw import csw_invariant, su2_modular_data
 from mti.intmat import IntMatrix, is_symplectic, mapping_torus_homology, smith_normal_form
 from mti.modular import anharmonic_orbit
@@ -35,6 +36,10 @@ REFUSALS = {
     # exist, the second as level 1
     "float level": (lambda: su2_modular_data(1.5), "level must be a positive integer, got 1.5"),
     "bool level": (lambda: csw_invariant(Sl2Matrix(2, 1, 1, 1), True), "level must be a positive integer, got True"),
+    # the first overflowed converting to float, and the second, below the
+    # band where QAGS keeps li's one path, read 0.6221...
+    "li past the floats": (lambda: log_integral(10**400), "x must be 2 or a finite float of at least 3"),
+    "li between 2 and 3": (lambda: log_integral(2.5), "x must be 2 or a finite float of at least 3"),
 }
 
 
