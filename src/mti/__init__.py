@@ -25,7 +25,6 @@ from .intmat import (
     cokernel,
     is_symplectic,
     mapping_torus_homology,
-    rank_mod_p,
     smith_normal_form,
 )
 from .modular import (

@@ -186,20 +186,26 @@ def _legendre_table(p: int, n: int) -> np.ndarray:
     return np.array([jacobi(v, p) for v in range(min(p, n))], np.int8)[np.arange(n) % p]
 
 
+@cache
+def _label_categories(p: int) -> tuple[int, ...]:
+    """The SNF category 2 - e of each label of KINDS_ODD (KINDS_P2 for p = 2),
+    once per p: Z = p^e counts the entries of SNF(A - Id) = diag(A1, A2),
+    A1 | A2, that p divides, so category 0, 1 or 2 is p | A1, p | A2 only
+    or neither."""
+    return tuple(2 - dw_exponent_of_kind(kind, p) for kind in (KINDS_P2 if p == 2 else KINDS_ODD))
+
+
 def _snapshots(p: int, bounds: list[int], counts: np.ndarray) -> list[Checkpoint]:
     """The checkpoint at each bound, from its row of counts by label on the
     positive traces, then on both signs, below it.
 
-    Z(A, p) = p^e with e = 2 - rank_p(A - Id), and SNF(A - Id) = diag(A1, A2)
-    with A1 | A2, so p divides both entries, A2 only, or neither (SNF
-    category 0, 1 or 2) just when e = 2, 1 or 0: the category of a class is
-    2 - `dw_exponent_of_kind` of its label.  The SNF triple sums the label
-    counts by category, and the Z sum is (p^2, p, 1) times the triple, in
+    The SNF triple sums the label counts by SNF category
+    (`_label_categories`), and the Z sum is (p^2, p, 1) times the triple, in
     Python ints, since p^2 overflows int64 for p near 2^63.
     """
     labels = KINDS_P2 if p == 2 else KINDS_ODD
     group = np.zeros((len(labels), 3), np.int64)
-    group[range(len(labels)), [2 - dw_exponent_of_kind(kind, p) for kind in labels]] = 1
+    group[range(len(labels)), _label_categories(p)] = 1
     counts = counts.reshape(len(bounds), 2, len(labels))
     z = (p * p, p, 1)
     return [
@@ -243,11 +249,11 @@ def predicted_class_fractions(p: int) -> dict[str, float]:
 
 @cache
 def _category_sizes(p: int) -> tuple[int, int, int]:
-    """The class sizes of SL(2, F_p) summed by SNF category 2 - e (see
-    `_snapshots`), once per p, in Python ints."""
+    """The class sizes of SL(2, F_p) summed by SNF category
+    (`_label_categories`), once per p, in Python ints."""
     sizes = [0, 0, 0]
-    for kind, (count, size) in class_table(p).items():
-        sizes[2 - dw_exponent_of_kind(kind, p)] += count * size
+    for category, (count, size) in zip(_label_categories(p), class_table(p).values()):
+        sizes[category] += count * size
     return tuple(sizes)
 
 

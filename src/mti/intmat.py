@@ -1,5 +1,7 @@
 """Exact integer linear algebra: Smith normal form with transformation
-certificates, mod-p rank, cokernel structure, and mapping-torus homology.
+certificates, cokernel structure, and mapping-torus homology.  A group is
+read off a Smith diagonal by one rule (`_snf_group`), here and for the
+closed-form genus-one diagonal of `sl2`.
 
 All arithmetic is over Python ints (arbitrary precision); nothing here is
 performance-critical, so clarity and exactness win over speed.
@@ -29,7 +31,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = [_checked_integer(x) for x in entries]
+        entries = [x if type(x) is int else _checked_integer(x) for x in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
         self.rows = rows
@@ -218,39 +220,17 @@ def smith_normal_form(M: IntMatrix) -> SnfResult:
     return SnfResult(diag, IntMatrix.from_rows(p), IntMatrix.from_rows(q))
 
 
-def rank_mod_p(M: IntMatrix, p: int) -> int:
-    """Rank of M over F_p by Gaussian elimination on reduced entries."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    rows = [[x % p for x in M.row(i)] for i in range(M.rows)]
-    rank = 0
-    col = 0
-    while rank < M.rows and col < M.cols:
-        piv = next((i for i in range(rank, M.rows) if rows[i][col] % p != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(M.rows):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _snf_group(diag, free_rank: int = 0) -> AbelianGroup:
+    """Z^free_rank plus the cokernel of a Smith normal form diag: its zeros
+    are free, its entries above 1 torsion."""
+    return AbelianGroup(free_rank=free_rank + diag.count(0), torsion=[d for d in diag if d > 1])
 
 
 def cokernel(M: IntMatrix) -> AbelianGroup:
     """Structure of Z^n / M Z^n from the Smith normal form."""
     if M.rows != M.cols:
         raise ValueError("cokernel needs a square matrix")
-    diag = smith_normal_form(M).diag
-    return AbelianGroup(
-        free_rank=sum(1 for d in diag if d == 0),
-        torsion=[d for d in diag if d > 1],
-    )
+    return _snf_group(smith_normal_form(M).diag)
 
 
 def is_symplectic(M: IntMatrix, g: int) -> bool:
@@ -292,11 +272,21 @@ def mapping_torus_homology(fhat: IntMatrix, check_symplectic: bool = True) -> Ab
 _PSI_12 = 318665857834031151167461
 
 
+def _checked_prime(p) -> int:
+    """p as an int (`_checked_integer`), refused with ValueError unless
+    prime.  The integer check comes before `is_prime`, whose cache would
+    answer 3.0 with the entry of 3."""
+    p = _checked_integer(p, "p must be an integer")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
+
+
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin to the bases 2..37, exact below psi_12;
     larger n raise ValueError.  Memoized, since the per-class functions of
-    `sl2` test their prime on every call."""
+    `sl2` test their prime on every call (through `_checked_prime`)."""
     if n < 2:
         return False
     if n >= _PSI_12:

@@ -1,8 +1,12 @@
 """Finite-gauge partition functions of genus-one (and genus-g) mapping tori
 and mod-p conjugacy classification of SL(2,Z) elements.
 
-The partition function with gauge group Z/p of the mapping torus of A is
-written Z(A, p) throughout; it equals the number of fixed covectors of the
+The partition function with gauge group Z/p of the mapping torus M of A is
+written Z(A, p) throughout.  For an abelian gauge group it is
+|Hom(H1(M), Z/p)| / p (Dijkgraaf-Witten, Comm. Math. Phys. 129, 1990), and
+both `dw_invariant_*` functions read it off H1 by one rule
+(`_dw_of_homology`): H1 = Z + coker(A - Id) from the Smith normal form, in
+closed form at genus one.  It equals the number of fixed covectors of the
 induced action on Hom(H1(S), Z/p).
 """
 
@@ -12,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .intmat import AbelianGroup, IntMatrix, _checked_genus, _checked_integer, is_prime, rank_mod_p
+from .intmat import AbelianGroup, IntMatrix, _checked_integer, _checked_prime, _snf_group, mapping_torus_homology
 
 
 @dataclass(frozen=True)
@@ -123,38 +127,30 @@ def class_table(p: int) -> dict[str, tuple[int, int]]:
 def sl2_snf_entries(A: Sl2Matrix) -> tuple[int, int]:
     """Diagonal SNF entries (A1, A2) of A - Id in closed form.
 
-    A1 = gcd(a-1, b, c, d-1); A2 = |Tr - 2| / A1 when Tr != 2.  The gcd of
-    the all-zero tuple (A = Id) is taken as 0; for Tr = 2 with A != Id the
-    second entry is 0 (the difference matrix has rank 1).
+    A1 = gcd(a-1, b, c, d-1) and A1 * A2 = |det(A - Id)| = |Tr - 2|, so A2
+    is 0 at Tr = 2, where A - Id has rank 1.  At A = Id both are 0.
     """
-    a1 = gcd(gcd(A.a - 1, A.b), gcd(A.c, A.d - 1))
-    if a1 == 0:
-        return (0, 0)
-    if A.trace == 2:
-        return (a1, 0)
-    return (a1, abs(A.trace - 2) // a1)
+    a1 = gcd(A.a - 1, A.b, A.c, A.d - 1)
+    return (a1, abs(A.trace - 2) // a1) if a1 else (0, 0)
 
 
 def genus1_homology(A: Sl2Matrix) -> AbelianGroup:
-    """H1 of the mapping torus of the torus map A (trichotomy on Tr, Id)."""
-    a1, a2 = sl2_snf_entries(A)
-    if a1 == 0:
-        return AbelianGroup(free_rank=3)
-    if A.trace == 2:
-        return AbelianGroup(free_rank=2, torsion=[a1] if a1 > 1 else [])
-    return AbelianGroup(free_rank=1, torsion=[t for t in (a1, a2) if t > 1])
+    """H1 of the mapping torus of the torus map A: Z + coker(A - Id), read
+    off `sl2_snf_entries`."""
+    return _snf_group(sl2_snf_entries(A), free_rank=1)
+
+
+def _dw_of_homology(h1: AbelianGroup, p: int) -> DwValue:
+    """Z = |Hom(H1, Z/p)| / p for the H1 of a mapping torus: p^e with
+    e = free_rank - 1 + the number of torsion orders divisible by p."""
+    return DwValue.of(p, h1.free_rank - 1 + sum(1 for t in h1.torsion if t % p == 0))
 
 
 def dw_invariant_sl2(A: Sl2Matrix, p: int) -> DwValue:
-    """Z(A, p): p^2 if A = Id mod p; p if Tr = 2 mod p (A != Id); else 1."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    am, bm, cm, dm = A.mod(p)
-    if bm == 0 and cm == 0 and am == 1 % p and dm == 1 % p:
-        return DwValue.of(p, 2)
-    if (A.trace - 2) % p == 0:
-        return DwValue.of(p, 1)
-    return DwValue.of(p, 0)
+    """Z(A, p) off `genus1_homology`: p^2 if A = Id mod p, p if Tr = 2 mod p
+    (A != Id mod p), else 1."""
+    p = _checked_prime(p)
+    return _dw_of_homology(genus1_homology(A), p)
 
 
 def jacobi(a: int, m: int) -> int:
@@ -194,8 +190,7 @@ def classify_mod_p(A: Sl2Matrix, p: int) -> ClassLabel:
     class of Tr^2 - 4.  p = 2: C1 = identity, C2 = order two, C3 = order
     three.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = _checked_prime(p)
     return _classify_residues(*A.mod(p), p)
 
 
@@ -211,12 +206,10 @@ def geodesic_pullback_splitting(A: Sl2Matrix) -> int:
 
 
 def dw_invariant_genus_g(fhat: IntMatrix, p: int, check_symplectic: bool = True) -> DwValue:
-    """Z of the genus-g mapping torus: exponent 2g - rank_p(fhat - Id)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    g = _checked_genus(fhat, check_symplectic)
-    exponent = 2 * g - rank_mod_p(fhat - IntMatrix.identity(2 * g), p)
-    return DwValue.of(p, exponent)
+    """Z of the genus-g mapping torus, off `mapping_torus_homology`: p to the
+    number of SNF entries of fhat - Id divisible by p, zeros included."""
+    p = _checked_prime(p)
+    return _dw_of_homology(mapping_torus_homology(fhat, check_symplectic), p)
 
 
 @dataclass
@@ -232,7 +225,7 @@ def slp_class_census(p: int) -> list[ClassCensusRow]:
     Returns one row per class kind with the number of distinct classes and
     the common class size.  Distinct C7/C8 classes are told apart by trace.
     """
-    if p == 2 or not is_prime(p) or p > 13:
+    if p not in (3, 5, 7, 11, 13):
         raise ValueError("p must be an odd prime <= 13")
     totals: dict[str, int] = {}
     traces: dict[str, set[int]] = {"C7": set(), "C8": set()}

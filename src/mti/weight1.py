@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import is_prime
+from .intmat import _checked_prime, is_prime
 from .sl2 import dw_exponent_of_kind
 
 #: the largest pmax accepted: the eta-product coefficients were compared with
@@ -26,11 +26,11 @@ SPLIT2 = "split2"  # two primes above p
 SPLIT3 = "split3"  # three primes above p
 
 
-def _check_unramified(d: int, p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+def _check_unramified(d: int, p: int) -> int:
+    p = _checked_prime(p)
     if p == 3 or d % p == 0:
         raise ValueError(f"p = {p} is ramified for d = {d}")
+    return p
 
 
 def is_cube_mod_p(d: int, p: int) -> bool:
@@ -39,14 +39,14 @@ def is_cube_mod_p(d: int, p: int) -> bool:
     For p = 2 mod 3 cubing is a bijection, so everything is a cube; for
     p = 1 mod 3 Euler's criterion applies with exponent (p-1)/3.
     """
-    _check_unramified(d, p)
+    p = _check_unramified(d, p)
     if p % 3 == 2:
         return True
     return pow(d, (p - 1) // 3, p) == 1
 
 
 def splitting_pattern(d: int, p: int) -> str:
-    _check_unramified(d, p)
+    p = _check_unramified(d, p)
     if p % 3 == 2:
         return SPLIT3
     return SPLIT6 if is_cube_mod_p(d, p) else SPLIT2

@@ -4,8 +4,9 @@ and the seeded matrix draws the tests share.
 Nothing in `mti` calls these.  Binary quadratic forms as objects, Gauss
 reduction with equivalence witnesses and the rho-cycle of a reduced form
 (Buchmann-Vollmer, Binary Quadratic Forms, 2007) check the class listing;
-the gcds of minors check the Smith normal form; exhaustive fixed-point
-counts check Z(A, p); the level-k rep trace with one matrix power per S
+the gcds of minors check the Smith normal form; Gaussian elimination mod p
+checks the genus-g Z read off it; exhaustive fixed-point counts check
+Z(A, p); the level-k rep trace with one matrix power per S
 letter checks `csw.rep_trace`; the Gauss sum of a binary form by trial
 division checks `csw._form_gauss_sum`.  The module is not a test file, so pytest
 does not collect it; the test files import it from their own directory.
@@ -260,6 +261,30 @@ def snf_via_minor_gcds(M: IntMatrix, max_dim: int = 6) -> list[int]:
         out.append(g // d_prev)
         d_prev = g
     return out
+
+
+def rank_mod_p(M: IntMatrix, p: int) -> int:
+    """Rank of M over F_p, p prime, by Gaussian elimination on reduced
+    entries: the library reads Z = p^(2g - rank) off the Smith normal form
+    instead."""
+    rows = [[x % p for x in M.row(i)] for i in range(M.rows)]
+    rank = 0
+    col = 0
+    while rank < M.rows and col < M.cols:
+        piv = next((i for i in range(rank, M.rows) if rows[i][col] % p != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for i in range(M.rows):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def fixed_point_count_bruteforce(abar: tuple[int, int, int, int], p: int) -> int:

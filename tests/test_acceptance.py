@@ -37,6 +37,7 @@ from oracles import (
     fixed_point_count_genus_g,
     matrix_to_bqf,
     random_sl2,
+    rank_mod_p,
     reduce_indefinite,
     reduction_cycle,
     sl2_fp_elements,
@@ -385,10 +386,11 @@ def test_criterion_10_genus_g_threefold_identity():
         diff = fhat - IntMatrix.identity(4)
         diag = smith_normal_form(diff).diag
         for p in (2, 3, 5):
-            rank_exp = dw_invariant_genus_g(fhat, p).exponent
+            # the library reads Z off the SNF; the oracle eliminates mod p
+            rank_exp = 4 - rank_mod_p(diff, p)
             snf_exp = sum(1 for d in diag if d % p == 0)
             brute = fixed_point_count_genus_g(fhat.to_rows(), 2, p)
-            assert rank_exp == snf_exp
+            assert rank_exp == snf_exp == dw_invariant_genus_g(fhat, p).exponent
             assert p**rank_exp == brute
     elapsed = time.time() - start
     assert elapsed < 60.0

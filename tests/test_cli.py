@@ -72,7 +72,8 @@ def test_homology(capsys):
     "cmd, extra, want", [("homology", [], "Z^2"), ("dw", ["--prime", "3"], "3")], ids=["homology", "dw"]
 )
 def test_no_check_admits_a_2x2_matrix_outside_sl2(cmd, extra, want, capsys):
-    # as for a 4x4 matrix: H1 = Z + coker(A - Id), Z = p^(2 - rank_p(A - Id))
+    # as for a 4x4 matrix: H1 = Z + coker(A - Id), and Z is p to the number
+    # of SNF entries of A - Id divisible by p, zeros included
     code, out = _capture(capsys, [cmd, "--matrix", '[["2","0"],["0","1"]]', *extra, "--no-check"])
     assert (code, out) == (0, want + "\n")
 

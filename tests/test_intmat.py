@@ -11,10 +11,10 @@ from mti.intmat import (
     is_prime,
     is_symplectic,
     mapping_torus_homology,
-    rank_mod_p,
     smith_normal_form,
 )
-from oracles import det, snf_via_minor_gcds
+from mti.sl2 import dw_invariant_genus_g
+from oracles import det, rank_mod_p, snf_via_minor_gcds
 
 GENUS2_A = [[-116, -1463, 39, -2926], [0, 1, 0, 1], [-3, -38, 1, -76], [0, -13, 0, -12]]
 GENUS2_B = [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, -2, 0, 1]]
@@ -128,11 +128,16 @@ def test_snf_conjugation_invariance():
 @settings(max_examples=200, deadline=None)
 @given(int_matrices(max_dim=5), st.sampled_from([2, 3, 5, 7]))
 def test_rank_vs_snf_divisibility(m, p):
+    # the elimination oracle against the SNF, and against the genus-g Z read
+    # off it, for 2g x 2g matrices taken as fhat
     if m.rows != m.cols:
         return
     diag = smith_normal_form(m).diag
     divisible = sum(1 for d in diag if d % p == 0)  # zeros count as divisible
     assert rank_mod_p(m, p) == m.rows - divisible
+    if m.rows % 2 == 0:
+        fixed = m.rows - rank_mod_p(m - IntMatrix.identity(m.rows), p)
+        assert dw_invariant_genus_g(m, p, check_symplectic=False).exponent == fixed
 
 
 def test_rank_mod_p_examples():
@@ -142,8 +147,8 @@ def test_rank_mod_p_examples():
 
 
 def test_rank_mod_p_rejects_composite():
-    with pytest.raises(ValueError):
-        rank_mod_p(IntMatrix.identity(2), 6)
+    with pytest.raises(ValueError, match="6 is not prime"):
+        dw_invariant_genus_g(IntMatrix.identity(2), 6)
 
 
 def test_cokernel_examples():
@@ -200,6 +205,6 @@ def test_is_prime_refuses_psi12():
     with pytest.raises(ValueError, match="cannot decide"):
         is_prime(psi12)
     with pytest.raises(ValueError, match="cannot decide"):
-        rank_mod_p(IntMatrix.identity(2), psi12)
+        dw_invariant_genus_g(IntMatrix.identity(2), psi12)
     assert is_prime(2**61 - 1)
     assert not is_prime(3825123056546413051)  # psi_11: only the base 37 catches it

@@ -95,6 +95,33 @@ def test_a_right_half_with_the_larger_error_stops_li(monkeypatch):
         qags_inv_log(1e6)
 
 
+def test_an_error_that_does_not_fall_stops_li(monkeypatch):
+    # a rule exact on linear areas whose error stays 1 on every interval,
+    # with resasc != abserr: the halves' areas sum to the whole and their
+    # errors do not fall, so QAGS would count round-off
+    def flat_error(a, b):
+        return b - a, 1.0, b - a, 2.0
+
+    monkeypatch.setattr(_quadpack, "dqk21_inv_log", flat_error)
+    with pytest.raises(AssertionError, match="QAGS leaves li's path: a round-off counter counts"):
+        qags_inv_log(1e6)
+
+
+def test_right_halves_above_the_error_bound_stop_li(monkeypatch):
+    # each right half claims half its width as error, less than the left
+    # interval's full width but together above errbnd; with resasc ==
+    # abserr no round-off is counted, so at the first extrapolation QAGS
+    # would turn to the larger intervals
+    def wide_right_halves(a, b):
+        result = dqk21_inv_log(a, b)[0]
+        error = b - a if a == 2.0 else 0.5 * (b - a)
+        return result, error, result, error
+
+    monkeypatch.setattr(_quadpack, "dqk21_inv_log", wide_right_halves)
+    with pytest.raises(AssertionError, match="QAGS leaves li's path: the loop over larger intervals"):
+        qags_inv_log(1e6)
+
+
 @pytest.mark.parametrize(("x", "branch"), [(2.0 + 1e-13, "a right half carries"), (2.0 + 6.4e-14, "ier = 4")])
 def test_li_off_its_path_raises_below_the_refused_band(x, branch):
     # just above 2, inside the band log_integral refuses, QAGS takes a

@@ -7,7 +7,7 @@ from mti.census import log_integral
 from mti.csw import csw_invariant, su2_modular_data
 from mti.intmat import IntMatrix, is_symplectic, mapping_torus_homology, smith_normal_form
 from mti.modular import anharmonic_orbit
-from mti.sl2 import Sl2Matrix
+from mti.sl2 import Sl2Matrix, classify_mod_p, dw_invariant_genus_g, dw_invariant_sl2
 from mti.weight1 import is_cube_mod_p
 
 # the library's refusals that no other test reads by message: each call
@@ -40,6 +40,18 @@ REFUSALS = {
     # band where QAGS keeps li's one path, read 0.6221...
     "li past the floats": (lambda: log_integral(10**400), "x must be 2 or a finite float of at least 3"),
     "li between 2 and 3": (lambda: log_integral(2.5), "x must be 2 or a finite float of at least 3"),
+    # these three were taken: the first gave DwValue(value=3.0, exponent=1),
+    # the second value=9.0 and the third a label with p=3.0; the integer
+    # call first fills is_prime's cache, which answers 3.0 with the entry of 3
+    "float prime": (
+        lambda: [dw_invariant_sl2(Sl2Matrix(4, 3, 5, 4), p) for p in (3, 3.0)],
+        "p must be an integer, got 3.0",
+    ),
+    "float prime, genus g": (lambda: dw_invariant_genus_g(IntMatrix.identity(2), 3.0), "p must be an integer, got 3.0"),
+    "float prime, classification": (
+        lambda: [classify_mod_p(Sl2Matrix(4, 3, 5, 4), p) for p in (3, 3.0)],
+        "p must be an integer, got 3.0",
+    ),
 }
 
 
@@ -65,3 +77,18 @@ def test_levels_take_numpy_integers_as_ints():
     data = su2_modular_data(np.int64(3))
     assert type(data.k) is int and data.k == 3
     assert csw_invariant(Sl2Matrix(2, 1, 1, 1), np.int16(3)) == csw_invariant(Sl2Matrix(2, 1, 1, 1), 3)
+
+
+def test_primes_take_numpy_integers_as_ints():
+    # a numpy prime near 2^61 is taken as the int, so p^2 does not wrap in
+    # int64; it used to raise TypeError from pow inside is_prime
+    p = 2**61 - 1
+    values = [
+        dw_invariant_sl2(Sl2Matrix(1, 0, 0, 1), np.int64(p)),
+        dw_invariant_genus_g(IntMatrix.identity(2), np.int64(p)),
+    ]
+    assert all(v.value == p * p and type(v.value) is int and v.exponent == 2 for v in values)
+    label = classify_mod_p(Sl2Matrix(1, 0, 0, 1), np.uint64(p))
+    assert label.kind == "C1" and type(label.p) is int and type(label.trace_mod_p) is int
+    # and the cube test, which raised TypeError from pow
+    assert is_cube_mod_p(2, np.int64(p)) == (pow(2, (p - 1) // 3, p) == 1)

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mti.intmat import IntMatrix, is_prime, smith_normal_form
+from mti.intmat import IntMatrix, is_prime, mapping_torus_homology, smith_normal_form
 from mti.sl2 import (
     KINDS_ODD,
     KINDS_P2,
@@ -58,6 +58,35 @@ def test_sl2_snf_matches_full_snf():
         elif a2 == 0:
             expect = [a1, 0]
         assert diag == expect
+
+
+def test_genus_one_route_equals_the_2g_route():
+    # H1 and Z off the closed-form diagonal of A - Id equal those off the
+    # full SNF of A as a 2x2 IntMatrix: on +-Id, parabolics of both signs
+    # (with entries that p divides and that it does not), the elliptic
+    # traces 0 and +-1, and seeded words of up to eight letters
+    fixed = [
+        Sl2Matrix(1, 0, 0, 1),
+        Sl2Matrix(-1, 0, 0, -1),
+        Sl2Matrix(1, 5, 0, 1),
+        Sl2Matrix(1, 0, -6, 1),
+        Sl2Matrix(-1, 0, 3, -1),
+        Sl2Matrix(-1, 2310, 0, -1),
+        Sl2Matrix(0, 1, -1, 0),
+        Sl2Matrix(1, -1, 1, 0),
+        Sl2Matrix(0, 1, -1, -1),
+        Sl2Matrix(2, 1, 1, 1),
+        Sl2Matrix(-3, 1, -1, 0),
+    ]
+    rng = random.Random(38)
+    words = fixed + [random_sl2(rng, 8) for _ in range(300)]
+    assert {-2, -1, 0, 1, 2} < {a.trace for a in words}
+    assert any(a.trace > 2 for a in words) and any(a.trace < -2 for a in words)
+    for a in words:
+        m = IntMatrix.from_rows([[a.a, a.b], [a.c, a.d]])
+        assert genus1_homology(a) == mapping_torus_homology(m), a
+        for p in (2, 3, 5, 7, 11):
+            assert dw_invariant_sl2(a, p) == dw_invariant_genus_g(m, p), (a, p)
 
 
 def test_genus1_homology_trichotomy():
