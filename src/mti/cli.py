@@ -118,13 +118,7 @@ def _cmd_dw(args) -> int:
 def _cmd_classify(args) -> int:
     a = _as_sl2(_load_matrix(args.matrix))
     label = classify_mod_p(a, args.prime)
-    payload = {
-        "p": label.p,
-        "kind": label.kind,
-        "trace_mod_p": label.trace_mod_p,
-        "qr_flag": label.qr_flag,
-    }
-    _emit(args, payload, label.kind)
+    _emit(args, asdict(label), label.kind)
     return 0
 
 
@@ -240,17 +234,7 @@ def _cmd_lambda_check(args) -> int:
             {"coset": n, "value": [v.real, v.imag], "reference": [r.real, r.imag], "pass": g}
             for n, v, r, g in rows
         ],
-        "log_formula": [
-            {
-                "coset": r.name,
-                "mod2_class": r.mod2_class,
-                "principal": r.formula_principal,
-                "positive_branch": r.formula_positive,
-                "z": r.z_value,
-                "agrees": r.agrees,
-            }
-            for r in lemma
-        ],
+        "log_formula": [asdict(r) for r in lemma],
     }
     lines = ["coset | computed | reference | pass"]
     for n, v, r, g in rows:
@@ -258,8 +242,8 @@ def _cmd_lambda_check(args) -> int:
     lines.append("coset | class | formula(principal) | formula([0,2pi)) | Z | agrees")
     for r in lemma:
         lines.append(
-            f"{r.name:>8} | {r.mod2_class} | {r.formula_principal:.6f} | "
-            f"{r.formula_positive:.6f} | {r.z_value} | {'ok' if r.agrees else 'FLAG'}"
+            f"{r.coset:>8} | {r.mod2_class} | {r.principal:.6f} | "
+            f"{r.positive_branch:.6f} | {r.z} | {'ok' if r.agrees else 'FLAG'}"
         )
     _emit(args, payload, "\n".join(lines))
     return 0 if ok else 1
@@ -338,30 +322,14 @@ def _cmd_csw_sweep(args) -> int:
 
 def _cmd_modform(args) -> int:
     report = qexpansion_check(args.pmax)
-    payload = {
-        "d": 2,
-        "pmax": report.pmax,
-        "mismatches": report.mismatches,
-        "rows": [
-            {
-                "p": r.p,
-                "a_p": r.computed,
-                "reference": r.reference,
-                "pattern": r.pattern,
-                "mod2_class": r.mod2_class,
-                "z": r.z_value,
-            }
-            for r in report.rows
-        ],
-    }
     lines = ["p | a_p | ref | splitting | mod-2 class | Z | Z-2"]
     for r in report.rows:
         lines.append(
-            f"{r.p:>3} | {r.computed:>2} | {r.reference:>2} | {r.pattern:>6} | "
-            f"{r.mod2_class} | {r.z_value} | {r.z_value - 2}"
+            f"{r.p:>3} | {r.a_p:>2} | {r.reference:>2} | {r.pattern:>6} | "
+            f"{r.mod2_class} | {r.z} | {r.z - 2}"
         )
     lines.append(f"mismatches: {report.mismatches or 'none'}")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, {"d": 2, **asdict(report)}, "\n".join(lines))
     return 0 if not report.mismatches else 1
 
 

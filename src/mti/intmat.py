@@ -1,5 +1,8 @@
 """Exact integer linear algebra: Smith normal form with transformation
-certificates, cokernel structure, and mapping-torus homology.  A group is
+certificates, cokernel structure, and mapping-torus homology.  One
+elimination (`_diagonalize`) does the Smith form: `smith_normal_form` runs
+it with identity blocks beside and below the matrix, which end as the
+certificates, and `cokernel` on the bare rows, building none.  A group is
 read off a Smith diagonal by one rule (`_snf_group`), here and for the
 closed-form genus-one diagonal of `sl2`.
 
@@ -31,6 +34,8 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
+        if rows < 1 or cols < 1:
+            raise ValueError("empty matrix")
         entries = [x if type(x) is int else _checked_integer(x) for x in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
@@ -41,9 +46,7 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         rows = [list(r) for r in rows]
-        if not rows:
-            raise ValueError("empty matrix")
-        n = len(rows[0])
+        n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
         return cls(len(rows), n, [x for r in rows for x in r])
@@ -124,43 +127,33 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(M: IntMatrix) -> SnfResult:
-    """Smith normal form with unimodular certificates.
+def _diagonalize(a: list[list[int]], nr: int, nc: int) -> list[int]:
+    """Bring the nr x nc matrix in the first nr rows and nc columns of the
+    rows a to Smith normal form in place, and return its diagonal.
 
     Alternating row/column Euclidean elimination with minimum-absolute-value
-    pivoting, then a divisibility fixup pass.  Returns diag with positive
-    entries forming a divisibility chain followed by zeros, and P, Q with
-    P*M*Q = diag(diag) and det(P), det(Q) = +-1.
+    pivoting, then a divisibility fixup pass; the diagonal is positive
+    entries forming a divisibility chain followed by zeros.  A row
+    operation acts on a whole row and a column operation on a whole
+    column, so rows and columns beyond the matrix record the operations.
     """
-    nr, nc = M.rows, M.cols
-    a = [M.row(i) for i in range(nr)]
-    p = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    q = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        p[i], p[j] = p[j], p[i]
 
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in q:
-            r[i], r[j] = r[j], r[i]
 
     def add_row(i, j, f):
-        # row_i += f * row_j
+        # row_i += f * row_j, in place: a new list per update was slower
         ai, aj = a[i], a[j]
-        for t in range(nc):
+        for t in range(len(ai)):
             ai[t] += f * aj[t]
-        pi, pj = p[i], p[j]
-        for t in range(nr):
-            pi[t] += f * pj[t]
 
     def add_col(i, j, f):
         # col_i += f * col_j
         for r in a:
-            r[i] += f * r[j]
-        for r in q:
             r[i] += f * r[j]
 
     n = min(nr, nc)
@@ -214,10 +207,25 @@ def smith_normal_form(M: IntMatrix) -> SnfResult:
     for i in range(n):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            p[i] = [-x for x in p[i]]
 
-    diag = [a[i][i] for i in range(n)]
-    return SnfResult(diag, IntMatrix.from_rows(p), IntMatrix.from_rows(q))
+    return [a[i][i] for i in range(n)]
+
+
+def smith_normal_form(M: IntMatrix) -> SnfResult:
+    """Smith normal form with unimodular certificates P, Q: P*M*Q =
+    diag(diag) and det(P), det(Q) = +-1.
+
+    `_diagonalize` runs on the rows of [[M, Id], [Id, 0]] and leaves
+    [[diag, P], [Q, 0]]; the zero block is left out, as no operation
+    reads it.
+    """
+    nr, nc = M.rows, M.cols
+    a = [r + e for r, e in zip(M.to_rows(), IntMatrix.identity(nr).to_rows())]
+    a += IntMatrix.identity(nc).to_rows()
+    diag = _diagonalize(a, nr, nc)
+    left = IntMatrix(nr, nr, [x for r in a[:nr] for x in r[nc:]])
+    right = IntMatrix(nc, nc, [x for r in a[nr:] for x in r])
+    return SnfResult(diag, left, right)
 
 
 def _snf_group(diag, free_rank: int = 0) -> AbelianGroup:
@@ -227,10 +235,10 @@ def _snf_group(diag, free_rank: int = 0) -> AbelianGroup:
 
 
 def cokernel(M: IntMatrix) -> AbelianGroup:
-    """Structure of Z^n / M Z^n from the Smith normal form."""
+    """Structure of Z^n / M Z^n from the Smith diagonal; no certificates."""
     if M.rows != M.cols:
         raise ValueError("cokernel needs a square matrix")
-    return _snf_group(smith_normal_form(M).diag)
+    return _snf_group(_diagonalize(M.to_rows(), M.rows, M.cols))
 
 
 def is_symplectic(M: IntMatrix, g: int) -> bool:

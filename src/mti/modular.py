@@ -105,11 +105,13 @@ def lemma_cool_value(A: Sl2Matrix) -> tuple[float, float]:
 
 @dataclass
 class LemmaCoolRow:
-    name: str
+    """One coset's row; its fields are the keys of `mti lambda-check --json`."""
+
+    coset: str
     mod2_class: str
-    formula_principal: float
-    formula_positive: float
-    z_value: int
+    principal: float
+    positive_branch: float
+    z: int
     agrees: bool
 
 
@@ -123,11 +125,11 @@ def lemma_cool_report() -> list[LemmaCoolRow]:
         fp, fq = lemma_cool_value(A)
         rows.append(
             LemmaCoolRow(
-                name=name,
+                coset=name,
                 mod2_class=classify_mod_p(A, 2).kind,
-                formula_principal=fp,
-                formula_positive=fq,
-                z_value=z,
+                principal=fp,
+                positive_branch=fq,
+                z=z,
                 agrees=abs(fp - z) < 1e-6 or abs(fq - z) < 1e-6,
             )
         )

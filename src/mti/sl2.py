@@ -75,7 +75,8 @@ class ClassLabel:
     """Mod-p conjugacy class tag: C1..C8 for odd p, C1..C3 for p = 2.
 
     qr_flag records the quadratic-residue test that separates C3/C4 and
-    C5/C6 (odd p); None where no such test applies.
+    C5/C6 (odd p); None where no such test applies.  The fields are the
+    keys of `mti classify --json`.
     """
 
     kind: str
@@ -225,6 +226,7 @@ def slp_class_census(p: int) -> list[ClassCensusRow]:
     Returns one row per class kind with the number of distinct classes and
     the common class size.  Distinct C7/C8 classes are told apart by trace.
     """
+    p = _checked_integer(p, "p must be an odd prime <= 13")
     if p not in (3, 5, 7, 11, 13):
         raise ValueError("p must be an odd prime <= 13")
     totals: dict[str, int] = {}

@@ -84,12 +84,14 @@ def eta_product_coefficients(n: int) -> list[int]:
 
 @dataclass
 class QExpansionRow:
+    """One prime's row; its fields are the keys of `mti modform --json`."""
+
     p: int
-    computed: int
+    a_p: int
     reference: int
     pattern: str
     mod2_class: str
-    z_value: int
+    z: int
 
 
 @dataclass
@@ -123,11 +125,11 @@ def qexpansion_check(pmax: int = 100) -> QExpansionReport:
         rows.append(
             QExpansionRow(
                 p=p,
-                computed=computed,
+                a_p=computed,
                 reference=reference[p],
                 pattern=pattern,
                 mod2_class=cls,
-                z_value=2 ** dw_exponent_of_kind(cls, 2),
+                z=2 ** dw_exponent_of_kind(cls, 2),
             )
         )
         if computed != reference[p]:

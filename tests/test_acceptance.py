@@ -266,16 +266,16 @@ def test_criterion_07_lambda_numerics():
             assert abs(lambda_function(image) - orbit[name]) < 1e-8
     # log-formula agreement asserted for the order-two class only; the
     # order-three discrepancy is reported
-    rows = {r.name: r for r in lemma_cool_report()}
+    rows = {r.coset: r for r in lemma_cool_report()}
     for name in ("T", "S", "T.S.T"):
-        assert abs(rows[name].formula_principal - 2.0) < 1e-6
-        assert rows[name].z_value == 2
+        assert abs(rows[name].principal - 2.0) < 1e-6
+        assert rows[name].z == 2
     flagged = [r for r in rows.values() if not r.agrees]
     assert {r.mod2_class for r in flagged} == {"C3"}
     print(
         "order-three discrepancy (reported, not asserted): "
         + "; ".join(
-            f"{r.name}: formula {r.formula_principal:.1f} or {r.formula_positive:.1f}, true Z = {r.z_value}"
+            f"{r.coset}: formula {r.principal:.1f} or {r.positive_branch:.1f}, true Z = {r.z}"
             for r in flagged
         )
     )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import random
 import shlex
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from mti import bqf, cli, csw, weight1
 from mti.census import CSV_HEADER, census
 from mti.cli import run
+from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
 from oracles import store_columns
 
 
@@ -40,6 +42,26 @@ def test_snf_json_round_trip(capsys):
     assert json.loads(json.dumps(doc)) == doc
 
 
+def _seeded_snf_matrices():
+    # 200 matrices, every shape up to 5 x 5 among them, many entries zero
+    rng = random.Random(20240811)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        entries = [rng.choice([0, rng.randint(-30, 30), rng.randint(-3, 3)]) for _ in range(rows * cols)]
+        yield [[str(x) for x in entries[i : i + cols]] for i in range(0, rows * cols, cols)]
+
+
+# SHA-256 of the `snf --json` stdout of the seeded matrices, one run each,
+# joined; recorded while the certificates were built beside the matrix
+SNF_JSON_SHA256 = "ea6d9234b40a3d41d5cdb51f3e17aaa53980a010e90de7ac32c8add397ebe13a"
+
+
+def test_snf_json_bytes_pinned(capsys):
+    outs = [_capture(capsys, ["snf", "--matrix", json.dumps(m), "--json"]) for m in _seeded_snf_matrices()]
+    assert {code for code, _ in outs} == {0}
+    assert _sha256("".join(out for _, out in outs)) == SNF_JSON_SHA256
+
+
 def test_dw(capsys):
     code, out = _capture(capsys, ["dw", "--matrix", '[["4","3"],["5","4"]]', "--prime", "3"])
     assert code == 0
@@ -60,6 +82,31 @@ def test_classify(capsys):
     code, out = _capture(capsys, ["classify", "--matrix", '[["1","1"],["0","1"]]', "--prime", "2"])
     assert code == 0
     assert out.strip() == "C2"
+
+
+# 40 seeded words of up to six letters in S, T and T^-1, and their
+# negatives: every kind of class mod 2, 3, 5 and 7 (mod 3 has no C7)
+def _classify_words():
+    rng = random.Random(7)
+    for _ in range(40):
+        a = Sl2Matrix(1, 0, 0, 1)
+        for g in rng.choices([SL2_S, SL2_T, SL2_T.inverse()], k=rng.randint(0, 6)):
+            a = a * g
+        for b in (a, -a):
+            yield [[b.a, b.b], [b.c, b.d]]
+
+
+# SHA-256 of the `classify --json` stdout of the words at p = 2, 3, 5, 7,
+# one run each, joined; recorded while the document was written key by key
+CLASSIFY_JSON_SHA256 = "a78b52e428c920e4700392fcdeef050792f699544c280ae36cf015fcca0e5050"
+
+
+def test_classify_json_bytes_pinned(capsys):
+    argvs = [["--matrix", json.dumps(a), "--prime", str(p)] for a in _classify_words() for p in (2, 3, 5, 7)]
+    outs = [_capture(capsys, ["classify", *argv, "--json"]) for argv in argvs]
+    assert {code for code, _ in outs} == {0}
+    assert {json.loads(out)["kind"] for _, out in outs} == {f"C{i}" for i in range(1, 9)}
+    assert _sha256("".join(out for _, out in outs)) == CLASSIFY_JSON_SHA256
 
 
 def test_homology(capsys):
@@ -441,6 +488,17 @@ def test_modform_past_the_lmfdb_window(capsys):
     code, out = _capture(capsys, ["modform", "--pmax", "1000"])
     assert code == 0
     assert out.splitlines()[-1] == "mismatches: none"
+
+
+# SHA-256 of `modform --pmax 1000 --json` stdout, recorded while the
+# document was written key by key
+MODFORM_JSON_SHA256 = "4f4baf98b27fd74920aa199f6754e2b12e7f6b6cd6c563f0df884a643ec05ff1"
+
+
+def test_modform_json_bytes_pinned(capsys):
+    code, out = _capture(capsys, ["modform", "--pmax", "1000", "--json"])
+    assert code == 0
+    assert _sha256(out) == MODFORM_JSON_SHA256
 
 
 def test_matrix_from_file(tmp_path, capsys):

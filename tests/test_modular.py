@@ -155,9 +155,9 @@ def test_lemma_formula_values():
 
 
 def test_lemma_report():
-    rows = {r.name: r for r in lemma_cool_report()}
+    rows = {r.coset: r for r in lemma_cool_report()}
     assert all(rows[n].agrees for n in ("T", "S", "T.S.T"))
     assert not rows["T.S"].agrees
     assert not rows["-S.T^-1"].agrees
-    assert rows["T.S"].z_value == 1
-    assert rows["T"].z_value == 2
+    assert rows["T.S"].z == 1
+    assert rows["T"].z == 2

@@ -7,7 +7,7 @@ from mti.census import log_integral
 from mti.csw import csw_invariant, su2_modular_data
 from mti.intmat import IntMatrix, is_symplectic, mapping_torus_homology, smith_normal_form
 from mti.modular import anharmonic_orbit
-from mti.sl2 import Sl2Matrix, classify_mod_p, dw_invariant_genus_g, dw_invariant_sl2
+from mti.sl2 import Sl2Matrix, classify_mod_p, dw_invariant_genus_g, dw_invariant_sl2, slp_class_census
 from mti.weight1 import is_cube_mod_p
 
 # the library's refusals that no other test reads by message: each call
@@ -52,6 +52,13 @@ REFUSALS = {
         lambda: [classify_mod_p(Sl2Matrix(4, 3, 5, 4), p) for p in (3, 3.0)],
         "p must be an integer, got 3.0",
     ),
+    # this raised TypeError from range: 5.0 passed the test p in (3, 5, ...)
+    "float prime, SL(2, F_p) census": (lambda: slp_class_census(5.0), "p must be an odd prime <= 13, got 5.0"),
+    # these two constructed: the cokernel of the first was refused only
+    # because building its certificates called from_rows([]), and with no
+    # certificates its H1 would read Z and its Z/p value 1
+    "empty matrix, 0x0": (lambda: IntMatrix(0, 0, []), "empty matrix"),
+    "empty matrix, 2x0": (lambda: IntMatrix(2, 0, []), "empty matrix"),
 }
 
 

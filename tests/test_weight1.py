@@ -89,7 +89,7 @@ def test_qexpansion_matches_lmfdb():
     # spot check the nonzero references
     by_p = {r.p: r for r in report.rows}
     for p, coeff in LMFDB_D2_PRIME_COEFFS.items():
-        assert by_p[p].computed == coeff
+        assert by_p[p].a_p == coeff
 
 
 def test_eta_product_is_the_lmfdb_expansion_below_100():
@@ -133,14 +133,14 @@ def test_qexpansion_requires_d2_for_stored_reference():
     with pytest.raises(TypeError):
         qexpansion_check(3, 100)
     report = qexpansion_check(100)
-    assert [r.computed for r in report.rows] == [frobenius_trace(2, r.p) for r in report.rows]
+    assert [r.a_p for r in report.rows] == [frobenius_trace(2, r.p) for r in report.rows]
 
 
 def test_order_matched_dictionary():
     # the element-order pairing satisfies a_p = Z - 2 for every row
     report = qexpansion_check(100)
     for row in report.rows:
-        assert row.computed == row.z_value - 2
+        assert row.a_p == row.z - 2
 
 
 def test_chebotarev_density_sanity():
