@@ -22,7 +22,6 @@ from .intmat import (
     AbelianGroup,
     IntMatrix,
     SnfResult,
-    cokernel,
     is_symplectic,
     mapping_torus_homology,
     smith_normal_form,

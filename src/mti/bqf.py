@@ -38,10 +38,10 @@ All square-root comparisons are exact (squares are compared, never floats).
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
 
 import numpy as np
 
+from .intmat import _checked_integer
 from .sl2 import Sl2Matrix
 
 # single traces at or past this bound are refused: _CYCLE_STEPS rho^2 steps
@@ -229,7 +229,7 @@ def _word_pieces(T: int):
 
 
 def _checked_bound(T, largest: int) -> int:
-    T = index(T)
+    T = _checked_integer(T, "T must be an integer")
     if T < 4:
         raise ValueError("T must be at least 4")
     if T > largest:
@@ -293,7 +293,7 @@ def _class_columns(T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 
 
 def _checked_trace(t) -> int:
-    t = abs(index(t))
+    t = abs(_checked_integer(t, "t must be an integer"))
     if t <= 2:
         raise ValueError("requires |t| > 2")
     if t >= _MAX_T:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._quadpack import qags_inv_log
 from .bqf import _class_rows
-from .intmat import is_prime
+from .intmat import _checked_integer, is_prime
 from .sl2 import KINDS_ODD, KINDS_P2, class_table, dw_exponent_of_kind, jacobi
 
 CSV_HEADER = "T,total,c1,c2,unipotent,rest,dw_sum,snf_id,snf_unip,snf_rest,li_T2"
@@ -98,7 +98,7 @@ def census(p: int, T: int) -> CensusReport:
     (`_tally_matrix`) takes its bins to labels on s = t and on both signs,
     and `_snapshots` reads every checkpoint off the product at once.
     """
-    p, T = operator.index(p), operator.index(T)
+    p, T = _checked_integer(p, "p must be an integer"), _checked_integer(T, "T must be an integer")
     if p >= 2**63:
         raise ValueError("p must be below 2^63")
     if not is_prime(p):

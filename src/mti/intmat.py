@@ -1,10 +1,10 @@
 """Exact integer linear algebra: Smith normal form with transformation
-certificates, cokernel structure, and mapping-torus homology.  One
+certificates, the symplectic test, and mapping-torus homology.  One
 elimination (`_diagonalize`) does the Smith form: `smith_normal_form` runs
 it with identity blocks beside and below the matrix, which end as the
-certificates, and `cokernel` on the bare rows, building none.  A group is
-read off a Smith diagonal by one rule (`_snf_group`), here and for the
-closed-form genus-one diagonal of `sl2`.
+certificates, and `mapping_torus_homology` on the bare rows, building none.
+A group is read off a Smith diagonal by one rule (`_snf_group`), here and
+for the closed-form genus-one diagonal of `sl2`.
 
 All arithmetic is over Python ints (arbitrary precision); nothing here is
 performance-critical, so clarity and exactness win over speed.
@@ -55,10 +55,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -80,25 +76,10 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_rows()!r})"
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        out = [0] * (n * m)
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                out[i * m + j] = sum(arow[t] * b[t * m + j] for t in range(k))
-        return IntMatrix(n, m, out)
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return IntMatrix(self.rows, self.cols, [x - y for x, y in zip(self.entries, other.entries)])
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
 
 @dataclass
@@ -228,51 +209,43 @@ def smith_normal_form(M: IntMatrix) -> SnfResult:
     return SnfResult(diag, left, right)
 
 
-def _snf_group(diag, free_rank: int = 0) -> AbelianGroup:
+def _snf_group(diag, free_rank: int) -> AbelianGroup:
     """Z^free_rank plus the cokernel of a Smith normal form diag: its zeros
     are free, its entries above 1 torsion."""
     return AbelianGroup(free_rank=free_rank + diag.count(0), torsion=[d for d in diag if d > 1])
 
 
-def cokernel(M: IntMatrix) -> AbelianGroup:
-    """Structure of Z^n / M Z^n from the Smith diagonal; no certificates."""
-    if M.rows != M.cols:
-        raise ValueError("cokernel needs a square matrix")
-    return _snf_group(_diagonalize(M.to_rows(), M.rows, M.cols))
-
-
 def is_symplectic(M: IntMatrix, g: int) -> bool:
-    """M^T * J * M == J for the block form J = [[0, I_g], [-I_g, 0]]."""
+    """M^T * J * M == J for the block form J = [[0, I_g], [-I_g, 0]], tested
+    as omega(M e_i, M e_j) == omega(e_i, e_j) on pairs of columns, where
+    omega(x, y) = sum_k<g (x_k * y_{g+k} - x_{g+k} * y_k).  M^T * J * M - J
+    is antisymmetric, so the pairs i < j decide it; omega(e_i, e_j) is 1 at
+    j = i + g and 0 at every other i < j."""
     if g < 1 or M.rows != 2 * g or M.cols != 2 * g:
         raise ValueError(f"expected a {2 * g}x{2 * g} matrix")
     n = 2 * g
-    j = IntMatrix.zero(n, n)
-    for i in range(g):
-        j.entries[i * n + (g + i)] = 1
-        j.entries[(g + i) * n + i] = -1
-    return M.transpose() * j * M == j
-
-
-def _checked_genus(fhat: IntMatrix, check_symplectic: bool) -> int:
-    """The genus g of a 2g x 2g matrix fhat, refused unless symplectic when
-    check_symplectic is set."""
-    if fhat.rows != fhat.cols or fhat.rows % 2 != 0:
-        raise ValueError("expected a 2g x 2g matrix")
-    g = fhat.rows // 2
-    if check_symplectic and not is_symplectic(fhat, g):
-        raise ValueError("matrix is not symplectic")
-    return g
+    cols = [M.entries[j::n] for j in range(n)]
+    return all(
+        sum(x[k] * y[g + k] - x[g + k] * y[k] for k in range(g)) == (j == i + g)
+        for i, x in enumerate(cols)
+        for j, y in enumerate(cols[i + 1 :], i + 1)
+    )
 
 
 def mapping_torus_homology(fhat: IntMatrix, check_symplectic: bool = True) -> AbelianGroup:
-    """H1 of the mapping torus of a surface map acting as fhat on H1(S).
+    """H1 of the mapping torus of a surface map acting as fhat on H1(S):
+    Z + coker(fhat - Id), read off the Smith diagonal of fhat - Id, which
+    `_diagonalize` takes on the bare rows, building no certificates.
 
-    Equals Z + coker(fhat - Id).  check_symplectic=False admits matrices
-    outside Sp(2g,Z); the cokernel formula is applied as-is.
+    check_symplectic=False admits any 2g x 2g matrix, in Sp(2g,Z) or not;
+    the cokernel formula is applied as-is.
     """
-    g = _checked_genus(fhat, check_symplectic)
-    ck = cokernel(fhat - IntMatrix.identity(2 * g))
-    return AbelianGroup(free_rank=ck.free_rank + 1, torsion=ck.torsion)
+    n = fhat.rows
+    if n != fhat.cols or n % 2 != 0:
+        raise ValueError("expected a 2g x 2g matrix")
+    if check_symplectic and not is_symplectic(fhat, n // 2):
+        raise ValueError("matrix is not symplectic")
+    return _snf_group(_diagonalize((fhat - IntMatrix.identity(n)).to_rows(), n, n), free_rank=1)
 
 
 # psi_12 = 399165290221 * 798330580441, the smallest strong pseudoprime to

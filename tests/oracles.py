@@ -6,7 +6,8 @@ reduction with equivalence witnesses and the rho-cycle of a reduced form
 (Buchmann-Vollmer, Binary Quadratic Forms, 2007) check the class listing;
 the gcds of minors check the Smith normal form; Gaussian elimination mod p
 checks the genus-g Z read off it; exhaustive fixed-point counts check
-Z(A, p); the level-k rep trace with one matrix power per S
+Z(A, p); M^T J M, by two matrix products, checks the symplectic test on
+column pairs; the level-k rep trace with one matrix power per S
 letter checks `csw.rep_trace`; the Gauss sum of a binary form by trial
 division checks `csw._form_gauss_sum`.  The module is not a test file, so pytest
 does not collect it; the test files import it from their own directory.
@@ -88,6 +89,35 @@ def symplectic_transvection(v, lam, g):
         jv[g + i] = -v[i]
     rows = [[(1 if i == j else 0) + lam * v[i] * jv[j] for j in range(n)] for i in range(n)]
     return IntMatrix.from_rows(rows)
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a * b, each entry the sum over a row of a and a column of b."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    cols = list(zip(*b.to_rows()))
+    return IntMatrix.from_rows([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.to_rows()])
+
+
+def is_symplectic_by_j(M: IntMatrix, g: int) -> bool:
+    """M^T * J * M == J for the block form J = [[0, I_g], [-I_g, 0]], by two
+    full matrix products; checks `intmat.is_symplectic`."""
+    n = 2 * g
+    j = IntMatrix.from_rows([[(c == r + g) - (r == c + g) for c in range(n)] for r in range(n)])
+    return matmul(matmul(IntMatrix.from_rows(zip(*M.to_rows())), j), M) == j
+
+
+def random_symplectic(rng, g=2, steps=6):
+    """A product of steps transvections of seeded vectors in {-1, 0, 1}^2g
+    (none zero), each with lam = +-1: an element of Sp(2g, Z)."""
+    n = 2 * g
+    m = IntMatrix.identity(n)
+    for _ in range(steps):
+        v = [rng.randint(-1, 1) for _ in range(n)]
+        if all(x == 0 for x in v):
+            v[rng.randrange(n)] = 1
+        m = matmul(m, symplectic_transvection(v, rng.choice([-1, 1]), g))
+    return m
 
 
 def sp4_fp_elements(p):

@@ -37,11 +37,11 @@ from oracles import (
     fixed_point_count_genus_g,
     matrix_to_bqf,
     random_sl2,
+    random_symplectic,
     rank_mod_p,
     reduce_indefinite,
     reduction_cycle,
     sl2_fp_elements,
-    symplectic_transvection,
 )
 
 GENUS2_A = IntMatrix.from_rows(
@@ -376,12 +376,7 @@ def test_criterion_10_genus_g_threefold_identity():
     start = time.time()
     rng = random.Random(4242)
     for _ in range(200):
-        fhat = IntMatrix.identity(4)
-        for _ in range(rng.randint(2, 7)):
-            v = [rng.randint(-1, 1) for _ in range(4)]
-            if all(x == 0 for x in v):
-                v[rng.randrange(4)] = 1
-            fhat = fhat * symplectic_transvection(v, rng.choice([-1, 1]), 2)
+        fhat = random_symplectic(rng, 2, rng.randint(2, 7))
         assert is_symplectic(fhat, 2)
         diff = fhat - IntMatrix.identity(4)
         diag = smith_normal_form(diff).diag

@@ -878,8 +878,8 @@ def test_class_listing_refuses_bad_bounds_at_the_call():
     bqf._class_rows(60)
     before = bqf._walked_rows.cache_info()
     for call, largest in ((bqf._class_columns, bqf._MAX_LISTING_T), (bqf._class_rows, bqf._MAX_ROWS_T)):
-        for T, error in ((3, ValueError), (60.0, TypeError), (2**21, ValueError)):
-            with pytest.raises(error):
+        for T in (3, 60.0, 2**21):
+            with pytest.raises(ValueError):
                 call(T)
             assert bqf._walked_rows.cache_info() == before, T
         with pytest.raises(ValueError, match=f"T must be at most {largest}: "):

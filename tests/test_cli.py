@@ -11,8 +11,9 @@ import pytest
 from mti import bqf, cli, csw, weight1
 from mti.census import CSV_HEADER, census
 from mti.cli import run
+from mti.intmat import IntMatrix
 from mti.sl2 import SL2_S, SL2_T, Sl2Matrix
-from oracles import store_columns
+from oracles import is_symplectic_by_j, random_symplectic, store_columns
 
 
 def _capture(capsys, argv):
@@ -113,6 +114,46 @@ def test_homology(capsys):
     code, out = _capture(capsys, ["homology", "--matrix", '[["4","3"],["5","4"]]'])
     assert code == 0
     assert out.strip() == "Z + Z/6"
+
+
+def _seeded_genus_g_matrices():
+    # 4x4 and 6x6 products of transvections, each followed by a copy with one
+    # entry moved by 1 that the J-product oracle finds not symplectic
+    rng = random.Random(20261022)
+    for g in (2, 3):
+        for _ in range(10):
+            m = random_symplectic(rng, g, rng.randint(2, 7))
+            yield m, True
+            bent = m
+            while is_symplectic_by_j(bent, g):
+                entries = list(m.entries)
+                entries[rng.randrange(len(entries))] += rng.choice([-1, 1])
+                bent = IntMatrix(m.rows, m.cols, entries)
+            yield bent, False
+
+
+# SHA-256 of the stdout of `dw --prime p --json` (p = 2, 3, 5) and of
+# `homology --json` over the seeded matrices, each run checked and with
+# --no-check, joined; recorded while is_symplectic took the products M^T J M
+GENUS_G_JSON_SHA256 = {
+    "dw": "a4c2f6cb9ab402eb7c0a0ef3adec0409806d0c452922da074796ad30a4335919",
+    "homology": "2b0ad7918e339702dd908967f0879b6b033d79ee87380d6e86132c56c82dc62a",
+}
+
+
+@pytest.mark.parametrize("cmd", list(GENUS_G_JSON_SHA256))
+def test_genus_g_json_bytes_pinned(cmd, capsys):
+    primes = [["--prime", str(p)] for p in (2, 3, 5)] if cmd == "dw" else [[]]
+    codes, outs = set(), []
+    for m, symplectic in _seeded_genus_g_matrices():
+        for prime in primes:
+            for check in ([], ["--no-check"]):
+                code, out = _capture(capsys, [cmd, "--matrix", json.dumps(m.to_rows()), *prime, "--json", *check])
+                codes.add((code, symplectic or bool(check)))
+                outs.append(out)
+    # a refused matrix exits 1 with empty stdout; every other run exits 0
+    assert codes == {(0, True), (1, False)}
+    assert _sha256("".join(outs)) == GENUS_G_JSON_SHA256[cmd]
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from mti.intmat import (
     AbelianGroup,
     IntMatrix,
-    cokernel,
+    _diagonalize,
     is_prime,
     is_symplectic,
     mapping_torus_homology,
     smith_normal_form,
 )
 from mti.sl2 import dw_invariant_genus_g
-from oracles import det, rank_mod_p, snf_via_minor_gcds
+from oracles import det, is_symplectic_by_j, matmul, random_symplectic, rank_mod_p, snf_via_minor_gcds
 
 GENUS2_A = [[-116, -1463, 39, -2926], [0, 1, 0, 1], [-3, -38, 1, -76], [0, -13, 0, -12]]
 GENUS2_B = [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, -2, 0, 1]]
@@ -35,7 +35,7 @@ def test_snf_genus2_examples():
 
 
 def test_snf_zero_matrix():
-    res = smith_normal_form(IntMatrix.zero(2, 2))
+    res = smith_normal_form(IntMatrix(2, 2, [0] * 4))
     assert res.diag == [0, 0]
     assert res.left == IntMatrix.identity(2)
     assert res.right == IntMatrix.identity(2)
@@ -48,7 +48,7 @@ def test_snf_2x2_example():
 def test_snf_certificates():
     m = minus_id(GENUS2_A)
     res = smith_normal_form(m)
-    assert res.left * m * res.right == diag_matrix(res.diag, 4)
+    assert matmul(matmul(res.left, m), res.right) == diag_matrix(res.diag, 4)
     assert abs(det(res.left)) == 1
     assert abs(det(res.right)) == 1
 
@@ -69,7 +69,7 @@ def _check_snf(m: IntMatrix):
     full = IntMatrix.from_rows(
         [[d[i] if i == j and i < n else 0 for j in range(m.cols)] for i in range(m.rows)]
     )
-    assert res.left * m * res.right == full
+    assert matmul(matmul(res.left, m), res.right) == full
     return res
 
 
@@ -87,9 +87,8 @@ def test_snf_random_properties(m):
     res = _check_snf(m)
     if max(m.rows, m.cols) <= 4:
         assert snf_via_minor_gcds(m, max_dim=4) == res.diag
-    # cokernel runs the elimination without certificates
-    if m.rows == m.cols:
-        assert cokernel(m) == AbelianGroup(res.diag.count(0), [d for d in res.diag if d > 1])
+    # the elimination on the bare rows, which H1 runs, finds the same diagonal
+    assert _diagonalize(m.to_rows(), m.rows, m.cols) == res.diag
 
 
 def test_minor_gcd_examples():
@@ -100,7 +99,7 @@ def test_minor_gcd_examples():
 
 def test_minor_gcd_dimension_limit():
     with pytest.raises(ValueError):
-        snf_via_minor_gcds(IntMatrix.zero(7, 7))
+        snf_via_minor_gcds(IntMatrix(7, 7, [0] * 49))
 
 
 def _random_unimodular(n, rng, steps=8):
@@ -113,8 +112,8 @@ def _random_unimodular(n, rng, steps=8):
         e.entries[i * n + j] = f
         einv = IntMatrix.identity(n)
         einv.entries[i * n + j] = -f
-        u = u * e
-        uinv = einv * uinv
+        u = matmul(u, e)
+        uinv = matmul(einv, uinv)
     return u, uinv
 
 
@@ -124,8 +123,8 @@ def test_snf_conjugation_invariance():
     base = smith_normal_form(m).diag
     for _ in range(25):
         u, uinv = _random_unimodular(4, rng)
-        assert u * uinv == IntMatrix.identity(4)
-        assert smith_normal_form(u * m * uinv).diag == base
+        assert matmul(u, uinv) == IntMatrix.identity(4)
+        assert smith_normal_form(matmul(matmul(u, m), uinv)).diag == base
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,14 +153,6 @@ def test_rank_mod_p_rejects_composite():
         dw_invariant_genus_g(IntMatrix.identity(2), 6)
 
 
-def test_cokernel_examples():
-    assert cokernel(minus_id(GENUS2_A)) == AbelianGroup(0, [3, 507])
-    assert cokernel(minus_id(GENUS2_B)) == AbelianGroup(2, [2])
-    assert cokernel(IntMatrix.zero(2, 2)) == AbelianGroup(2, [])
-    with pytest.raises(ValueError, match="cokernel needs a square matrix"):
-        cokernel(IntMatrix.zero(2, 3))
-
-
 def test_mapping_torus_homology():
     # the first matrix reproduces the published homology but fails the
     # symplectic test (it preserves no unimodular skew form)
@@ -179,11 +170,31 @@ def test_is_symplectic():
     assert is_symplectic(IntMatrix.from_rows(GENUS2_B), 2)
     assert not is_symplectic(IntMatrix.from_rows(GENUS2_A), 2)
     with pytest.raises(ValueError):
-        is_symplectic(IntMatrix.zero(2, 3), 1)
+        is_symplectic(IntMatrix(2, 3, [0] * 6), 1)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_is_symplectic_agrees_with_the_j_product_oracle(g):
+    # the column-pair test against the products M^T J M on seeded products
+    # of transvections, copies of them with one entry moved, and matrices
+    # of small random entries
+    rng = random.Random(g)
+    n = 2 * g
+    verdicts = []
+    for _ in range(150):
+        m = random_symplectic(rng, g, rng.randint(1, 6))
+        bent = list(m.entries)
+        bent[rng.randrange(n * n)] += rng.choice([-2, -1, 1, 2])
+        small = [rng.randint(-1, 1) for _ in range(n * n)]
+        for entries in (m.entries, bent, small):
+            case = IntMatrix(n, n, entries)
+            verdicts.append(is_symplectic(case, g))
+            assert verdicts[-1] == is_symplectic_by_j(case, g), case
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_int_matrix_is_unhashable():
-    # its entries are a public list that is_symplectic writes in place, so a
+    # its entries are a public list that callers may write in place, so a
     # hash taken over them would go stale
     with pytest.raises(TypeError, match="unhashable"):
         hash(IntMatrix.identity(2))

@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from itertools import count
 
 import pytest
 
@@ -120,6 +121,48 @@ def test_right_halves_above_the_error_bound_stop_li(monkeypatch):
     monkeypatch.setattr(_quadpack, "dqk21_inv_log", wide_right_halves)
     with pytest.raises(AssertionError, match="QAGS leaves li's path: the loop over larger intervals"):
         qags_inv_log(1e6)
+
+
+@pytest.mark.parametrize(
+    ("area", "branch"),
+    [
+        (math.sqrt, "the epsilon table is full"),
+        (lambda k: 1.0, "epsilon table elements agree to machine accuracy"),
+        (float, "the epsilon table breaks on an irregular element"),
+        (lambda k: 1.0 / k, "ier = 5, the extrapolation stalls"),
+    ],
+    ids=["table-full", "agreeing", "irregular", "ier-5"],
+)
+def test_areas_the_extrapolation_cannot_follow_stop_li(area, branch, monkeypatch):
+    # the k-th interval [2, b1] (k = 1 for [2, b]) claims area(k) and an
+    # error of 100, each right half area and error 0 with resasc == abserr,
+    # so no round-off is counted and the area QAGS extrapolates is area(k):
+    # sqrt(k) grows past every extrapolation until the table is full, a
+    # constant has equal elements, an arithmetic progression makes the
+    # epsilon step divide by almost 0, and 1/k converges too slowly for the
+    # epsilon algorithm to gain on it
+    calls = count(1)
+
+    def claimed(a, b):
+        return (area(next(calls)), 100.0, 0.0, 1.0) if a == 2.0 else (0.0, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(_quadpack, "dqk21_inv_log", claimed)
+    with pytest.raises(AssertionError, match=f"QAGS leaves li's path: {branch}"):
+        qags_inv_log(1e6)
+
+
+def test_an_interval_larger_than_the_smallest_stops_li(monkeypatch):
+    # li always bisects [2, bl], whose width halves as QAGS's bound `small`
+    # does, so nothing but a bound whose distance from 2 reads an eighth of
+    # its width takes this branch: small then starts below the width of the
+    # next interval to bisect, and QAGS would bisect it before extrapolating
+    class ShortBound(float):
+        def __sub__(self, other):
+            return (float(self) - other) / 8
+
+    monkeypatch.setattr(_quadpack, "dqk21_inv_log", lambda a, b: dqk21_inv_log(a, float(b)))
+    with pytest.raises(AssertionError, match="QAGS leaves li's path: it bisects again before extrapolating"):
+        qags_inv_log(ShortBound(1e6))
 
 
 @pytest.mark.parametrize(("x", "branch"), [(2.0 + 1e-13, "a right half carries"), (2.0 + 6.4e-14, "ier = 4")])

@@ -3,7 +3,9 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from mti.census import log_integral
+from mti import bqf
+from mti.bqf import classes_with_trace
+from mti.census import census, log_integral
 from mti.csw import csw_invariant, su2_modular_data
 from mti.intmat import IntMatrix, is_symplectic, mapping_torus_homology, smith_normal_form
 from mti.modular import anharmonic_orbit
@@ -17,8 +19,7 @@ REFUSALS = {
     "entry count": (lambda: IntMatrix(2, 2, [1, 2, 3]), "need 4 entries, got 3"),
     "empty rows": (lambda: IntMatrix.from_rows([]), "empty matrix"),
     "ragged rows": (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
-    "product shapes": (lambda: IntMatrix.zero(2, 3) * IntMatrix.zero(2, 3), "dimension mismatch"),
-    "difference shapes": (lambda: IntMatrix.zero(2, 2) - IntMatrix.zero(2, 3), "shape mismatch"),
+    "difference shapes": (lambda: IntMatrix.identity(2) - IntMatrix(2, 3, [0] * 6), "shape mismatch"),
     "genus shape": (lambda: mapping_torus_homology(IntMatrix.identity(3)), "expected a 2g x 2g matrix"),
     "symplectic shape": (lambda: is_symplectic(IntMatrix.identity(2), 2), "expected a 4x4 matrix"),
     "level zero": (lambda: su2_modular_data(0), "level must be a positive integer"),
@@ -54,6 +55,11 @@ REFUSALS = {
     ),
     # this raised TypeError from range: 5.0 passed the test p in (3, 5, ...)
     "float prime, SL(2, F_p) census": (lambda: slp_class_census(5.0), "p must be an odd prime <= 13, got 5.0"),
+    # these four raised TypeError from operator.index
+    "float prime, census": (lambda: census(3.0, 100), "p must be an integer, got 3.0"),
+    "float bound, census": (lambda: census(5, 100.0), "T must be an integer, got 100.0"),
+    "float trace": (lambda: classes_with_trace(7.0), "t must be an integer, got 7.0"),
+    "float bound, trace counts": (lambda: bqf._trace_counts(60.0), "T must be an integer, got 60.0"),
     # these two constructed: the cokernel of the first was refused only
     # because building its certificates called from_rows([]), and with no
     # certificates its H1 would read Z and its Z/p value 1

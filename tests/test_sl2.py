@@ -29,9 +29,9 @@ from oracles import (
     legendre_by_euler,
     prime_powers,
     random_sl2,
+    random_symplectic,
     sl2_fp_elements,
     sp4_fp_elements,
-    symplectic_transvection,
 )
 
 
@@ -359,17 +359,6 @@ def test_genus2_mean_z_over_sp4_fp_is_two(p, histogram, checked):
     assert sum(z) == 2 * size and Counter(z) == histogram
     for i in random.Random(p).sample(range(size), checked):
         assert z[i] == fixed_point_count_genus_g(rows[i], 2, p)
-
-
-def random_symplectic(rng, g=2, steps=6):
-    n = 2 * g
-    m = IntMatrix.identity(n)
-    for _ in range(steps):
-        v = [rng.randint(-1, 1) for _ in range(n)]
-        if all(x == 0 for x in v):
-            v[rng.randrange(n)] = 1
-        m = m * symplectic_transvection(v, rng.choice([-1, 1]), g)
-    return m
 
 
 def test_random_symplectic_are_symplectic():
